@@ -16,19 +16,20 @@ values are parsed as JSON when possible, otherwise kept as strings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 The CSV stays the source of truth for plots; SVGs are rendered by hand so
-no plotting stack is needed. C4_THREADS caps BLAS worker pools.
+no plotting stack is needed. C4_THREADS caps BLAS worker pools; the package
+exports it to the BLAS variables on import, before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
+from . import apply_thread_cap as _apply_thread_cap
 from .data import EnvSpec, generate, load_jsonl, save_jsonl
 from .errors import C4Error, InputError, ParseError
 from .gmm import mixture_to_json
@@ -113,20 +114,6 @@ def build_train_config(cfg: dict, env: EnvSpec, baseline: bool) -> TrainConfig:
     if baseline:
         section["baseline_mode"] = True
     return TrainConfig(eval_env=env if evaluate else None, **section)
-
-
-def _apply_thread_cap() -> None:
-    raw = os.environ.get("C4_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"C4_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise InputError(f"C4_THREADS must be a positive integer, got {raw!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
 
 
 def cmd_gen_data(args) -> int:

@@ -20,6 +20,7 @@ from .covstats import jacobi_svd
 from .errors import InputError, NumericalError
 from .gmm import StackedPairSet
 from .nets import MlpCritic, TargetCritic, param_gradient
+from .train import bootstrap_targets
 
 # Keeps the (replicates x batch) perturbation tensor within a few MB.
 _REPLICATE_CHUNK = 512
@@ -196,7 +197,7 @@ def grad_cosine_report(critic: MlpCritic, target: MlpCritic, batch,
         raise InputError("need at least 2 transitions")
     target = _as_net(target)
     x, x_prime, r = _batch_inputs(batch)
-    delta = r + gamma * (1.0 - batch.done) * target.forward_batch(x_prime) \
+    delta = bootstrap_targets(r, batch.done, target.forward_batch(x_prime), gamma) \
         - critic.forward_batch(x)
     n = delta.shape[0]
     mean = delta.mean()

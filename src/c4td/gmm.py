@@ -9,7 +9,7 @@ the M-step adds a ridge so every covariance stays safely positive definite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,10 +86,18 @@ class FitResult:
     """EM outcome; unpacks as (mixture, responsibilities) for convenience."""
 
     mixture: GaussianMixture
-    responsibilities: np.ndarray
+    data: np.ndarray = field(repr=False)
     log_likelihoods: list[float]
     n_iterations: int
     n_reseeds: int
+    _responsibilities: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def responsibilities(self) -> np.ndarray:
+        """E-step of the fitted mixture on the fitted rows, computed on first access."""
+        if self._responsibilities is None:
+            self._responsibilities = e_step(self.mixture, self.data)
+        return self._responsibilities
 
     def __iter__(self):
         return iter((self.mixture, self.responsibilities))
@@ -281,8 +289,7 @@ def fit(y, k: int, max_iters: int = 200, tol: float = 1e-7,
         prev_ll = ll
         prev_mixture = mixture
         mixture = m_step(y, resp, eps)
-    final_resp = e_step(mixture, y)
-    return FitResult(mixture, final_resp, trace, iters, reseeds)
+    return FitResult(mixture, y, trace, iters, reseeds)
 
 
 def split_blocks(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -24,8 +24,11 @@ class MlpCritic:
     """Fully connected ReLU network with a linear scalar head.
 
     ``layers`` is a list of ``(W, b)`` pairs where ``W`` has shape
-    ``(fan_out, fan_in)``. At least one hidden layer is required because the
-    penultimate-feature surrogate needs a hidden activation to read.
+    ``(fan_out, fan_in)``. The pairs are views into one flat vector,
+    ``flat``, laid out layer by layer as ``W`` row-major then ``b``, so an
+    optimizer or the EMA update can act on all parameters at once. At least
+    one hidden layer is required because the penultimate-feature surrogate
+    needs a hidden activation to read.
     """
 
     def __init__(self, layers: Params):
@@ -42,9 +45,22 @@ class MlpCritic:
             arch.append(w.shape[0])
         if arch[-1] != 1:
             raise InputError("output head must be scalar")
-        self.layers: Params = [(np.array(w, dtype=float), np.array(b, dtype=float))
-                               for w, b in layers]
         self.arch = arch
+        self.flat = np.empty(sum(o * i + o for i, o in zip(arch[:-1], arch[1:])))
+        self._layers = _LayerViews(self.flat, arch)
+        self.layers = layers
+
+    @property
+    def layers(self) -> Params:
+        """``(W, b)`` views into ``flat``; assigning copies into the views."""
+        return self._layers
+
+    @layers.setter
+    def layers(self, layers: Params) -> None:
+        if len(layers) != len(self._layers):
+            raise InputError(f"expected {len(self._layers)} layers, got {len(layers)}")
+        for i, layer in enumerate(layers):
+            self._layers[i] = layer
 
     # ---------------------------------------------------------------- setup
 
@@ -63,7 +79,7 @@ class MlpCritic:
         return cls(layers)
 
     def copy(self) -> "MlpCritic":
-        return MlpCritic([(w.copy(), b.copy()) for w, b in self.layers])
+        return MlpCritic(self.layers)
 
     @property
     def input_dim(self) -> int:
@@ -133,10 +149,13 @@ class MlpCritic:
 
     def input_gradient_batch(self, x: np.ndarray) -> np.ndarray:
         """dQ/dx for every row, shape (n, input_dim). Exact reverse pass."""
-        x = self._check_batch(x)
-        _, _, pres = self._forward_cached(x)
+        _, _, pres = self._forward_cached(self._check_batch(x))
+        return self.input_gradient_cached(pres)
+
+    def input_gradient_cached(self, pres: list[np.ndarray]) -> np.ndarray:
+        """dQ/dx from the pre-activations of a ``_forward_cached`` pass."""
         w_out = self.layers[-1][0]
-        g = np.repeat(w_out, x.shape[0], axis=0)  # (n, width of last hidden)
+        g = np.repeat(w_out, pres[0].shape[0], axis=0)  # (n, width of last hidden)
         for (w, _), z in zip(reversed(self.layers[:-1]), reversed(pres)):
             g = (g * (z > 0.0)) @ w
         return g
@@ -162,23 +181,37 @@ class MlpCritic:
         if grad_values.shape != (n,):
             raise InputError(f"grad_values must have shape ({n},)")
         _, acts, pres = self._forward_cached(x)
-        feats = acts[-1]
-        w_out, _ = self.layers[-1]
-
-        grads: Params = [None] * len(self.layers)  # type: ignore[list-item]
-        grads[-1] = (grad_values[None, :] @ feats, np.array([grad_values.sum()]))
-        g = grad_values[:, None] * w_out  # gradient flowing into the features
         if grad_features is not None:
             grad_features = np.asarray(grad_features, dtype=float)
-            if grad_features.shape != feats.shape:
-                raise InputError(f"grad_features must have shape {feats.shape}")
+            if grad_features.shape != acts[-1].shape:
+                raise InputError(f"grad_features must have shape {acts[-1].shape}")
+        return _LayerViews(self.backprop_cached(acts, pres, grad_values, grad_features),
+                           self.arch)
+
+    def backprop_cached(self, acts: list[np.ndarray], pres: list[np.ndarray],
+                        grad_values: np.ndarray,
+                        grad_features: np.ndarray | None = None) -> np.ndarray:
+        """``backprop`` from a cached forward pass, as one vector laid out like ``flat``.
+
+        ``acts`` and ``pres`` come from ``_forward_cached`` at the current
+        parameters; the inputs are trusted to have matching shapes.
+        """
+        flat = np.empty(self.flat.size)
+        grads = _LayerViews(flat, self.arch)
+        gw, gb = grads[-1]
+        np.matmul(grad_values[None, :], acts[-1], out=gw)
+        gb[0] = grad_values.sum()
+        g = grad_values[:, None] * self.layers[-1][0]  # gradient flowing into the features
+        if grad_features is not None:
             g = g + grad_features
         for i in range(len(self.layers) - 2, -1, -1):
             dz = g * (pres[i] > 0.0)
-            grads[i] = (dz.T @ acts[i], dz.sum(axis=0))
+            gw, gb = grads[i]
+            np.matmul(dz.T, acts[i], out=gw)
+            np.sum(dz, axis=0, out=gb)
             if i > 0:
                 g = dz @ self.layers[i][0]
-        return grads
+        return flat
 
     # -------------------------------------------------------- serialization
 
@@ -253,9 +286,9 @@ def ema_update(target: MlpCritic, online: MlpCritic, rate: float) -> None:
         raise InputError(f"rate must lie in (0, 1], got {rate}")
     if target.arch != online.arch:
         raise InputError(f"arch mismatch: {target.arch} vs {online.arch}")
-    for (tw, tb), (ow, ob) in zip(target.layers, online.layers):
-        tw += rate * (ow - tw)
-        tb += rate * (ob - tb)
+    step = online.flat - target.flat
+    step *= rate
+    target.flat += step
 
 
 def param_gradient(critic: MlpCritic, x: np.ndarray, loss_closure) -> tuple[float, Params]:
@@ -285,3 +318,29 @@ def add_scaled(params: Params, grads: Params, scale: float) -> None:
 
 def flatten_params(params: Params) -> np.ndarray:
     return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in params])
+
+
+class _LayerViews(list):
+    """``(W, b)`` pairs viewing one flat vector, laid out layer by layer.
+
+    Item assignment copies into the views after checking shapes, so the
+    pairs keep sharing the flat vector.
+    """
+
+    def __init__(self, flat: np.ndarray, arch: list[int]):
+        views, start = [], 0
+        for fan_in, fan_out in zip(arch[:-1], arch[1:]):
+            stop = start + fan_out * fan_in
+            views.append((flat[start:stop].reshape(fan_out, fan_in),
+                          flat[stop:stop + fan_out]))
+            start = stop + fan_out
+        super().__init__(views)
+
+    def __setitem__(self, i, layer) -> None:
+        w, b = self[i]
+        new_w, new_b = (np.asarray(v, dtype=float) for v in layer)
+        if new_w.shape != w.shape or new_b.shape != b.shape:
+            raise InputError(f"layer {i}: expected shapes {w.shape}/{b.shape}, "
+                             f"got {new_w.shape}/{new_b.shape}")
+        w[...] = new_w
+        b[...] = new_b

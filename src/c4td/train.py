@@ -22,7 +22,7 @@ from .covstats import cross_cov, normalized_trace, penalty
 from .data import EnvSpec, OfflineDataset
 from .errors import InputError, NumericalError, ParseError
 from .gmm import GaussianMixture, StackedPairSet
-from .nets import MlpCritic, Params, TargetCritic, add_scaled
+from .nets import MlpCritic, TargetCritic
 
 FEATURE_MODES = ("surrogate", "exact_input_grad")
 OPTIMIZERS = ("sgd", "adam")
@@ -142,6 +142,12 @@ def _target_net(target) -> MlpCritic:
     return target.net if isinstance(target, TargetCritic) else target
 
 
+def bootstrap_targets(r: np.ndarray, done: np.ndarray, q_prime: np.ndarray,
+                      gamma: float) -> np.ndarray:
+    """y_i = r_i + gamma (1 - done_i) q'_i; terminal rows bootstrap nothing."""
+    return r + gamma * (1.0 - done) * q_prime
+
+
 def td_targets(batch: OfflineDataset, target, gamma: float) -> np.ndarray:
     """y_i = r_i + gamma (1 - done_i) Q'(s'_i, a'_i) with the logged next action."""
     if len(batch) == 0:
@@ -149,7 +155,8 @@ def td_targets(batch: OfflineDataset, target, gamma: float) -> np.ndarray:
     if not 0.0 <= gamma < 1.0:
         raise InputError("gamma must lie in [0, 1)")
     _, x_prime = batch.joint_inputs()
-    return batch.r + gamma * (1.0 - batch.done) * _target_net(target).forward_batch(x_prime)
+    return bootstrap_targets(batch.r, batch.done,
+                             _target_net(target).forward_batch(x_prime), gamma)
 
 
 def td_loss(critic: MlpCritic, batch: OfflineDataset, targets: np.ndarray) -> float:
@@ -178,33 +185,36 @@ class _StepReport(NamedTuple):
     td: float
     penalty_part: float
     tr_n: float
-    grads: Params | None
+    grads: np.ndarray  # laid out like critic.flat
     delta: np.ndarray
+    acts: list[np.ndarray]  # the online forward pass, reused by the identity check
+    pres: list[np.ndarray]
 
 
-def _objective_report(critic: MlpCritic, target, batch: OfflineDataset,
-                      cfg: TrainConfig, with_grads: bool) -> _StepReport:
-    """TD loss, penalty, and (optionally) the fused parameter gradient.
+def _objective_report(critic: MlpCritic, tnet: MlpCritic, x: np.ndarray,
+                      x_prime: np.ndarray, r: np.ndarray, done: np.ndarray,
+                      cfg: TrainConfig) -> _StepReport:
+    """TD loss, penalty, and the fused parameter gradient on one batch.
 
-    The penalty is built on penultimate features on both sides regardless of
-    cfg.feature_mode: differentiating an input-gradient penalty w.r.t.
-    parameters would need a second backward pass, which the training path
-    excludes. Target-side rows are constants (the target is not optimized),
-    so the gradient flows only through the online rows.
+    One forward pass per network: the target's gives both the bootstrap
+    values and the target-side feature rows, the online's is reused by the
+    backward pass. The penalty is built on penultimate features on both
+    sides regardless of cfg.feature_mode: differentiating an input-gradient
+    penalty w.r.t. parameters would need a second backward pass, which the
+    training path excludes. Target-side rows are constants (the target is
+    not optimized), so the gradient flows only through the online rows.
     """
-    n = len(batch)
+    n = x.shape[0]
     if n < 2:
         raise InputError("cross-covariance centering needs at least 2 rows")
-    x, x_prime = batch.joint_inputs()
-    tnet = _target_net(target)
-    q_prime = tnet.forward_batch(x_prime)
-    targets = batch.r + cfg.gamma * (1.0 - batch.done) * q_prime
-    values, acts, _ = critic._forward_cached(critic._check_batch(x))
+    q_prime, target_acts, _ = tnet._forward_cached(x_prime)
+    targets = bootstrap_targets(r, done, q_prime, cfg.gamma)
+    values, acts, pres = critic._forward_cached(x)
     feats = acts[-1]
     delta = values - targets
     td = float(np.mean(delta * delta))
 
-    g_prime = tnet.penultimate_features_batch(x_prime)
+    g_prime = target_acts[-1]
     estimate = cross_cov(g_prime, feats, convention="sample")
     c_hat = estimate.matrix
     trace_c = float(np.trace(c_hat))
@@ -214,40 +224,58 @@ def _objective_report(critic: MlpCritic, target, batch: OfflineDataset,
     objective = td + pen_part
     tr_n = normalized_trace(c_hat, c_hat.shape[0])
 
-    grads = None
-    if with_grads:
-        grad_values = 2.0 * delta / n
-        grad_features = None
-        if lam != 0.0:
-            # d penalty / d G = 2a Gp_c (C + beta tr(C) I); the centering of G
-            # contributes nothing because Gp_c's columns sum to zero.
-            m = c_hat.shape[0]
-            g_prime_c = g_prime - g_prime.mean(axis=0)
-            a = 1.0 / (n - 1)
-            grad_features = lam * 2.0 * a * (
-                g_prime_c @ (c_hat + cfg.penalty_trace_weight * trace_c * np.eye(m)))
-        grads = critic.backprop(x, grad_values, grad_features)
-    return _StepReport(objective, td, pen_part, tr_n, grads, delta)
+    grad_values = 2.0 * delta / n
+    grad_features = None
+    if lam != 0.0:
+        # d penalty / d G = 2a Gp_c (C + beta tr(C) I); the centering of G
+        # contributes nothing because Gp_c's columns sum to zero.
+        m = c_hat.shape[0]
+        g_prime_c = g_prime - g_prime.mean(axis=0)
+        a = 1.0 / (n - 1)
+        grad_features = lam * 2.0 * a * (
+            g_prime_c @ (c_hat + cfg.penalty_trace_weight * trace_c * np.eye(m)))
+    grads = critic.backprop_cached(acts, pres, grad_values, grad_features)
+    return _StepReport(objective, td, pen_part, tr_n, grads, delta, acts, pres)
 
 
-def batch_objective(critic: MlpCritic, target, batch: OfflineDataset,
-                    cfg: TrainConfig) -> tuple[float, dict]:
-    """Penalized objective value with its additive parts {td, penalty}."""
-    rep = _objective_report(critic, target, batch, cfg, with_grads=False)
-    return rep.objective, {"td": rep.td, "penalty": rep.penalty_part}
+class ClusterSampler:
+    """Per-cluster sampling CDFs of a responsibility matrix, built once per refresh.
+
+    ``draw(z, size, rng)`` returns exactly what
+    ``rng.choice(N, size, replace=True, p=r[:, z] / r[:, z].sum())`` returns:
+    that call builds the same normalized cumulative sum and searches it with
+    ``rng.random(size)``, but re-validates and re-sums all N weights on
+    every draw. Non-finite or negative weights are rejected here instead.
+    """
+
+    def __init__(self, responsibilities: np.ndarray):
+        resp = np.asarray(responsibilities, dtype=float)
+        if resp.ndim != 2:
+            raise InputError("responsibilities must be 2-D with a valid column z")
+        if not np.all(np.isfinite(resp)) or np.any(resp < 0.0):
+            raise InputError("responsibilities must be finite and nonnegative")
+        self.mass = [float(resp[:, z].sum()) for z in range(resp.shape[1])]
+        self._cdfs = []
+        for z, mass in enumerate(self.mass):
+            cdf = None
+            if mass > 0.0:
+                cdf = (resp[:, z] / mass).cumsum()
+                cdf /= cdf[-1]
+            self._cdfs.append(cdf)
+
+    def draw(self, z: int, size: int, rng: np.random.Generator) -> np.ndarray:
+        """size row indices drawn with replacement, probability prop. to r_iz."""
+        if not 0 <= z < len(self._cdfs):
+            raise InputError("responsibilities must be 2-D with a valid column z")
+        if self._cdfs[z] is None:
+            raise InputError(f"cluster {z} carries no responsibility mass")
+        return self._cdfs[z].searchsorted(rng.random(size), side="right")
 
 
 def single_cluster_batch(responsibilities: np.ndarray, z: int, batch_size: int,
                          rng: np.random.Generator) -> np.ndarray:
     """batch_size indices drawn with replacement, probability prop. to r_iz."""
-    resp = np.asarray(responsibilities, dtype=float)
-    if resp.ndim != 2 or not 0 <= z < resp.shape[1]:
-        raise InputError("responsibilities must be 2-D with a valid column z")
-    mass = resp[:, z].sum()
-    if mass <= 0.0:
-        raise InputError(f"cluster {z} carries no responsibility mass")
-    return rng.choice(resp.shape[0], size=batch_size, replace=True,
-                      p=resp[:, z] / mass)
+    return ClusterSampler(responsibilities).draw(z, batch_size, rng)
 
 
 def refresh_clusters(state: TrainerState, dataset: OfflineDataset,
@@ -285,30 +313,37 @@ class _Sgd:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def apply(self, params: Params, grads: Params) -> None:
-        add_scaled(params, grads, -self.lr)
+    def apply(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """In place on flat vectors: params += -lr * grads."""
+        params += -self.lr * grads
 
 
 class _Adam:
     def __init__(self, lr: float, b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
         self.t = 0
-        self.m: Params | None = None
-        self.v: Params | None = None
+        # first and second moments, then two scratch vectors, all flat
+        self.buffers: tuple[np.ndarray, ...] | None = None
 
-    def apply(self, params: Params, grads: Params) -> None:
-        if self.m is None:
-            self.m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
-            self.v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+    def apply(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """One step in place on flat vectors."""
+        if self.buffers is None:
+            self.buffers = (np.zeros_like(params), np.zeros_like(params),
+                            np.empty_like(params), np.empty_like(params))
         self.t += 1
         scale = self.lr * math.sqrt(1.0 - self.b2 ** self.t) / (1.0 - self.b1 ** self.t)
-        for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(params, grads, self.m, self.v):
-            for p, g, m_, v_ in ((w, gw, mw, vw), (b, gb, mb, vb)):
-                m_ *= self.b1
-                m_ += (1.0 - self.b1) * g
-                v_ *= self.b2
-                v_ += (1.0 - self.b2) * g * g
-                p -= scale * m_ / (np.sqrt(v_) + self.eps)
+        m, v, tmp, step = self.buffers
+        m *= self.b1
+        m += np.multiply(grads, 1.0 - self.b1, out=tmp)
+        v *= self.b2
+        np.multiply(grads, 1.0 - self.b2, out=tmp)
+        tmp *= grads
+        v += tmp
+        np.sqrt(v, out=tmp)
+        tmp += self.eps
+        np.multiply(m, scale, out=step)
+        step /= tmp
+        params -= step
 
 
 def _make_optimizer(cfg: TrainConfig):
@@ -323,9 +358,12 @@ def _occupancy_entropy(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def _check_step_identities(state: TrainerState, delta: np.ndarray,
-                           x: np.ndarray, critic: MlpCritic) -> None:
-    """Per-batch second-moment identity and its parameter-gradient split."""
+def _check_step_identities(state: TrainerState, delta: np.ndarray, critic: MlpCritic,
+                           acts: list[np.ndarray], pres: list[np.ndarray]) -> None:
+    """Per-batch second-moment identity and its parameter-gradient split.
+
+    ``acts`` and ``pres`` are the online forward pass that produced ``delta``.
+    """
     n = delta.shape[0]
     mean = float(delta.mean())
     var = float(np.mean((delta - mean) ** 2))
@@ -333,19 +371,16 @@ def _check_step_identities(state: TrainerState, delta: np.ndarray,
     state.identity_residual_max = max(state.identity_residual_max, residual)
     if residual >= 1e-12:
         raise NumericalError(f"second-moment identity violated by {residual:.3e}")
-    g_sq = critic.backprop(x, 2.0 * delta / n, None)
-    g_mean = critic.backprop(x, np.full(n, 2.0 * mean / n), None)
-    g_var = critic.backprop(x, 2.0 * (delta - mean) / n, None)
-    worst = 0.0
-    for (aw, ab), (bw, bb), (cw, cb) in zip(g_sq, g_mean, g_var):
-        worst = max(worst, float(np.max(np.abs(aw - bw - cw))),
-                    float(np.max(np.abs(ab - bb - cb))))
+    g_sq = critic.backprop_cached(acts, pres, 2.0 * delta / n)
+    g_mean = critic.backprop_cached(acts, pres, np.full(n, 2.0 * mean / n))
+    g_var = critic.backprop_cached(acts, pres, 2.0 * (delta - mean) / n)
+    worst = float(np.max(np.abs(g_sq - g_mean - g_var)))
     if worst >= 1e-10:
         raise NumericalError(f"gradient identity violated by {worst:.3e}")
 
 
-def _greedy_action(critic: MlpCritic, state_vec: np.ndarray, env: EnvSpec) -> np.ndarray:
-    """Best action over a ball grid, refined by projected gradient ascent."""
+def _action_grid(env: EnvSpec) -> np.ndarray:
+    """Candidate actions for the greedy search: the origin plus three rings."""
     da, bound = env.da, env.action_bound
     candidates = [np.zeros(da)]
     if da == 2:
@@ -358,18 +393,29 @@ def _greedy_action(critic: MlpCritic, state_vec: np.ndarray, env: EnvSpec) -> np
                 e = np.zeros(da)
                 e[j] = frac * bound
                 candidates.extend((e, -e))
-    cand = np.stack(candidates)
-    joint = np.concatenate([np.repeat(state_vec[None, :], cand.shape[0], axis=0), cand],
-                           axis=1)
-    values = critic.forward_batch(joint)
+    return np.stack(candidates)
+
+
+def _greedy_action(critic: MlpCritic, state_vec: np.ndarray, env: EnvSpec,
+                   cand: np.ndarray) -> np.ndarray:
+    """Best action over the grid ``cand``, refined by projected gradient ascent.
+
+    Every refinement point is evaluated as its own 1-row forward pass, and
+    the input gradient at the current point reuses that pass.
+    """
+    bound = env.action_bound
+    ds = state_vec.shape[0]
+    joint = np.empty((cand.shape[0], ds + cand.shape[1]))
+    joint[:, :ds] = state_vec
+    joint[:, ds:] = cand
+    values = critic._forward_cached(joint)[0]
     best = cand[int(np.argmax(values))]
     best_val = float(values.max())
-    ds = state_vec.shape[0]
     a = best.copy()
+    _, _, pres = critic._forward_cached(np.concatenate([state_vec, a])[None, :])
     step_len = 0.3 * bound
     for _ in range(8):
-        x = np.concatenate([state_vec, a])[None, :]
-        grad_a = critic.input_gradient_batch(x)[0, ds:]
+        grad_a = critic.input_gradient_cached(pres)[0, ds:]
         norm = float(np.linalg.norm(grad_a))
         if norm == 0.0:
             break
@@ -377,9 +423,11 @@ def _greedy_action(critic: MlpCritic, state_vec: np.ndarray, env: EnvSpec) -> np
         t_norm = float(np.linalg.norm(trial))
         if t_norm > bound:
             trial = trial * (bound / t_norm)
-        val = critic.forward(np.concatenate([state_vec, trial]))
+        value, _, trial_pres = critic._forward_cached(
+            np.concatenate([state_vec, trial])[None, :])
+        val = float(value[0])
         if val > best_val:
-            best_val, a = val, trial
+            best_val, a, pres = val, trial, trial_pres
         else:
             step_len *= 0.5
     return a
@@ -387,12 +435,13 @@ def _greedy_action(critic: MlpCritic, state_vec: np.ndarray, env: EnvSpec) -> np
 
 def _eval_return(critic: MlpCritic, env: EnvSpec, episodes: int,
                  rng: np.random.Generator) -> float:
+    cand = _action_grid(env)
     total = 0.0
     for _ in range(episodes):
         s = env.sample_initial_state(rng)
         ep = 0.0
         for _ in range(env.horizon):
-            a = _greedy_action(critic, s, env)
+            a = _greedy_action(critic, s, env, cand)
             ep += env.reward(s, a)
             s = env.step(s, a)
         total += ep
@@ -405,9 +454,9 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
 
     Identical (dataset, cfg) pairs reproduce bit-identical logs. With
     penalty_weight=0 and n_clusters=1 the run is bit-identical to
-    baseline_mode because both draw batches through the same weighted-choice
-    call with an all-uniform weight column, and clustering consumes only its
-    own random streams. ``on_refresh(step, mixture)`` is invoked after every
+    baseline_mode because both draw batches through the same ClusterSampler
+    with an all-uniform weight column, and clustering consumes only its own
+    random streams. ``on_refresh(step, mixture)`` is invoked after every
     cluster refresh (step 0 included).
     """
     if len(dataset) == 0:
@@ -423,30 +472,31 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
         state = refresh_clusters(state, dataset, cfg)
         if on_refresh is not None:
             on_refresh(0, state.mixture)
+    sampler = ClusterSampler(state.responsibilities)
     optimizer = _make_optimizer(cfg)
+    x_all, x_prime_all = dataset.joint_inputs()
 
     for step in range(1, cfg.steps + 1):
         state.step = step
         if not cfg.baseline_mode and step % cfg.refresh_period == 0:
             state = refresh_clusters(state, dataset, cfg)
             state.step = step
+            sampler = ClusterSampler(state.responsibilities)
             if on_refresh is not None:
                 on_refresh(step, state.mixture)
         if cfg.baseline_mode:
             z = 0
         else:
             z = gmm.sample_cluster(state.mixture, state.rngs.cluster)
-            while state.responsibilities[:, z].sum() <= 0.0:
+            while sampler.mass[z] <= 0.0:
                 state.zero_mass_redraws += 1
                 z = gmm.sample_cluster(state.mixture, state.rngs.cluster)
-        idx = single_cluster_batch(state.responsibilities, z, cfg.batch_size,
-                                   state.rngs.batch)
-        batch = dataset.take(idx)
-        rep = _objective_report(state.online, state.target, batch, cfg, with_grads=True)
+        idx = sampler.draw(z, cfg.batch_size, state.rngs.batch)
+        rep = _objective_report(state.online, state.target.net, x_all[idx],
+                                x_prime_all[idx], dataset.r[idx], dataset.done[idx], cfg)
         if cfg.check_identities:
-            x, _ = batch.joint_inputs()
-            _check_step_identities(state, rep.delta, x, state.online)
-        optimizer.apply(state.online.layers, rep.grads)
+            _check_step_identities(state, rep.delta, state.online, rep.acts, rep.pres)
+        optimizer.apply(state.online.flat, rep.grads)
         state.target.update(state.online)
         state.visit_counts[z] += 1
         eval_ret = None

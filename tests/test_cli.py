@@ -1,10 +1,16 @@
 """End-to-end tests for the c4 command-line interface."""
 
 import json
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import c4td
+from c4td import BLAS_THREAD_VARS
 from c4td.cli import main, render_metric_svg
 from c4td.train import METRIC_COLUMNS, metrics_from_csv
 
@@ -152,6 +158,22 @@ def test_thread_cap_validation(tmp_path, capsys, monkeypatch):
     import os
     assert os.environ["OMP_NUM_THREADS"] == "1"
     capsys.readouterr()
+
+
+def test_c4_threads_alone_caps_blas_before_numpy_loads():
+    # the cap has to be exported before numpy loads, so it needs a fresh process
+    code = ("import c4td.cli\n"
+            "import numpy as np\n"
+            "a = np.random.default_rng(0).random((256, 256))\n"
+            "a @ a\n"
+            "print([l.split()[1] for l in open('/proc/self/status')"
+            " if l.startswith('Threads:')][0])\n")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["C4_THREADS"] = "1"
+    env["PYTHONPATH"] = str(Path(c4td.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "1"
 
 
 def test_verify_suite_passes_and_prints_json(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from c4td import gmm
 from c4td.errors import FormatError, InputError
 from c4td.gmm import (GaussianMixture, StackedPairSet, default_ridge, e_step,
                       effective_clusters, extract_blocks, fit, log_likelihood,
@@ -120,6 +121,26 @@ def test_fit_never_returns_a_mixture_below_the_recorded_trace():
         if result.n_iterations < 200:  # converged before the iteration cap
             assert final_ll == pytest.approx(result.log_likelihoods[-1], abs=1e-8)
         assert np.diff(result.log_likelihoods).min() >= -1e-9
+
+
+def test_fit_computes_responsibilities_on_first_access(monkeypatch):
+    rng = np.random.default_rng(7)
+    y = rng.standard_normal((60, 3))
+    calls = []
+    real_e_step = gmm.e_step
+
+    def counting_e_step(mixture, rows):
+        calls.append(len(rows))
+        return real_e_step(mixture, rows)
+
+    monkeypatch.setattr(gmm, "e_step", counting_e_step)
+    result = fit(y, 2, seed=3)
+    assert calls == []
+    resp = result.responsibilities
+    assert calls == [60]
+    assert result.responsibilities is resp
+    assert np.array_equal(resp, real_e_step(result.mixture, y))
+    assert calls == [60]
 
 
 def test_fit_is_deterministic_given_seed():

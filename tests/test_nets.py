@@ -161,6 +161,23 @@ def test_ema_update_rate_bounds():
     assert np.array_equal(target.layers[0][0], online.layers[0][0])
 
 
+def test_layers_are_views_of_one_flat_buffer():
+    net = MlpCritic.init(3, (4, 2), np.random.default_rng(8))
+    assert np.array_equal(net.flat, flatten_params(net.layers))
+    w, b = np.ones((4, 3)), np.full(4, 2.0)
+    net.layers[0] = (w, b)
+    assert np.array_equal(net.flat[:16], np.concatenate([w.ravel(), b]))
+    net.flat[-1] = 5.0
+    assert net.layers[-1][1][0] == 5.0
+    with pytest.raises(InputError, match="layer 1"):
+        net.layers[1] = (np.ones((3, 4)), np.zeros(3))
+    with pytest.raises(InputError):
+        net.layers = net.layers[:-1]
+    grads = net.backprop(np.ones((2, 3)), np.ones(2))
+    flat_grads = net.backprop_cached(*net._forward_cached(np.ones((2, 3)))[1:], np.ones(2))
+    assert np.array_equal(flatten_params(grads), flat_grads)
+
+
 def test_param_helpers():
     rng = np.random.default_rng(6)
     net = MlpCritic.init(2, (3,), rng)

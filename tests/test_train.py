@@ -13,6 +13,7 @@ from c4td.nets import MlpCritic, TargetCritic, flatten_params
 from c4td.train import (
     METRIC_COLUMNS,
     MetricRecord,
+    ClusterSampler,
     RngStreams,
     TrainConfig,
     _occupancy_entropy,
@@ -129,6 +130,55 @@ def test_single_cluster_batch_respects_responsibility_weights():
         single_cluster_batch(resp, 2, 8, rng)
     with pytest.raises(InputError):
         single_cluster_batch(resp[:, 0], 0, 8, rng)
+
+
+def _responsibility_matrices():
+    rng = np.random.default_rng(40)
+    for trial in range(12):
+        n, k = int(rng.integers(2, 300)), int(rng.integers(1, 6))
+        resp = rng.dirichlet(np.ones(k), size=n)
+        resp[rng.random(n) < 0.2] = 0.0  # rows that no cluster claims
+        resp[:, rng.random(k) < 0.15] = 0.0  # clusters with no mass at all
+        yield trial, resp
+    yield 99, np.ones((257, 1))  # the uniform column of baseline mode
+
+
+def test_cluster_sampler_draws_exactly_what_weighted_choice_draws():
+    checked = 0
+    for trial, resp in _responsibility_matrices():
+        sampler = ClusterSampler(resp)
+        for z in range(resp.shape[1]):
+            mass = resp[:, z].sum()
+            ours, ref, direct = (np.random.default_rng(trial) for _ in range(3))
+            if mass <= 0.0:
+                assert sampler.mass[z] <= 0.0
+                with pytest.raises(InputError, match=f"cluster {z} "):
+                    sampler.draw(z, 8, ours)
+                continue
+            assert sampler.mass[z] == mass
+            for size in (1, 7, 256):
+                want = ref.choice(len(resp), size=size, replace=True,
+                                  p=resp[:, z] / mass)
+                got = sampler.draw(z, size, ours)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert np.array_equal(single_cluster_batch(resp, z, size, direct), want)
+            # both generators consumed the same stream
+            assert ours.random() == ref.random() == direct.random()
+            checked += 1
+    assert checked >= 12
+
+
+def test_cluster_sampler_rejects_bad_weights_when_built():
+    resp = np.full((5, 2), 0.5)
+    for bad in (np.nan, np.inf, -0.1):
+        broken = resp.copy()
+        broken[2, 1] = bad
+        with pytest.raises(InputError, match="finite and nonnegative"):
+            ClusterSampler(broken)
+    with pytest.raises(InputError):
+        ClusterSampler(resp[:, 0])
+    with pytest.raises(InputError):
+        ClusterSampler(resp).draw(2, 4, np.random.default_rng(0))
 
 
 def test_training_is_deterministic():
