@@ -239,10 +239,7 @@ def svd_alignment_bound(c: np.ndarray, w_prime: np.ndarray,
     w = _unit(w, "w")
     if c.shape != (len(w_prime), len(w)):
         raise InputError(f"matrix must be ({len(w_prime)}, {len(w)})")
-    if max(c.shape) <= 64:
-        u, sing, vt = jacobi_svd(c)
-    else:
-        u, sing, vt = _top_two_svd_power(c)
+    u, sing, vt = jacobi_svd(c)
     if sing[0] == 0.0:
         return 0.0, 0.0
     value = float(w_prime @ c @ w)
@@ -253,39 +250,6 @@ def svd_alignment_bound(c: np.ndarray, w_prime: np.ndarray,
     sigma2 = float(sing[1]) if len(sing) > 1 else 0.0
     lower = float(sing[0]) * cos_p * cos - sigma2 * sin_p * sin
     return value, lower
-
-
-def _top_two_svd_power(c: np.ndarray, tol: float = 1e-12,
-                       max_iters: int = 100_000):
-    """Top two singular triples by power iteration with one deflation."""
-    sigma1 = spectral_norm(c, tol=tol, max_iters=max_iters)
-    if sigma1 == 0.0:
-        return np.zeros((c.shape[0], 1)), np.zeros(1), np.zeros((1, c.shape[1]))
-    v1 = _power_top_right(c, tol, max_iters)
-    u1 = c @ v1
-    u1 /= np.linalg.norm(u1)
-    deflated = c - sigma1 * np.outer(u1, v1)
-    sigma2 = spectral_norm(deflated, tol=tol, max_iters=max_iters)
-    u = np.stack([u1], axis=1)
-    vt = np.stack([v1], axis=0)
-    return u, np.array([sigma1, sigma2]), vt
-
-
-def _power_top_right(c: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
-    gram = c.T @ c
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(c.shape[1])
-    v /= np.linalg.norm(v)
-    for _ in range(max_iters):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return v
-        w /= norm
-        if np.linalg.norm(w - v) <= tol:
-            return w
-        v = w
-    raise NumericalError(f"power iteration did not converge in {max_iters} iterations")
 
 
 def normalized_trace(c_hat: np.ndarray | CrossCovEstimate, m: int) -> float:

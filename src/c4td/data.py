@@ -291,7 +291,15 @@ def load_jsonl(path: str) -> OfflineDataset:
         cols["done"].append(row["done"])
     if not cols["r"]:
         raise FormatError("dataset has a header but no transitions")
+    arrays = {key: np.array(cols[key]) for key in ("s", "a", "r", "sn", "an")}
+    bad = [key for key, arr in arrays.items() if not np.isfinite(arr).all()]
+    if bad:
+        # JSON admits NaN, Infinity and overflowing literals; name the first such row
+        n = len(cols["r"])
+        first = {key: int(np.flatnonzero(~np.isfinite(arrays[key]).reshape(n, -1)
+                                         .all(axis=1))[0]) for key in bad}
+        key = min(bad, key=first.get)
+        raise ParseError(first[key] + 2, f"field {key!r} must be finite")
     return OfflineDataset(ds, da, header["env"], header["modes"], header["seed"],
-                          np.array(cols["s"]), np.array(cols["a"]), np.array(cols["r"]),
-                          np.array(cols["sn"]), np.array(cols["an"]),
+                          arrays["s"], arrays["a"], arrays["r"], arrays["sn"], arrays["an"],
                           np.array(cols["done"], dtype=bool))

@@ -17,17 +17,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .covstats import jacobi_svd
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .gmm import StackedPairSet
-from .nets import MlpCritic, TargetCritic, param_gradient
-from .train import bootstrap_targets
+from .nets import MlpCritic
+from .train import bootstrap_targets, second_moment_split, target_net
 
 # Keeps the (replicates x batch) perturbation tensor within a few MB.
 _REPLICATE_CHUNK = 512
-
-
-def _as_net(critic) -> MlpCritic:
-    return critic.net if isinstance(critic, TargetCritic) else critic
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ def estimate_abc(critic: MlpCritic, target: MlpCritic, batch, spec: PerturbSpec,
     """
     if len(batch) < 2:
         raise InputError("need at least 2 transitions")
-    target = _as_net(target)
+    target = target_net(target)
     x, x_prime, _ = _batch_inputs(batch)
     w_prime, w = _draw_directions(rng, spec.n_directions, x.shape[1])
     g_prime = target.input_gradient_batch(x_prime)
@@ -131,7 +127,7 @@ def direct_var_delta(critic: MlpCritic, target: MlpCritic, batch,
     """
     if len(batch) < 2:
         raise InputError("need at least 2 transitions")
-    target = _as_net(target)
+    target = target_net(target)
     x, x_prime, _ = _batch_inputs(batch)
     w_prime, w = _draw_directions(rng, spec.n_directions, x.shape[1])
     q_base = critic.forward_batch(x)
@@ -188,34 +184,20 @@ def grad_cosine_report(critic: MlpCritic, target: MlpCritic, batch,
                        gamma: float) -> CosineReport:
     """Parameter-space cosine split of grad E[delta^2].
 
-    The three scalars E[delta^2], (E delta)^2 and Var[delta] (population
-    convention) differ only in the per-sample weights on dQ/dtheta, so each
-    gradient is one backward pass. Their additive identity is checked to
-    1e-10 before reporting.
+    The split and its identity checks are ``train.second_moment_split``, run
+    on one forward pass of the critic with delta = Q - y. Flipping the sign
+    of delta flips all three gradients together, so the cosines do not
+    depend on the convention.
     """
     if len(batch) < 2:
         raise InputError("need at least 2 transitions")
-    target = _as_net(target)
+    target = target_net(target)
     x, x_prime, r = _batch_inputs(batch)
-    delta = bootstrap_targets(r, batch.done, target.forward_batch(x_prime), gamma) \
-        - critic.forward_batch(x)
-    n = delta.shape[0]
-    mean = delta.mean()
-
-    def flat_grad(weights: np.ndarray) -> np.ndarray:
-        # d delta_i / d theta = -dQ(x_i)/d theta, folded into the weights
-        _, grads = param_gradient(critic, x, lambda values, feats:
-                                  (0.0, -weights, None))
-        return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-
-    grad_sq = flat_grad(2.0 * delta / n)
-    grad_mean_sq = flat_grad(np.full(n, 2.0 * mean / n))
-    grad_var = flat_grad(2.0 * (delta - mean) / n)
-    gap = np.max(np.abs(grad_sq - grad_mean_sq - grad_var))
-    if gap >= 1e-10:
-        raise NumericalError(f"gradient identity violated by {gap:.3e}")
-    return CosineReport(cos_var=_cosine(grad_sq, grad_var),
-                        cos_mean_sq=_cosine(grad_sq, grad_mean_sq))
+    values, acts, pres = critic._forward_cached(critic._check_batch(x))
+    delta = values - bootstrap_targets(r, batch.done, target.forward_batch(x_prime), gamma)
+    split = second_moment_split(critic, acts, pres, delta)
+    return CosineReport(cos_var=_cosine(split.grad_sq, split.grad_var),
+                        cos_mean_sq=_cosine(split.grad_sq, split.grad_mean_sq))
 
 
 def normalized_score(score: float, random_score: float, expert_score: float) -> float:

@@ -305,17 +305,6 @@ def param_gradient(critic: MlpCritic, x: np.ndarray, loss_closure) -> tuple[floa
     return float(loss), grads
 
 
-def zeros_like_params(critic: MlpCritic) -> Params:
-    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in critic.layers]
-
-
-def add_scaled(params: Params, grads: Params, scale: float) -> None:
-    """In place: params += scale * grads, layer by layer."""
-    for (w, b), (gw, gb) in zip(params, grads):
-        w += scale * gw
-        b += scale * gb
-
-
 def flatten_params(params: Params) -> np.ndarray:
     return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in params])
 

@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError
+from .gmm import gaussian_logpdf, logsumexp_rows
 
 
 @dataclass
@@ -47,11 +48,7 @@ class GaussianDist:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.dim:
             raise InputError(f"points must have dimension {self.dim}")
-        diff = x - self.mean
-        u = diff @ np.linalg.inv(self._chol).T
-        maha = np.einsum("ij,ij->i", u, u)
-        log_det = 2.0 * np.sum(np.log(np.diag(self._chol)))
-        return -0.5 * (maha + log_det + self.dim * np.log(2.0 * np.pi))
+        return gaussian_logpdf(x, [self.mean], [self._chol])[:, 0]
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         return np.exp(self.logpdf(x))
@@ -108,9 +105,7 @@ class ClusterBehavior:
         logs = np.stack([np.log(w) + c.logpdf(x) if w > 0
                          else np.full(np.atleast_2d(x).shape[0], -np.inf)
                          for w, c in zip(self.weights, self.components)], axis=1)
-        peak = logs.max(axis=1)
-        safe = np.where(np.isfinite(peak), peak, 0.0)
-        return safe + np.log(np.exp(logs - safe[:, None]).sum(axis=1))
+        return logsumexp_rows(logs)
 
     def density(self, x: np.ndarray) -> np.ndarray:
         return np.exp(self.log_density(x))

@@ -138,7 +138,7 @@ class TrainerState:
     zero_mass_redraws: int = 0
 
 
-def _target_net(target) -> MlpCritic:
+def target_net(target) -> MlpCritic:
     return target.net if isinstance(target, TargetCritic) else target
 
 
@@ -156,7 +156,7 @@ def td_targets(batch: OfflineDataset, target, gamma: float) -> np.ndarray:
         raise InputError("gamma must lie in [0, 1)")
     _, x_prime = batch.joint_inputs()
     return bootstrap_targets(batch.r, batch.done,
-                             _target_net(target).forward_batch(x_prime), gamma)
+                             target_net(target).forward_batch(x_prime), gamma)
 
 
 def td_loss(critic: MlpCritic, batch: OfflineDataset, targets: np.ndarray) -> float:
@@ -174,7 +174,7 @@ def gradient_pairs(critic: MlpCritic, target, batch: OfflineDataset,
     if len(batch) == 0:
         raise InputError("batch must be nonempty")
     x, x_prime = batch.joint_inputs()
-    tnet = _target_net(target)
+    tnet = target_net(target)
     if feature_mode == "surrogate":
         return tnet.penultimate_features_batch(x_prime), critic.penultimate_features_batch(x)
     return tnet.input_gradient_batch(x_prime), critic.input_gradient_batch(x)
@@ -358,25 +358,47 @@ def _occupancy_entropy(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def _check_step_identities(state: TrainerState, delta: np.ndarray, critic: MlpCritic,
-                           acts: list[np.ndarray], pres: list[np.ndarray]) -> None:
-    """Per-batch second-moment identity and its parameter-gradient split.
+class MomentSplit(NamedTuple):
+    """grad E[delta^2] and its two parts, each laid out like ``critic.flat``."""
 
-    ``acts`` and ``pres`` are the online forward pass that produced ``delta``.
+    residual: float  # |E[delta^2] - ((E delta)^2 + Var[delta])|
+    grad_sq: np.ndarray
+    grad_mean_sq: np.ndarray
+    grad_var: np.ndarray
+
+
+def second_moment_split(critic: MlpCritic, acts: list[np.ndarray], pres: list[np.ndarray],
+                        delta: np.ndarray) -> MomentSplit:
+    """Check E[delta^2] = (E delta)^2 + Var[delta] on one batch and split its gradient.
+
+    ``delta`` is Q(x_i) - y_i with y held fixed, and ``acts``/``pres`` are the
+    online forward pass that produced Q(x_i). The three scalars (population
+    convention) differ only in the per-sample weights on dQ/dtheta, so each
+    gradient is one backward pass. Both identities are checked against the
+    rounding error of their own scale, which grows with mean(delta^2) and
+    with the gradient magnitude; at unit scale the bounds are 1e-12 and 1e-10.
     """
     n = delta.shape[0]
     mean = float(delta.mean())
+    mean_sq = float(np.mean(delta * delta))
     var = float(np.mean((delta - mean) ** 2))
-    residual = abs(float(np.mean(delta * delta)) - (mean * mean + var))
-    state.identity_residual_max = max(state.identity_residual_max, residual)
-    if residual >= 1e-12:
+    residual = abs(mean_sq - (mean * mean + var))
+    if residual >= 1e-12 * max(1.0, mean_sq):
         raise NumericalError(f"second-moment identity violated by {residual:.3e}")
     g_sq = critic.backprop_cached(acts, pres, 2.0 * delta / n)
     g_mean = critic.backprop_cached(acts, pres, np.full(n, 2.0 * mean / n))
     g_var = critic.backprop_cached(acts, pres, 2.0 * (delta - mean) / n)
     worst = float(np.max(np.abs(g_sq - g_mean - g_var)))
-    if worst >= 1e-10:
+    if worst >= 1e-10 * max(1.0, float(np.max(np.abs(g_sq)))):
         raise NumericalError(f"gradient identity violated by {worst:.3e}")
+    return MomentSplit(residual, g_sq, g_mean, g_var)
+
+
+def _check_step_identities(state: TrainerState, delta: np.ndarray, critic: MlpCritic,
+                           acts: list[np.ndarray], pres: list[np.ndarray]) -> None:
+    """Per-batch second-moment identity and its parameter-gradient split."""
+    split = second_moment_split(critic, acts, pres, delta)
+    state.identity_residual_max = max(state.identity_residual_max, split.residual)
 
 
 def _action_grid(env: EnvSpec) -> np.ndarray:
@@ -494,6 +516,9 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
         idx = sampler.draw(z, cfg.batch_size, state.rngs.batch)
         rep = _objective_report(state.online, state.target.net, x_all[idx],
                                 x_prime_all[idx], dataset.r[idx], dataset.done[idx], cfg)
+        if not (math.isfinite(rep.objective) and np.all(np.isfinite(rep.grads))):
+            raise NumericalError(f"training diverged: objective or gradient "
+                                 f"not finite at step {step}")
         if cfg.check_identities:
             _check_step_identities(state, rep.delta, state.online, rep.acts, rep.pres)
         optimizer.apply(state.online.flat, rep.grads)

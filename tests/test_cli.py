@@ -126,6 +126,21 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_dataset_value_exits_2_with_its_line(tmp_path, capsys):
+    config, _ = _write_config(tmp_path)
+    _gen(tmp_path, config)
+    data = tmp_path / "data.jsonl"
+    lines = data.read_text().splitlines()
+    row = json.loads(lines[4])
+    row["r"] = float("nan")
+    lines[4] = json.dumps(row)
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--baseline"]) == 2
+    assert "line 5: field 'r' must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics_baseline.csv").exists()
+
+
 def test_missing_steps_is_a_config_error(tmp_path, capsys):
     config, cfg = _write_config(tmp_path)
     _gen(tmp_path, config)

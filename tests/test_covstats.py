@@ -133,8 +133,10 @@ def test_within_bound_rejects_non_psd_marginals():
 
 def test_svd_alignment_bound_holds_and_is_tight_at_top_pair():
     rng = np.random.default_rng(9)
-    for _ in range(100):
-        c = rng.standard_normal((int(rng.integers(2, 6)), int(rng.integers(2, 6))))
+    # random small shapes, then two wider than 64 that the Jacobi SVD also serves
+    shapes = [(int(rng.integers(2, 6)), int(rng.integers(2, 6))) for _ in range(100)]
+    for shape in shapes + [(70, 66), (3, 80)]:
+        c = rng.standard_normal(shape)
         wp = rng.standard_normal(c.shape[0])
         wp /= np.linalg.norm(wp)
         w = rng.standard_normal(c.shape[1])

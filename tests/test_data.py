@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +130,33 @@ def test_loader_reports_line_numbers(tmp_path):
     with pytest.raises(ParseError) as err:
         load_jsonl(str(broken))
     assert err.value.line_number == 3
+
+
+def test_loader_rejects_non_finite_numbers_with_their_line(tmp_path):
+    data = generate(EnvSpec(), n_trajectories=1, seed=0)
+    path = tmp_path / "d.jsonl"
+    save_jsonl(data, str(path))
+    lines = path.read_text().splitlines()
+    broken = tmp_path / "broken.jsonl"
+    # json.dumps writes NaN, Infinity and -Infinity, which json.loads reads back;
+    # 1e999 is valid JSON that overflows to inf
+    for lineno, key, bad in ((6, "r", math.nan), (3, "sn", math.inf),
+                             (9, "a", -math.inf), (4, "s", 12345.5)):
+        edited = list(lines)
+        row = json.loads(edited[lineno - 1])
+        if key == "r":
+            row["r"] = bad
+        else:
+            row[key][0] = bad
+        edited[lineno - 1] = json.dumps(row).replace("12345.5", "1e999")
+        # a later bad row must not mask the first one
+        last = json.loads(edited[-1])
+        last["r"] = math.nan
+        edited[-1] = json.dumps(last)
+        broken.write_text("\n".join(edited) + "\n")
+        with pytest.raises(ParseError, match=f"'{key}' must be finite") as err:
+            load_jsonl(str(broken))
+        assert err.value.line_number == lineno
 
 
 def test_loader_rejects_empty_file(tmp_path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from c4td.errors import FormatError, InputError
-from c4td.nets import (MlpCritic, TargetCritic, add_scaled, ema_update,
-                       flatten_params, param_gradient, zeros_like_params)
+from c4td.nets import MlpCritic, TargetCritic, ema_update, flatten_params, param_gradient
 from oracles import central_diff, param_fd_gradient
 
 
@@ -176,17 +175,6 @@ def test_layers_are_views_of_one_flat_buffer():
     grads = net.backprop(np.ones((2, 3)), np.ones(2))
     flat_grads = net.backprop_cached(*net._forward_cached(np.ones((2, 3)))[1:], np.ones(2))
     assert np.array_equal(flatten_params(grads), flat_grads)
-
-
-def test_param_helpers():
-    rng = np.random.default_rng(6)
-    net = MlpCritic.init(2, (3,), rng)
-    zeros = zeros_like_params(net)
-    assert all(not gw.any() and not gb.any() for gw, gb in zeros)
-    flat_before = flatten_params(net.layers)
-    add_scaled(net.layers, net.layers, -1.0)
-    assert not flatten_params(net.layers).any()
-    assert flat_before.shape == flatten_params(zeros).shape
 
 
 def test_input_validation():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from c4td.data import EnvSpec, generate, subsample
-from c4td.errors import InputError, ParseError
+from c4td.errors import InputError, NumericalError, ParseError
 from c4td.gmm import GaussianMixture
 from c4td.nets import MlpCritic, TargetCritic, flatten_params
 from c4td.train import (
@@ -258,6 +258,42 @@ def test_adam_and_sgd_both_descend():
         first = np.mean([rec.td_loss for rec in metrics[:15]])
         last = np.mean([rec.td_loss for rec in metrics[-15:]])
         assert last < first
+
+
+def test_identity_checks_hold_at_large_reward_scale():
+    # rounding error in mean(delta^2) and in the gradients grows with their
+    # scale; fixed absolute bounds aborted these runs at step 1
+    data = _dataset(seed=0, n_trajectories=10)
+    for scale in (1e2, 1e4):
+        scaled = replace(data, r=data.r * scale)
+        _, metrics = train(scaled, _small_cfg(steps=60, check_identities=True))
+        assert len(metrics) == 60
+        assert all(math.isfinite(rec.objective) for rec in metrics)
+
+
+def test_identity_check_still_catches_a_corrupted_gradient(monkeypatch):
+    # a constant offset on every backward pass survives in g_sq - g_mean - g_var
+    original = MlpCritic.backprop_cached
+
+    def offset(self, acts, pres, grad_values, grad_features=None):
+        grads = original(self, acts, pres, grad_values, grad_features)
+        grads[0] += 1e-8
+        return grads
+
+    monkeypatch.setattr(MlpCritic, "backprop_cached", offset)
+    data = _dataset(seed=0, n_trajectories=10)
+    with pytest.raises(NumericalError, match="gradient identity violated"):
+        train(data, _small_cfg(steps=5, check_identities=True))
+    _, metrics = train(data, _small_cfg(steps=5, check_identities=False))
+    assert len(metrics) == 5
+
+
+def test_divergence_is_reported_with_its_step():
+    data = _dataset(seed=0, n_trajectories=10)
+    for check in (True, False):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match=r"not finite at step \d+$"):
+            train(data, _small_cfg(steps=200, learning_rate=1e6, check_identities=check))
 
 
 def test_metric_record_fields_cover_the_csv_columns():
