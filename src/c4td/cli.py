@@ -108,9 +108,11 @@ def build_train_config(cfg: dict, env: EnvSpec, baseline: bool) -> TrainConfig:
     section = dict(cfg.get("train", {}))
     if "steps" not in section:
         raise InputError("config must set train.steps")
-    evaluate = bool(section.pop("evaluate", True))
-    if "hidden" in section:
-        section["hidden"] = tuple(int(width) for width in section["hidden"])
+    evaluate = section.pop("evaluate", True)
+    if not isinstance(evaluate, bool):
+        raise InputError(f"evaluate must be true or false, got {evaluate!r}")
+    if isinstance(section.get("hidden"), list):
+        section["hidden"] = tuple(section["hidden"])
     if baseline:
         section["baseline_mode"] = True
     return TrainConfig(eval_env=env if evaluate else None, **section)

@@ -109,7 +109,9 @@ class MlpCritic:
         """Returns (values, activations, pre_activations).
 
         ``activations[0]`` is the input; ``activations[-1]`` the penultimate
-        features. ``pre_activations`` has one entry per hidden layer.
+        features. ``pre_activations`` has one entry per hidden layer. ``x``
+        may also be a stack ``(E, n, input_dim)``: matmul runs each 2-D slice
+        as its own BLAS call, so every slice gets the bits it gets alone.
         """
         acts = [x]
         pres = []
@@ -121,7 +123,7 @@ class MlpCritic:
             acts.append(h)
         w_out, b_out = self.layers[-1]
         values = h @ w_out.T + b_out
-        return values[:, 0], acts, pres
+        return values[..., 0], acts, pres
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """Scalar critic values for a batch of joint inputs, shape (n,)."""
@@ -153,9 +155,9 @@ class MlpCritic:
         return self.input_gradient_cached(pres)
 
     def input_gradient_cached(self, pres: list[np.ndarray]) -> np.ndarray:
-        """dQ/dx from the pre-activations of a ``_forward_cached`` pass."""
+        """dQ/dx from the pre-activations of a ``_forward_cached`` pass, 2-D or stacked."""
         w_out = self.layers[-1][0]
-        g = np.repeat(w_out, pres[0].shape[0], axis=0)  # (n, width of last hidden)
+        g = np.repeat(w_out, pres[0].shape[-2], axis=0)  # (n, width of last hidden)
         for (w, _), z in zip(reversed(self.layers[:-1]), reversed(pres)):
             g = (g * (z > 0.0)) @ w
         return g

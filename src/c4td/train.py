@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +31,24 @@ OPTIMIZERS = ("sgd", "adam")
 METRIC_COLUMNS = ("step", "td_loss", "penalty", "objective",
                   "tr_n_sample_convention", "active_cluster",
                   "cluster_occupancy_entropy", "eval_return")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# A check and its description per field annotation; `X | None` fields also take None.
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+              and math.isfinite(v), "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[int, ...]": (lambda v: isinstance(v, tuple) and len(v) > 0
+                        and all(_is_int(w) and w > 0 for w in v),
+                        "a nonempty tuple of positive integers"),
+    "EnvSpec": (lambda v: isinstance(v, EnvSpec), "an EnvSpec"),
+}
 
 
 @dataclass(frozen=True)
@@ -62,6 +81,11 @@ class TrainConfig:
     check_identities: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            check, kind = _FIELD_TYPES[f.type.removesuffix(" | None")]
+            value = getattr(self, f.name)
+            if not ((value is None and f.type.endswith(" | None")) or check(value)):
+                raise InputError(f"{f.name} must be {kind}, got {value!r}")
         if self.steps < 0:
             raise InputError("steps must be nonnegative")
         if not 0.0 <= self.gamma < 1.0:
@@ -84,8 +108,13 @@ class TrainConfig:
             raise InputError(f"optimizer must be one of {OPTIMIZERS}")
         if self.probe_size is not None and self.probe_size < 2:
             raise InputError("probe_size must be at least 2")
+        if self.probe_size is not None and self.n_clusters > self.probe_size:
+            raise InputError(f"n_clusters ({self.n_clusters}) must not exceed "
+                             f"probe_size ({self.probe_size})")
         if self.eval_every < 1:
             raise InputError("eval_every must be at least 1")
+        if self.eval_episodes < 1:
+            raise InputError("eval_episodes must be at least 1")
 
 
 @dataclass
@@ -418,55 +447,78 @@ def _action_grid(env: EnvSpec) -> np.ndarray:
     return np.stack(candidates)
 
 
-def _greedy_action(critic: MlpCritic, state_vec: np.ndarray, env: EnvSpec,
-                   cand: np.ndarray) -> np.ndarray:
-    """Best action over the grid ``cand``, refined by projected gradient ascent.
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row with ``np.linalg.norm``'s bits: one BLAS ddot per row."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
-    Every refinement point is evaluated as its own 1-row forward pass, and
-    the input gradient at the current point reuses that pass.
+
+def _greedy_action(critic: MlpCritic, states: np.ndarray, env: EnvSpec,
+                   cand: np.ndarray) -> np.ndarray:
+    """Best action per state over the grid ``cand``, refined by projected gradient ascent.
+
+    ``states`` is ``(E, ds)``; the result is ``(E, da)``. The grid is one
+    ``(E, len(cand), d)`` forward pass and each refinement round is one
+    ``(E, 1, d)`` pass over the states still moving. matmul runs every 2-D
+    slice as its own BLAS call (gemm, gemv or ddot), so each state gets
+    exactly the bits of a search run on it alone; stacking the rows into
+    one 2-D matrix would move them. The input gradient at the current point
+    reuses that point's pass.
     """
     bound = env.action_bound
-    ds = state_vec.shape[0]
-    joint = np.empty((cand.shape[0], ds + cand.shape[1]))
-    joint[:, :ds] = state_vec
-    joint[:, ds:] = cand
+    n, ds = states.shape
+    joint = np.empty((n, cand.shape[0], ds + cand.shape[1]))
+    joint[:, :, :ds] = states[:, None, :]
+    joint[:, :, ds:] = cand
     values = critic._forward_cached(joint)[0]
-    best = cand[int(np.argmax(values))]
-    best_val = float(values.max())
-    a = best.copy()
-    _, _, pres = critic._forward_cached(np.concatenate([state_vec, a])[None, :])
-    step_len = 0.3 * bound
+    best_val = values.max(axis=1)
+    a = cand[values.argmax(axis=1)]
+    _, _, pres = critic._forward_cached(np.concatenate([states, a], axis=1)[:, None, :])
+    step_len = np.full(n, 0.3 * bound)
+    live = np.arange(n)  # states whose search is still moving; pres rows follow it
     for _ in range(8):
-        grad_a = critic.input_gradient_cached(pres)[0, ds:]
-        norm = float(np.linalg.norm(grad_a))
-        if norm == 0.0:
-            break
-        trial = a + step_len * grad_a / norm
-        t_norm = float(np.linalg.norm(trial))
-        if t_norm > bound:
-            trial = trial * (bound / t_norm)
+        grad_a = critic.input_gradient_cached(pres)[:, 0, ds:]
+        norm = _row_norms(grad_a)
+        moving = norm != 0.0
+        if not moving.all():
+            live, grad_a, norm = live[moving], grad_a[moving], norm[moving]
+            pres = [z[moving] for z in pres]
+            if live.size == 0:
+                break
+        trial = a[live] + step_len[live, None] * grad_a / norm[:, None]
+        t_norm = _row_norms(trial)
+        out = t_norm > bound
+        trial[out] = trial[out] * (bound / t_norm[out])[:, None]
         value, _, trial_pres = critic._forward_cached(
-            np.concatenate([state_vec, trial])[None, :])
-        val = float(value[0])
-        if val > best_val:
-            best_val, a, pres = val, trial, trial_pres
-        else:
-            step_len *= 0.5
+            np.concatenate([states[live], trial], axis=1)[:, None, :])
+        val = value[:, 0]
+        better = val > best_val[live]
+        won = live[better]
+        best_val[won] = val[better]
+        a[won] = trial[better]
+        for z, trial_z in zip(pres, trial_pres):
+            z[better] = trial_z[better]
+        step_len[live[~better]] *= 0.5
     return a
 
 
 def _eval_return(critic: MlpCritic, env: EnvSpec, episodes: int,
                  rng: np.random.Generator) -> float:
+    """Mean greedy return over ``episodes`` rollouts run in lockstep.
+
+    Every initial state is drawn first; the search and the dynamics draw
+    nothing, so ``rng`` is consumed as by one rollout after another.
+    """
     cand = _action_grid(env)
+    states = [env.sample_initial_state(rng) for _ in range(episodes)]
+    ep = [0.0] * episodes
+    for _ in range(env.horizon):
+        actions = _greedy_action(critic, np.stack(states), env, cand)
+        for i, (s, a) in enumerate(zip(states, actions)):
+            ep[i] += env.reward(s, a)
+            states[i] = env.step(s, a)
     total = 0.0
-    for _ in range(episodes):
-        s = env.sample_initial_state(rng)
-        ep = 0.0
-        for _ in range(env.horizon):
-            a = _greedy_action(critic, s, env, cand)
-            ep += env.reward(s, a)
-            s = env.step(s, a)
-        total += ep
+    for ret in ep:  # not sum(): from Python 3.12 it compensates and moves the bits
+        total += ret
     return total / episodes
 
 
@@ -514,20 +566,25 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
                 state.zero_mass_redraws += 1
                 z = gmm.sample_cluster(state.mixture, state.rngs.cluster)
         idx = sampler.draw(z, cfg.batch_size, state.rngs.batch)
-        rep = _objective_report(state.online, state.target.net, x_all[idx],
-                                x_prime_all[idx], dataset.r[idx], dataset.done[idx], cfg)
-        if not (math.isfinite(rep.objective) and np.all(np.isfinite(rep.grads))):
-            raise NumericalError(f"training diverged: objective or gradient "
-                                 f"not finite at step {step}")
-        if cfg.check_identities:
-            _check_step_identities(state, rep.delta, state.online, rep.acts, rep.pres)
-        optimizer.apply(state.online.flat, rep.grads)
-        state.target.update(state.online)
-        state.visit_counts[z] += 1
         eval_ret = None
-        if cfg.eval_env is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
-            eval_ret = _eval_return(state.online, cfg.eval_env, cfg.eval_episodes,
-                                    state.rngs.eval)
+        # a diverging run is reported once, by the check below, not by a
+        # RuntimeWarning from every operation that overflows on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = _objective_report(state.online, state.target.net, x_all[idx],
+                                    x_prime_all[idx], dataset.r[idx],
+                                    dataset.done[idx], cfg)
+            if not (math.isfinite(rep.objective) and np.all(np.isfinite(rep.grads))):
+                raise NumericalError(f"training diverged: objective or gradient "
+                                     f"not finite at step {step}")
+            if cfg.check_identities:
+                _check_step_identities(state, rep.delta, state.online, rep.acts, rep.pres)
+            optimizer.apply(state.online.flat, rep.grads)
+            state.target.update(state.online)
+            if cfg.eval_env is not None and (step % cfg.eval_every == 0
+                                             or step == cfg.steps):
+                eval_ret = _eval_return(state.online, cfg.eval_env, cfg.eval_episodes,
+                                        state.rngs.eval)
+        state.visit_counts[z] += 1
         state.metrics.append(MetricRecord(
             step=step, td_loss=rep.td, penalty=rep.penalty_part,
             objective=rep.objective, tr_n_sample_convention=rep.tr_n,

@@ -158,3 +158,53 @@ def solve_tabular_q(p, r, pi, gamma):
 def discrete_chi2(pi_row, beta_row):
     """Pearson divergence between two pmfs over the same finite support."""
     return float(np.sum(pi_row ** 2 / beta_row) - 1.0)
+
+
+def greedy_action_one_state(critic, state_vec, env, cand):
+    """Greedy search for one state: one forward pass per point, episode by episode.
+
+    The grid is one (len(cand), d) pass; each refinement trial is its own
+    1-row pass, and the input gradient at the current point reuses it.
+    """
+    bound = env.action_bound
+    ds = state_vec.shape[0]
+    joint = np.empty((cand.shape[0], ds + cand.shape[1]))
+    joint[:, :ds] = state_vec
+    joint[:, ds:] = cand
+    values = critic._forward_cached(joint)[0]
+    best = cand[int(np.argmax(values))]
+    best_val = float(values.max())
+    a = best.copy()
+    _, _, pres = critic._forward_cached(np.concatenate([state_vec, a])[None, :])
+    step_len = 0.3 * bound
+    for _ in range(8):
+        grad_a = critic.input_gradient_cached(pres)[0, ds:]
+        norm = float(np.linalg.norm(grad_a))
+        if norm == 0.0:
+            break
+        trial = a + step_len * grad_a / norm
+        t_norm = float(np.linalg.norm(trial))
+        if t_norm > bound:
+            trial = trial * (bound / t_norm)
+        value, _, trial_pres = critic._forward_cached(
+            np.concatenate([state_vec, trial])[None, :])
+        val = float(value[0])
+        if val > best_val:
+            best_val, a, pres = val, trial, trial_pres
+        else:
+            step_len *= 0.5
+    return a
+
+
+def eval_return_one_episode_at_a_time(critic, env, episodes, rng, cand):
+    """Mean greedy return, each rollout run to its end before the next starts."""
+    total = 0.0
+    for _ in range(episodes):
+        s = env.sample_initial_state(rng)
+        ep = 0.0
+        for _ in range(env.horizon):
+            a = greedy_action_one_state(critic, s, env, cand)
+            ep += env.reward(s, a)
+            s = env.step(s, a)
+        total += ep
+    return total / episodes

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -148,6 +149,36 @@ def test_missing_steps_is_a_config_error(tmp_path, capsys):
     config.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(config)]) == 2
     assert "train.steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assignment, message", [
+    ("train.eval_episodes=0", "eval_episodes must be at least 1"),
+    ('train.steps="20"', "steps must be an integer, got '20'"),
+    ("train.learning_rate=NaN", "learning_rate must be a finite number"),
+    ('train.hidden=["a"]', "hidden must be a nonempty tuple of positive integers"),
+    ("train.check_identities=1", "check_identities must be true or false"),
+    ("train.probe_size=3", "n_clusters (5) must not exceed probe_size (3)"),
+    ('train.evaluate="no"', "evaluate must be true or false"),
+])
+def test_bad_train_values_exit_2_naming_the_field(tmp_path, capsys, assignment, message):
+    config, _ = _write_config(tmp_path)
+    _gen(tmp_path, config)
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--set", "train.n_clusters=5",
+                 "--set", assignment]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_diverging_run_exits_2_naming_the_step_without_numpy_warnings(tmp_path):
+    config, _ = _write_config(tmp_path)
+    _gen(tmp_path, config)
+    env = dict(os.environ, PYTHONPATH=str(Path(c4td.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "c4td.cli", "train", "--config", str(config),
+                          "--set", 'train.optimizer="sgd"', "--set", "train.learning_rate=1e6"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "RuntimeWarning" not in out.stderr
+    assert re.search(r"training diverged: .* at step \d+$", out.stderr.strip())
 
 
 def test_usage_errors_exit_2(capsys):

@@ -70,6 +70,44 @@ def test_input_gradient_batch_agrees_with_loop():
         assert np.allclose(batched[i], net.input_gradient(x[i]), atol=0)
 
 
+@pytest.mark.parametrize("hidden", [(16, 16), (8, 8, 8)])
+@pytest.mark.parametrize("rows", [1, 37])
+def test_stacked_passes_equal_per_slice_passes_byte_for_byte(hidden, rows):
+    # greedy evaluation stacks one slice per episode and relies on this
+    rng = np.random.default_rng(rows + len(hidden))
+    net = MlpCritic.init(4, hidden, rng)
+    x = rng.standard_normal((5, rows, 4))
+    values, acts, pres = net._forward_cached(x)
+    grads = net.input_gradient_cached(pres)
+    assert values.shape == (5, rows) and grads.shape == (5, rows, 4)
+    for e in range(5):
+        one_values, one_acts, one_pres = net._forward_cached(x[e].copy())
+        assert values[e].tobytes() == one_values.tobytes()
+        for stacked, alone in zip(acts + pres, one_acts + one_pres):
+            assert stacked[e].tobytes() == alone.tobytes()
+        assert grads[e].tobytes() == net.input_gradient_cached(one_pres).tobytes()
+
+
+def test_stacked_matmul_runs_each_slice_as_its_own_blas_call():
+    # Not skipped on other numpy versions: a numpy that fuses the slices of a
+    # stack into one BLAS call gives rows other bits (a 1-row gemv and the
+    # same row inside a larger gemv differ) and would move eval_return.
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal((16, 6))
+    w_out = rng.standard_normal((1, 16))
+    for rows in (1, 37):
+        x = rng.standard_normal((8, rows, 6))
+        hidden = x @ w.T  # gemv for one row, gemm for 37
+        head = np.maximum(hidden, 0.0) @ w_out.T  # ddot for one row, gemv for 37
+        for e in range(8):
+            assert hidden[e].tobytes() == (x[e].copy() @ w.T).tobytes()
+            assert head[e].tobytes() == (np.maximum(hidden[e], 0.0) @ w_out.T).tobytes()
+    v = rng.standard_normal((8, 3))
+    sq = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]  # one ddot per row
+    for e in range(8):
+        assert sq[e].tobytes() == v[e].dot(v[e]).tobytes()  # what np.linalg.norm runs
+
+
 def test_backprop_matches_parameter_finite_differences():
     rng = np.random.default_rng(11)
     net = MlpCritic.init(3, (7, 5), rng)

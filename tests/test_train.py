@@ -16,6 +16,9 @@ from c4td.train import (
     ClusterSampler,
     RngStreams,
     TrainConfig,
+    _action_grid,
+    _eval_return,
+    _greedy_action,
     _occupancy_entropy,
     gradient_pairs,
     metrics_from_csv,
@@ -25,6 +28,7 @@ from c4td.train import (
     td_targets,
     train,
 )
+from oracles import eval_return_one_episode_at_a_time
 
 ENV = EnvSpec.with_circular_modes(3)
 
@@ -48,9 +52,17 @@ def test_config_validation():
                 dict(steps=1, learning_rate=0.0),
                 dict(steps=1, feature_mode="hessian"),
                 dict(steps=1, optimizer="rmsprop"),
-                dict(steps=1, probe_size=1), dict(steps=1, eval_every=0)):
+                dict(steps=1, probe_size=1), dict(steps=1, eval_every=0),
+                dict(steps=1, eval_episodes=0), dict(steps=1, n_clusters=5, probe_size=3),
+                dict(steps="20"), dict(steps=True), dict(steps=1.0),
+                dict(steps=1, penalty_weight=float("nan")),
+                dict(steps=1, learning_rate=float("inf")), dict(steps=1, ridge="0.1"),
+                dict(steps=1, hidden=()), dict(steps=1, hidden=(8, 0)),
+                dict(steps=1, hidden=[8, 8]), dict(steps=1, baseline_mode="yes"),
+                dict(steps=1, eval_env="pointmass")):
         with pytest.raises(InputError):
             TrainConfig(**bad)
+    assert TrainConfig(steps=np.int64(3), ridge=None, learning_rate=1).steps == 3
 
 
 def test_rng_streams_are_independent_children():
@@ -250,6 +262,62 @@ def test_eval_returns_appear_on_schedule():
                if rec.eval_return is not None)
 
 
+def _dead_for_negative_s0_critic(rng):
+    """First-layer units follow 10 * s0, so for s0 well below 0 all are off and dQ/da = 0."""
+    net = MlpCritic.init(4, (8, 8), rng)
+    w, _ = net.layers[0]
+    w[:, 0] = 10.0
+    w[:, 1] = 0.0
+    return net
+
+
+def _bound_seeking_critic(rng):
+    """Q grows with |a . u| for two directions u, so the search runs into the bound."""
+    w1 = np.zeros((4, 4))
+    w1[:, :2] = 0.1 * rng.standard_normal((4, 2))
+    w1[:, 2:] = [[1.0, 0.5], [-1.0, -0.5], [0.3, 1.0], [-0.3, -1.0]]
+    w2 = np.eye(4) + 0.1 * rng.random((4, 4))
+    return MlpCritic([(w1, np.zeros(4)), (w2, np.zeros(4)),
+                      (np.ones((1, 4)), np.zeros(1))])
+
+
+ENV_DA3 = EnvSpec.with_circular_modes(3, ds=3, da=3)
+
+
+@pytest.mark.parametrize("env, make_critic, episodes", [
+    (ENV, lambda rng: MlpCritic.init(4, (16, 16), rng), 1),
+    (ENV, lambda rng: MlpCritic.init(4, (16, 16), rng), 4),
+    (ENV, lambda rng: MlpCritic.init(4, (8, 8, 8), rng), 8),
+    (ENV_DA3, lambda rng: MlpCritic.init(6, (16, 16), rng), 4),
+    (ENV, _dead_for_negative_s0_critic, 8),
+    (ENV, _bound_seeking_critic, 4),
+])
+def test_eval_return_equals_the_one_episode_at_a_time_oracle(env, make_critic, episodes):
+    for seed in range(3):
+        critic = make_critic(np.random.default_rng(seed))
+        rng, oracle_rng = np.random.default_rng(50 + seed), np.random.default_rng(50 + seed)
+        got = _eval_return(critic, env, episodes, rng)
+        want = eval_return_one_episode_at_a_time(critic, env, episodes, oracle_rng,
+                                                 _action_grid(env))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert rng.random() == oracle_rng.random()
+
+
+def test_greedy_search_drops_dead_states_and_projects_onto_the_bound():
+    # the two special critics above really reach the paths they are there for
+    cand = _action_grid(ENV)
+    states = np.array([[-0.8, 0.1], [0.7, -0.2], [-0.6, -0.3], [0.9, 0.0]])
+    dead = _dead_for_negative_s0_critic(np.random.default_rng(0))
+    grads = dead.input_gradient_batch(
+        np.concatenate([states, _greedy_action(dead, states, ENV, cand)], axis=1))
+    assert np.array_equal(np.abs(grads[:, 2:]).sum(axis=1) == 0.0,
+                          [True, False, True, False])
+    seeking = _bound_seeking_critic(np.random.default_rng(0))
+    actions = _greedy_action(seeking, states, ENV, cand)
+    assert np.allclose(np.linalg.norm(actions, axis=1), ENV.action_bound)
+    assert not any((cand == a).all(axis=1).any() for a in actions)
+
+
 def test_adam_and_sgd_both_descend():
     data = _dataset(seed=5, n_trajectories=5)
     for opt in ("sgd", "adam"):
@@ -291,8 +359,7 @@ def test_identity_check_still_catches_a_corrupted_gradient(monkeypatch):
 def test_divergence_is_reported_with_its_step():
     data = _dataset(seed=0, n_trajectories=10)
     for check in (True, False):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericalError, match=r"not finite at step \d+$"):
+        with pytest.raises(NumericalError, match=r"not finite at step \d+$"):
             train(data, _small_cfg(steps=200, learning_rate=1e6, check_identities=check))
 
 
