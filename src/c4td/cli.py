@@ -33,12 +33,13 @@ from . import apply_thread_cap as _apply_thread_cap
 from .data import EnvSpec, generate, load_jsonl, save_jsonl
 from .errors import C4Error, InputError, ParseError
 from .gmm import mixture_to_json
-from .train import TrainConfig, metrics_from_csv, metrics_to_csv, train
+from .train import _FIELD_TYPES, TrainConfig, metrics_from_csv, metrics_to_csv, train
 from .verify import SUITES, run_suite
 
 _TOP_KEYS = ("out_dir", "dataset", "env", "data", "train")
 _ENV_KEYS = ("n_modes", "mode_radius", "mode_std", "ds", "da", "horizon",
              "box_radius", "action_bound", "noise_scale")
+_ENV_INT_KEYS = ("n_modes", "ds", "da", "horizon")
 _DATA_KEYS = ("n_trajectories", "seed")
 _TRAIN_KEYS = tuple(f.name for f in dataclass_fields(TrainConfig)
                     if f.name != "eval_env") + ("evaluate",)
@@ -98,9 +99,13 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> dict:
 
 def build_env(cfg: dict) -> EnvSpec:
     section = dict(cfg.get("env", {}))
-    n_modes = int(section.pop("n_modes", 1))
-    mode_radius = float(section.pop("mode_radius", 0.6))
-    mode_std = float(section.pop("mode_std", 0.05))
+    for key, value in section.items():
+        check, kind = _FIELD_TYPES["int" if key in _ENV_INT_KEYS else "float"]
+        if not check(value):
+            raise InputError(f"env.{key} must be {kind}, got {value!r}")
+    n_modes = section.pop("n_modes", 1)
+    mode_radius = section.pop("mode_radius", 0.6)
+    mode_std = section.pop("mode_std", 0.05)
     return EnvSpec.with_circular_modes(n_modes, mode_radius, mode_std, **section)
 
 

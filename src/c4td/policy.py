@@ -10,6 +10,7 @@ objective, which is what licenses training against one cluster at a time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -511,32 +512,57 @@ def _density_grid(policy: GaussianDist, comps: Sequence[GaussianDist],
 
 def _adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                       tol: float, max_depth: int = 40) -> float:
-    """Recursive adaptive Simpson rule on a vectorized integrand."""
+    """Adaptive Simpson rule (Lyness 1969) on a vectorized integrand.
 
-    def simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
+    The interval tree of the depth-first recursion is expanded breadth-first:
+    one call of ``f`` for the points of the 8 seed panels (so narrow modes
+    are not missed), then one call per depth for the quarter points of every
+    interval still open. Each interval applies the recursion's scalar rule
+    elementwise, and the tree is summed back in the recursion's order (a node
+    is its left value plus its right value, panels added left to right), so
+    the result has the recursion's bits whenever ``f`` computes each point
+    independently of the others in the call.
+    """
+    def simpson(lo, hi, flo, fmid, fhi):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
-    def recurse(lo: float, hi: float, flo: float, fmid: float, fhi: float,
-                whole: float, depth: int) -> float:
+    def children(left_of, right_of, split):
+        # both halves of every split interval, left then right, in tree order
+        return np.stack([left_of[split], right_of[split]], axis=1).ravel()
+
+    panels = np.linspace(a, b, 9)
+    lo, hi = panels[:-1], panels[1:]
+    vals = np.asarray(f(np.concatenate([panels, 0.5 * (lo + hi)])), dtype=float)
+    flo, fhi, fmid = vals[:8], vals[1:9], vals[9:]
+    whole = simpson(lo, hi, flo, fmid, fhi)
+
+    levels = []  # per depth: node values, and which nodes were split
+    for depth in itertools.count():
         mid = 0.5 * (lo + hi)
         lmid = 0.5 * (lo + mid)
         rmid = 0.5 * (mid + hi)
-        flm, frm = (float(v) for v in f(np.array([lmid, rmid])))
+        quarter = np.asarray(f(np.concatenate([lmid, rmid])), dtype=float)
+        flm, frm = quarter[:lo.size], quarter[lo.size:]
         left = simpson(lo, mid, flo, flm, fmid)
         right = simpson(mid, hi, fmid, frm, fhi)
+        both = left + right
         if depth >= max_depth:
-            return left + right
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(lo, mid, flo, flm, fmid, left, depth + 1)
-                + recurse(mid, hi, fmid, frm, fhi, right, depth + 1))
+            levels.append((both, None))
+            break
+        err = both - whole
+        split = ~(np.abs(err) <= 15.0 * tol)
+        levels.append((both + err / 15.0, split))
+        if not split.any():
+            break
+        lo, hi = children(lo, mid, split), children(mid, hi, split)
+        flo, fhi = children(flo, fmid, split), children(fmid, fhi, split)
+        fmid, whole = children(flm, frm, split), children(left, right, split)
 
-    # Seed the recursion on a few panels so narrow modes are not missed.
-    panels = np.linspace(a, b, 9)
+    values, _ = levels.pop()  # the deepest level splits nothing
+    for level, split in reversed(levels):
+        level[split] = values[0::2] + values[1::2]
+        values = level
     total = 0.0
-    for lo, hi in zip(panels[:-1], panels[1:]):
-        m = 0.5 * (lo + hi)
-        flo, fm_, fhi = (float(v) for v in f(np.array([lo, m, hi])))
-        whole = simpson(lo, hi, flo, fm_, fhi)
-        total += recurse(lo, hi, flo, fm_, fhi, whole, 0)
+    for value in values:
+        total += float(value)
     return total

@@ -535,6 +535,9 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
     """
     if len(dataset) == 0:
         raise InputError("dataset must be nonempty")
+    if not cfg.baseline_mode and cfg.n_clusters > len(dataset):
+        raise InputError(f"n_clusters ({cfg.n_clusters}) must not exceed "
+                         f"the dataset's {len(dataset)} rows")
     rngs = RngStreams.from_seed(cfg.seed)
     online = MlpCritic.init(dataset.ds + dataset.da, cfg.hidden, rngs.init)
     target = TargetCritic.of(online, cfg.ema_rate)

@@ -208,3 +208,34 @@ def eval_return_one_episode_at_a_time(critic, env, episodes, rng, cand):
             s = env.step(s, a)
         total += ep
     return total / episodes
+
+
+def adaptive_simpson_recursive(f, a, b, tol, max_depth=40):
+    """Recursive adaptive Simpson rule on a vectorized integrand."""
+
+    def simpson(lo, hi, flo, fmid, fhi):
+        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+
+    def recurse(lo, hi, flo, fmid, fhi, whole, depth):
+        mid = 0.5 * (lo + hi)
+        lmid = 0.5 * (lo + mid)
+        rmid = 0.5 * (mid + hi)
+        flm, frm = (float(v) for v in f(np.array([lmid, rmid])))
+        left = simpson(lo, mid, flo, flm, fmid)
+        right = simpson(mid, hi, fmid, frm, fhi)
+        if depth >= max_depth:
+            return left + right
+        if abs(left + right - whole) <= 15.0 * tol:
+            return left + right + (left + right - whole) / 15.0
+        return (recurse(lo, mid, flo, flm, fmid, left, depth + 1)
+                + recurse(mid, hi, fmid, frm, fhi, right, depth + 1))
+
+    # Seed the recursion on a few panels so narrow modes are not missed.
+    panels = np.linspace(a, b, 9)
+    total = 0.0
+    for lo, hi in zip(panels[:-1], panels[1:]):
+        m = 0.5 * (lo + hi)
+        flo, fm_, fhi = (float(v) for v in f(np.array([lo, m, hi])))
+        whole = simpson(lo, hi, flo, fm_, fhi)
+        total += recurse(lo, hi, flo, fm_, fhi, whole, 0)
+    return total

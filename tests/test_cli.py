@@ -159,6 +159,7 @@ def test_missing_steps_is_a_config_error(tmp_path, capsys):
     ("train.check_identities=1", "check_identities must be true or false"),
     ("train.probe_size=3", "n_clusters (5) must not exceed probe_size (3)"),
     ('train.evaluate="no"', "evaluate must be true or false"),
+    ("train.n_clusters=500", "n_clusters (500) must not exceed the dataset's 160 rows"),
 ])
 def test_bad_train_values_exit_2_naming_the_field(tmp_path, capsys, assignment, message):
     config, _ = _write_config(tmp_path)
@@ -166,6 +167,20 @@ def test_bad_train_values_exit_2_naming_the_field(tmp_path, capsys, assignment, 
     capsys.readouterr()
     assert main(["train", "--config", str(config), "--set", "train.n_clusters=5",
                  "--set", assignment]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assignment, message", [
+    ('env.ds="x"', "env.ds must be an integer, got 'x'"),
+    ("env.horizon=2.5", "env.horizon must be an integer, got 2.5"),
+    ('env.n_modes="x"', "env.n_modes must be an integer, got 'x'"),
+    ("env.mode_std=NaN", "env.mode_std must be a finite number, got nan"),
+])
+def test_bad_env_values_exit_2_naming_the_field(tmp_path, capsys, assignment, message):
+    config, _ = _write_config(tmp_path)
+    _gen(tmp_path, config)
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--set", assignment]) == 2
     assert message in capsys.readouterr().err
 
 

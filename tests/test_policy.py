@@ -12,7 +12,8 @@ from c4td.policy import (ClusterBehavior, GaussianDist, PenaltyCoeffs,
                          kappa_star_pearson_closed_form, lambert_w,
                          mixture_bound_check, per_cluster_objective,
                          policy_update_mean, unbiased_cluster_gradient_check)
-from oracles import bisection_root
+from c4td.policy import _adaptive_simpson, _integration_range
+from oracles import adaptive_simpson_recursive, bisection_root
 
 
 def _random_gaussian(rng, dim, spread=1.0):
@@ -258,6 +259,72 @@ def test_mixture_bound_1d_kl_lhs_matches_scipy_quadrature():
 
     ref, err = integrate.quad(integrand, -12, 12, limit=400)
     assert check.lhs == pytest.approx(ref, abs=max(1e-8, 10 * err))
+
+
+def _recorded(f):
+    calls = []
+
+    def wrapped(x):
+        calls.append(np.array(x, dtype=float))
+        return f(x)
+    return wrapped, calls
+
+
+def _divergence_integrand(policy, mixture, divergence):
+    """The 1-D integrands mixture_bound_check hands to the quadrature."""
+    def integrand(x):
+        pts = np.asarray(x, dtype=float).reshape(-1, 1)
+        logp = policy.logpdf(pts)
+        if divergence == "kl":
+            return np.exp(logp) * (logp - mixture.log_density(pts))
+        return np.exp(2.0 * logp - mixture.log_density(pts))
+    return integrand
+
+
+def _quadrature_cases():
+    """(name, f, a, b, tol, max_depth) for the breadth-first quadrature test."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for trial in range(9):
+        k = 2 + trial % 3
+        weights = rng.uniform(0.2, 1.0, size=k)
+        if trial % 2:
+            weights[rng.integers(k)] = 0.0
+        weights /= weights.sum()
+        comps = [GaussianDist(rng.normal(size=1), np.array([[rng.uniform(0.3, 1.2)]]))
+                 for _ in range(k)]
+        policy = GaussianDist(rng.normal(scale=0.3, size=1),
+                              np.array([[rng.uniform(0.02, 0.14)]]))
+        lo, hi = _integration_range(policy, comps)
+        for divergence in ("kl", "chi2"):
+            f = _divergence_integrand(policy, ClusterBehavior(weights, comps), divergence)
+            cases.append((f"{divergence}-{trial}", f, lo, hi, 1e-9, 40))
+    cases.append(("cubic", lambda x: 3.0 * x ** 3 - x + 0.5, -2.0, 3.0, 1e-9, 40))
+    cases.append(("narrow", lambda x: np.exp(-0.5 * ((x - 0.31) / 0.01) ** 2),
+                  -1.0, 1.0, 1e-12, 40))
+    cases.append(("cutoff", lambda x: np.sin(50.0 * x) ** 2, 0.0, 1.0, 0.0, 3))
+    return cases
+
+
+def test_breadth_first_simpson_equals_the_recursive_oracle_bit_for_bit():
+    deepest = {}
+    for name, f, a, b, tol, max_depth in _quadrature_cases():
+        new_f, new_calls = _recorded(f)
+        old_f, old_calls = _recorded(f)
+        got = _adaptive_simpson(new_f, a, b, tol, max_depth)
+        want = adaptive_simpson_recursive(old_f, a, b, tol, max_depth)
+        assert float(got).hex() == float(want).hex(), name
+        # the recursion calls f on (lmid, rmid) pairs, rmid - lmid = panel / 2**(depth + 1)
+        quarters = [x for x in old_calls if x.size == 2]
+        panel = (b - a) / 8.0
+        depth = max(round(math.log2(panel / (x[1] - x[0]))) - 1 for x in quarters)
+        assert len(new_calls) == 2 + depth <= max_depth + 2, name
+        assert np.array_equal(np.sort(np.concatenate(new_calls[1:])),
+                              np.sort(np.concatenate(quarters))), name
+        deepest[name] = depth
+    assert deepest["cubic"] == 0
+    assert deepest["cutoff"] == 3
+    assert deepest["narrow"] > 5
 
 
 def test_mixture_bound_2d_mc_within_3_sigma():
