@@ -4,13 +4,13 @@ One JSON config file describes a run. Top-level keys:
 
   out_dir   directory for training artifacts
   dataset   path of the transition JSONL consumed by ``train``
-  env       task layout (n_modes, mode_radius, mode_std, ds, da, horizon,
-            box_radius, action_bound, noise_scale)
-  data      generation knobs (n_trajectories, seed)
-  train     every TrainConfig field except eval_env, plus ``evaluate`` to
-            toggle greedy-rollout evaluation
+  env       task layout: ``data.ENV_SCHEMA``
+  data      generation knobs: ``data.DATA_SCHEMA``
+  train     ``train.TRAIN_SCHEMA`` but eval_env, plus ``evaluate`` (default true)
+            to toggle greedy-rollout evaluation
 
-Unknown keys anywhere in the document are rejected. ``--set key=value``
+Unknown keys are rejected. The constructor taking a value checks its type and
+range, naming ``section.field``, and supplies its default. ``--set key=value``
 overrides single entries with dotted paths (``--set train.steps=500``);
 values are parsed as JSON when possible, otherwise kept as strings.
 
@@ -26,33 +26,31 @@ import argparse
 import json
 import statistics
 import sys
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from . import apply_thread_cap as _apply_thread_cap
-from .data import EnvSpec, generate, load_jsonl, save_jsonl
+from .data import (DATA_SCHEMA, ENV_SCHEMA, EnvSpec, check_fields, generate, load_jsonl,
+                   save_jsonl)
 from .errors import C4Error, InputError, ParseError
 from .gmm import mixture_to_json
-from .train import _FIELD_TYPES, TrainConfig, metrics_from_csv, metrics_to_csv, train
+from .train import TRAIN_SCHEMA, TrainConfig, metrics_from_csv, metrics_to_csv, train
 from .verify import SUITES, run_suite
 
-_TOP_KEYS = ("out_dir", "dataset", "env", "data", "train")
-_ENV_KEYS = ("n_modes", "mode_radius", "mode_std", "ds", "da", "horizon",
-             "box_radius", "action_bound", "noise_scale")
-_ENV_INT_KEYS = ("n_modes", "ds", "da", "horizon")
-_DATA_KEYS = ("n_trajectories", "seed")
-_TRAIN_KEYS = tuple(f.name for f in dataclass_fields(TrainConfig)
-                    if f.name != "eval_env") + ("evaluate",)
+# train.evaluate stands in for eval_env, which a JSON document cannot hold
+_SECTIONS = {"env": ENV_SCHEMA, "data": DATA_SCHEMA,
+             "train": {**{k: v for k, v in TRAIN_SCHEMA.items() if k != "eval_env"},
+                       "evaluate": ("bool",)}}
+_TOP = {"out_dir": ("str",), "dataset": ("str",), **dict.fromkeys(_SECTIONS, ("object",))}
 
 _REPORT_METRICS = ("td_loss", "tr_n_sample_convention", "eval_return")
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _MAX_POLYLINE_POINTS = 2000
 
 
-def _reject_unknown(section: dict, allowed: tuple, where: str) -> None:
+def _reject_unknown(section: dict, allowed, where: str) -> None:
     for key in section:
         if key not in allowed:
-            raise InputError(f"unknown config key '{where}{key}'")
+            raise InputError(f"unknown config key {where + key!r}")
 
 
 def _apply_override(cfg: dict, assignment: str) -> None:
@@ -61,7 +59,7 @@ def _apply_override(cfg: dict, assignment: str) -> None:
         raise InputError(f"--set expects key=value, got {assignment!r}")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # kept as text
         value = raw
     node = cfg
     parts = key.split(".")
@@ -74,61 +72,45 @@ def _apply_override(cfg: dict, assignment: str) -> None:
 
 
 def load_run_config(path: str, overrides: list[str] | None = None) -> dict:
-    """Parse and validate a run config; overrides apply before validation."""
+    """Parse a run config, apply overrides and reject unknown keys."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError("config root must be a JSON object")
     for assignment in overrides or []:
         _apply_override(cfg, assignment)
-    _reject_unknown(cfg, _TOP_KEYS, "")
-    for name, allowed in (("env", _ENV_KEYS), ("data", _DATA_KEYS),
-                          ("train", _TRAIN_KEYS)):
-        if name in cfg:
-            if not isinstance(cfg[name], dict):
-                raise InputError(f"config section {name!r} must be an object")
-            _reject_unknown(cfg[name], allowed, f"{name}.")
-    for name in ("out_dir", "dataset"):
-        if name in cfg and not isinstance(cfg[name], str):
-            raise InputError(f"config key {name!r} must be a string path")
+    _reject_unknown(cfg, _TOP, "")
+    check_fields(cfg, _TOP)
+    for name, schema in _SECTIONS.items():
+        _reject_unknown(cfg.get(name, {}), schema, f"{name}.")
     return cfg
 
 
 def build_env(cfg: dict) -> EnvSpec:
-    section = dict(cfg.get("env", {}))
-    for key, value in section.items():
-        check, kind = _FIELD_TYPES["int" if key in _ENV_INT_KEYS else "float"]
-        if not check(value):
-            raise InputError(f"env.{key} must be {kind}, got {value!r}")
-    n_modes = section.pop("n_modes", 1)
-    mode_radius = section.pop("mode_radius", 0.6)
-    mode_std = section.pop("mode_std", 0.05)
-    return EnvSpec.with_circular_modes(n_modes, mode_radius, mode_std, **section)
+    return EnvSpec.with_circular_modes(**cfg.get("env", {}))
+
+
+def _train_config(env: EnvSpec, evaluate: bool = True, **fields) -> TrainConfig:
+    check_fields({"evaluate": evaluate}, _SECTIONS["train"], "train.")
+    return TrainConfig(eval_env=env if evaluate else None, **fields)
 
 
 def build_train_config(cfg: dict, env: EnvSpec, baseline: bool) -> TrainConfig:
-    section = dict(cfg.get("train", {}))
+    section = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.get("train", {}).items()}
     if "steps" not in section:
         raise InputError("config must set train.steps")
-    evaluate = section.pop("evaluate", True)
-    if not isinstance(evaluate, bool):
-        raise InputError(f"evaluate must be true or false, got {evaluate!r}")
-    if isinstance(section.get("hidden"), list):
-        section["hidden"] = tuple(section["hidden"])
     if baseline:
         section["baseline_mode"] = True
-    return TrainConfig(eval_env=env if evaluate else None, **section)
+    return _train_config(env, **section)
 
 
 def cmd_gen_data(args) -> int:
     cfg = load_run_config(args.config, args.set)
     env = build_env(cfg)
-    section = cfg.get("data", {})
-    dataset = generate(env, n_trajectories=int(section.get("n_trajectories", 50)),
-                       seed=int(section.get("seed", 0)))
+    dataset = generate(env, **cfg.get("data", {}))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_jsonl(dataset, str(out))
@@ -341,10 +323,7 @@ def main(argv=None) -> int:
     try:
         _apply_thread_cap()
         return args.func(args)
-    except C4Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (C4Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

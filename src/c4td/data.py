@@ -14,6 +14,9 @@ consecutive rows of a trajectory form SARSA pairs.
 from __future__ import annotations
 
 import json
+import math
+import numbers
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +25,65 @@ from .errors import FormatError, InputError, ParseError
 
 STEP_GAIN = 0.1
 ACTION_COST = 0.1
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# What each kind accepts and how a message names it; a "X | None" kind also takes None.
+_KINDS = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+              and math.isfinite(v), "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "widths": (lambda v: isinstance(v, tuple) and len(v) > 0
+               and all(_is_int(w) and w > 0 for w in v),
+               "a nonempty tuple of positive integers"),
+    "EnvSpec": (lambda v: isinstance(v, EnvSpec), "an EnvSpec"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def check_fields(values: dict, schema: dict[str, tuple], where: str = "") -> None:
+    """Raise InputError, naming ``where + name``, for the first value breaking its row.
+
+    A row is ``(kind,)`` or ``(kind, rule, wording)``; names that only one side
+    has are skipped.
+    """
+    for name, (kind, *rule) in schema.items():
+        value = values.get(name)
+        if name not in values or value is None and kind.endswith(" | None"):
+            continue
+        check, noun = _KINDS[kind.removesuffix(" | None")]
+        if not check(value):
+            raise InputError(f"{where}{name} must be {noun}, got {reprlib.repr(value)}")
+        if rule and not rule[0](value):
+            raise InputError(f"{where}{name} {rule[1]}, got {reprlib.repr(value)}")
+
+
+def at_least(low: int) -> tuple:
+    return ("int", lambda v: v >= low, f"must be at least {low}")
+
+
+POSITIVE = ("float", lambda v: v > 0, "must be positive")
+NONNEGATIVE = ("float", lambda v: v >= 0, "must be nonnegative")
+
+# The run config's env section: EnvSpec's numeric fields plus the circular-mode layout.
+ENV_SCHEMA = {
+    "n_modes": at_least(1),
+    "mode_radius": ("float",),
+    # squared into the mode covariance, which must stay finite and PD
+    "mode_std": ("float", lambda v: 1e-150 < v < 1e150, "must lie in (1e-150, 1e150)"),
+    "ds": at_least(1),
+    "da": at_least(2),
+    "horizon": at_least(1),
+    "box_radius": POSITIVE,
+    "action_bound": POSITIVE,
+    "noise_scale": NONNEGATIVE,
+}
+DATA_SCHEMA = {"n_trajectories": at_least(1), "seed": at_least(0)}  # generate's knobs
 
 
 def _clip_norm(v: np.ndarray, radius: float) -> np.ndarray:
@@ -46,12 +108,9 @@ class EnvSpec:
     noise_scale: float = 1.0
 
     def __post_init__(self):
-        if self.ds < 1 or self.da < 1 or self.horizon < 1:
-            raise InputError("ds, da and horizon must be positive")
-        if self.box_radius <= 0 or self.action_bound <= 0:
-            raise InputError("box_radius and action_bound must be positive")
-        if self.noise_scale < 0:
-            raise InputError("noise_scale must be nonnegative")
+        check_fields(vars(self), ENV_SCHEMA, "env.")
+        if self.ds != self.da:  # step() adds the action to the state
+            raise InputError(f"env.ds ({self.ds}) must equal env.da ({self.da})")
         if len(self.mode_means) != len(self.mode_covs) or not self.mode_means:
             raise InputError("need one covariance per behavior mode")
         for mu, cov in zip(self.mode_means, self.mode_covs):
@@ -68,12 +127,12 @@ class EnvSpec:
         return len(self.mode_means)
 
     @classmethod
-    def with_circular_modes(cls, n_modes: int, mode_radius: float = 0.6,
+    def with_circular_modes(cls, n_modes: int = 1, mode_radius: float = 0.6,
                             mode_std: float = 0.05, **kwargs) -> "EnvSpec":
         """Behavior modes evenly spaced on a circle in the action plane."""
-        da = kwargs.get("da", 2)
-        if da < 2:
-            raise InputError("circular mode placement needs da >= 2")
+        check_fields(dict(kwargs, n_modes=n_modes, mode_radius=mode_radius,
+                          mode_std=mode_std), ENV_SCHEMA, "env.")
+        da = kwargs.get("da", cls.da)
         means = []
         for j in range(n_modes):
             angle = 2.0 * np.pi * j / n_modes
@@ -177,36 +236,40 @@ class OfflineDataset:
                               self.s_next[idx], self.a_next[idx], self.done[idx])
 
 
-def generate(spec: EnvSpec, n_trajectories: int, seed: int) -> OfflineDataset:
+def generate(spec: EnvSpec, n_trajectories: int = 50, seed: int = 0) -> OfflineDataset:
     """Roll n_trajectories full episodes under the behavior mixture.
 
     One behavior mode is drawn per trajectory (uniformly). The final step of
     each trajectory is marked done; its a_next slot is a zero vector and is
     never consumed because targets bootstrap with (1 - done).
     """
-    if n_trajectories < 1:
-        raise InputError("n_trajectories must be positive")
+    check_fields({"n_trajectories": n_trajectories, "seed": seed}, DATA_SCHEMA, "data.")
     rng = np.random.default_rng(seed)
     rows_s, rows_a, rows_r, rows_sn, rows_an, rows_done = [], [], [], [], [], []
-    for _ in range(n_trajectories):
-        mode = int(rng.integers(spec.n_modes))
-        states = [spec.sample_initial_state(rng)]
-        actions = []
-        for _ in range(spec.horizon):
-            actions.append(spec.sample_action(mode, rng))
-            states.append(spec.step(states[-1], actions[-1]))
-        for t in range(spec.horizon):
-            last = t == spec.horizon - 1
-            rows_s.append(states[t])
-            rows_a.append(actions[t])
-            rows_r.append(spec.reward(states[t], actions[t]))
-            rows_sn.append(states[t + 1])
-            rows_an.append(np.zeros(spec.da) if last else actions[t + 1])
-            rows_done.append(last)
+    # an overflowing spec is reported once, below, so load_jsonl reads back every save
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_trajectories):
+            mode = int(rng.integers(spec.n_modes))
+            states = [spec.sample_initial_state(rng)]
+            actions = []
+            for _ in range(spec.horizon):
+                actions.append(spec.sample_action(mode, rng))
+                states.append(spec.step(states[-1], actions[-1]))
+            for t in range(spec.horizon):
+                last = t == spec.horizon - 1
+                rows_s.append(states[t])
+                rows_a.append(actions[t])
+                rows_r.append(spec.reward(states[t], actions[t]))
+                rows_sn.append(states[t + 1])
+                rows_an.append(np.zeros(spec.da) if last else actions[t + 1])
+                rows_done.append(last)
+    columns = dict(s=np.array(rows_s), a=np.array(rows_a), r=np.array(rows_r),
+                   s_next=np.array(rows_sn), a_next=np.array(rows_an))
+    if not all(np.isfinite(column).all() for column in columns.values()):
+        raise InputError("generated values are not finite: lower env.box_radius, "
+                         "env.noise_scale or env.mode_std")
     return OfflineDataset(spec.ds, spec.da, spec.env_name, spec.n_modes, seed,
-                          np.array(rows_s), np.array(rows_a),
-                          np.array(rows_r), np.array(rows_sn),
-                          np.array(rows_an), np.array(rows_done, dtype=bool))
+                          done=np.array(rows_done, dtype=bool), **columns)
 
 
 def subsample(dataset: OfflineDataset, n: int, seed: int) -> OfflineDataset:

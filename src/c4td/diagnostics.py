@@ -4,8 +4,7 @@ Estimates the three directional moments A, B, C whose combination
 gamma^2 k'^2 A + k^2 B - 2 gamma k k' C approximates Var[delta] under random
 input perturbations, and cross-checks them against a direct Monte-Carlo
 variance that actually perturbs the inputs. Also reports the cosine geometry
-of the second-moment gradient split and small helpers used by the CLI
-reports (normalized scores, PCA cluster projections).
+of the second-moment gradient split.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .covstats import jacobi_svd
 from .errors import InputError
-from .gmm import StackedPairSet
 from .nets import MlpCritic
 from .train import bootstrap_targets, second_moment_split, target_net
 
@@ -199,25 +196,3 @@ def grad_cosine_report(critic: MlpCritic, target: MlpCritic, batch,
     return CosineReport(cos_var=_cosine(split.grad_sq, split.grad_var),
                         cos_mean_sq=_cosine(split.grad_sq, split.grad_mean_sq))
 
-
-def normalized_score(score: float, random_score: float, expert_score: float) -> float:
-    """100 * (score - random) / (expert - random)."""
-    if expert_score == random_score:
-        raise InputError("expert and random reference scores must differ")
-    return 100.0 * (score - random_score) / (expert_score - random_score)
-
-
-def pca_project(pairs: StackedPairSet | np.ndarray, dims: int = 2) -> np.ndarray:
-    """Centered projection onto the top right singular vectors.
-
-    Column variances of the output come out in descending order because the
-    singular values do.
-    """
-    y = pairs.matrix if isinstance(pairs, StackedPairSet) else np.asarray(pairs, dtype=float)
-    if y.ndim != 2 or y.shape[0] < 2:
-        raise InputError("need a matrix with at least 2 rows")
-    if not 1 <= dims <= y.shape[1]:
-        raise InputError(f"dims must lie in [1, {y.shape[1]}]")
-    centered = y - y.mean(axis=0)
-    _, _, vt = jacobi_svd(centered)
-    return centered @ vt[:dims].T

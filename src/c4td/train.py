@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import gmm
 from .covstats import cross_cov, normalized_trace, penalty
-from .data import EnvSpec, OfflineDataset
+from .data import NONNEGATIVE, POSITIVE, EnvSpec, OfflineDataset, at_least, check_fields
 from .errors import InputError, NumericalError, ParseError
 from .gmm import GaussianMixture, StackedPairSet
 from .nets import MlpCritic, TargetCritic
@@ -33,21 +32,32 @@ METRIC_COLUMNS = ("step", "td_loss", "penalty", "objective",
                   "cluster_occupancy_entropy", "eval_return")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-# A check and its description per field annotation; `X | None` fields also take None.
-_FIELD_TYPES = {
-    "int": (_is_int, "an integer"),
-    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
-              and math.isfinite(v), "a finite number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "tuple[int, ...]": (lambda v: isinstance(v, tuple) and len(v) > 0
-                        and all(_is_int(w) and w > 0 for w in v),
-                        "a nonempty tuple of positive integers"),
-    "EnvSpec": (lambda v: isinstance(v, EnvSpec), "an EnvSpec"),
+# One row per TrainConfig field, in field order.
+TRAIN_SCHEMA = {
+    "steps": at_least(0),
+    "gamma": ("float", lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    "penalty_weight": NONNEGATIVE,
+    "penalty_trace_weight": NONNEGATIVE,
+    "n_clusters": at_least(1),
+    "refresh_period": at_least(1),
+    "batch_size": at_least(2),
+    "ema_rate": ("float", lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "learning_rate": POSITIVE,
+    "ridge": ("float | None", *POSITIVE[1:]),
+    "seed": at_least(0),
+    "feature_mode": ("str", FEATURE_MODES.__contains__, f"must be one of {FEATURE_MODES}"),
+    "baseline_mode": ("bool",),
+    "optimizer": ("str", OPTIMIZERS.__contains__, f"must be one of {OPTIMIZERS}"),
+    "hidden": ("widths",),
+    "probe_size": ("int | None", *at_least(2)[1:]),
+    "em_max_iters": at_least(1),
+    "em_warm_iters": at_least(1),
+    "em_tol": NONNEGATIVE,
+    "full_refit": ("bool",),
+    "eval_env": ("EnvSpec | None",),
+    "eval_every": at_least(1),
+    "eval_episodes": at_least(1),
+    "check_identities": ("bool",),
 }
 
 
@@ -81,40 +91,10 @@ class TrainConfig:
     check_identities: bool = True
 
     def __post_init__(self):
-        for f in fields(self):
-            check, kind = _FIELD_TYPES[f.type.removesuffix(" | None")]
-            value = getattr(self, f.name)
-            if not ((value is None and f.type.endswith(" | None")) or check(value)):
-                raise InputError(f"{f.name} must be {kind}, got {value!r}")
-        if self.steps < 0:
-            raise InputError("steps must be nonnegative")
-        if not 0.0 <= self.gamma < 1.0:
-            raise InputError("gamma must lie in [0, 1)")
-        if self.penalty_weight < 0:
-            raise InputError("penalty_weight must be nonnegative")
-        if self.refresh_period < 1:
-            raise InputError("refresh_period must be at least 1")
-        if self.batch_size < 2:
-            raise InputError("batch_size must be at least 2")
-        if self.n_clusters < 1:
-            raise InputError("n_clusters must be at least 1")
-        if not 0.0 < self.ema_rate <= 1.0:
-            raise InputError("ema_rate must lie in (0, 1]")
-        if self.learning_rate <= 0:
-            raise InputError("learning_rate must be positive")
-        if self.feature_mode not in FEATURE_MODES:
-            raise InputError(f"feature_mode must be one of {FEATURE_MODES}")
-        if self.optimizer not in OPTIMIZERS:
-            raise InputError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.probe_size is not None and self.probe_size < 2:
-            raise InputError("probe_size must be at least 2")
+        check_fields(vars(self), TRAIN_SCHEMA, "train.")
         if self.probe_size is not None and self.n_clusters > self.probe_size:
-            raise InputError(f"n_clusters ({self.n_clusters}) must not exceed "
+            raise InputError(f"train.n_clusters ({self.n_clusters}) must not exceed "
                              f"probe_size ({self.probe_size})")
-        if self.eval_every < 1:
-            raise InputError("eval_every must be at least 1")
-        if self.eval_episodes < 1:
-            raise InputError("eval_episodes must be at least 1")
 
 
 @dataclass
@@ -181,8 +161,7 @@ def td_targets(batch: OfflineDataset, target, gamma: float) -> np.ndarray:
     """y_i = r_i + gamma (1 - done_i) Q'(s'_i, a'_i) with the logged next action."""
     if len(batch) == 0:
         raise InputError("batch must be nonempty")
-    if not 0.0 <= gamma < 1.0:
-        raise InputError("gamma must lie in [0, 1)")
+    check_fields({"gamma": gamma}, TRAIN_SCHEMA, "train.")
     _, x_prime = batch.joint_inputs()
     return bootstrap_targets(batch.r, batch.done,
                              target_net(target).forward_batch(x_prime), gamma)
@@ -198,8 +177,7 @@ def td_loss(critic: MlpCritic, batch: OfflineDataset, targets: np.ndarray) -> fl
 def gradient_pairs(critic: MlpCritic, target, batch: OfflineDataset,
                    feature_mode: str = "surrogate") -> tuple[np.ndarray, np.ndarray]:
     """Stacked feature rows (Gp from the target at x', G from the online at x)."""
-    if feature_mode not in FEATURE_MODES:
-        raise InputError(f"feature_mode must be one of {FEATURE_MODES}")
+    check_fields({"feature_mode": feature_mode}, TRAIN_SCHEMA, "train.")
     if len(batch) == 0:
         raise InputError("batch must be nonempty")
     x, x_prime = batch.joint_inputs()
@@ -535,9 +513,13 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
     """
     if len(dataset) == 0:
         raise InputError("dataset must be nonempty")
-    if not cfg.baseline_mode and cfg.n_clusters > len(dataset):
-        raise InputError(f"n_clusters ({cfg.n_clusters}) must not exceed "
+    if cfg.n_clusters > len(dataset):
+        raise InputError(f"train.n_clusters ({cfg.n_clusters}) must not exceed "
                          f"the dataset's {len(dataset)} rows")
+    env = cfg.eval_env
+    if env is not None and (env.ds, env.da) != (dataset.ds, dataset.da):
+        raise InputError(f"env.ds and env.da ({env.ds}, {env.da}) must match the "
+                         f"dataset's ({dataset.ds}, {dataset.da})")
     rngs = RngStreams.from_seed(cfg.seed)
     online = MlpCritic.init(dataset.ds + dataset.da, cfg.hidden, rngs.init)
     target = TargetCritic.of(online, cfg.ema_rate)

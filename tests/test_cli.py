@@ -1,5 +1,7 @@
 """End-to-end tests for the c4 command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,11 +11,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import c4td
 from c4td import BLAS_THREAD_VARS
-from c4td.cli import main, render_metric_svg
-from c4td.train import METRIC_COLUMNS, metrics_from_csv
+from c4td.cli import _SECTIONS, main, render_metric_svg
+from c4td.train import FEATURE_MODES, METRIC_COLUMNS, OPTIMIZERS, metrics_from_csv
 
 
 def _write_config(tmp_path, **extra):
@@ -182,6 +186,160 @@ def test_bad_env_values_exit_2_naming_the_field(tmp_path, capsys, assignment, me
     capsys.readouterr()
     assert main(["train", "--config", str(config), "--set", assignment]) == 2
     assert message in capsys.readouterr().err
+
+
+_TRAIN_ONLY_RULES = ("train.em_max_iters=0", "train.em_warm_iters=0", "train.em_tol=-1",
+                     "train.ridge=-1", "train.penalty_trace_weight=-1")
+
+
+@pytest.mark.parametrize("command, assignment", [
+    *(("gen-data", a) for a in (
+        'data.n_trajectories="x"', "data.n_trajectories=2.5", "data.seed=true",
+        "data.seed=-1", "env.mode_std=-0.05", "env.mode_std=0", "env.mode_std=1e200",
+        "env.n_modes=0", "env.n_modes=-2", "env.da=1")),
+    ("train", "train.seed=-1"),
+    *(("train", a) for a in _TRAIN_ONLY_RULES),
+    *(("train --baseline", a) for a in _TRAIN_ONLY_RULES),
+])
+def test_every_bad_value_exits_2_naming_section_and_field(tmp_path, capsys, command,
+                                                          assignment):
+    config, _ = _write_config(tmp_path)
+    _gen(tmp_path, config)
+    capsys.readouterr()
+    name, *flags = command.split()
+    out = ["--out", str(tmp_path / "again.jsonl")] if name == "gen-data" else []
+    assert main([name, *flags, "--config", str(config), *out, "--set", assignment]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {assignment.partition('=')[0]} must" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "again.jsonl").exists()
+
+
+def test_eval_env_must_match_the_dataset(tmp_path, capsys):
+    config, _ = _write_config(tmp_path)
+    _gen(tmp_path, config)
+    capsys.readouterr()
+    wider = ["--set", "env.ds=3", "--set", "env.da=3"]
+    assert main(["train", "--config", str(config), *wider,
+                 "--set", "train.evaluate=true", "--set", "train.eval_every=10"]) == 2
+    assert "env.ds and env.da (3, 3) must match the dataset's (2, 2)" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+    assert main(["train", "--config", str(config), *wider]) == 0  # no eval
+
+
+def test_env_state_and_action_dims_must_agree(tmp_path, capsys):
+    config, _ = _write_config(tmp_path)
+    assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "d.jsonl"),
+                 "--set", "env.ds=3"]) == 2
+    assert "env.ds (3) must equal env.da (2)" in capsys.readouterr().err
+
+
+def test_out_dir_naming_a_file_exits_2(tmp_path, capsys):
+    config, _ = _write_config(tmp_path)
+    _gen(tmp_path, config)
+    (tmp_path / "out").write_text("not a directory")
+    capsys.readouterr()
+    assert main(["train", "--config", str(config)]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_gen_data_out_naming_a_directory_exits_2(tmp_path, capsys):
+    config, _ = _write_config(tmp_path)
+    assert main(["gen-data", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_values_nested_too_deep_for_json_exit_2(tmp_path, capsys):
+    config, _ = _write_config(tmp_path)
+    _gen(tmp_path, config)
+    capsys.readouterr()
+    deep = "[" * 100000
+    assert main(["train", "--config", str(config), "--set", f"train.steps={deep}"]) == 2
+    assert "train.steps must be an integer, got '[[[[" in capsys.readouterr().err
+    config.write_text('{"train": {"steps": ' + deep + "}}")
+    assert main(["train", "--config", str(config)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
+def test_gen_data_rejects_overflowing_env_without_numpy_warnings(tmp_path):
+    config, _ = _write_config(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(c4td.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "c4td.cli", "gen-data", "--config",
+                          str(config), "--out", str(tmp_path / "data.jsonl"),
+                          "--set", "env.box_radius=1e300"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.strip() == ("error: generated values are not finite: lower "
+                                  "env.box_radius, env.noise_scale or env.mode_std")
+    assert not (tmp_path / "data.jsonl").exists()
+
+
+_KNOWN_KEYS = [(section, key) for section, schema in _SECTIONS.items() for key in schema]
+# Integers stay small, so any config the schema accepts trains in milliseconds;
+# scalars are drawn as often as containers, and unit-range floats and the
+# option names make a fair share of the draws valid.
+_SCALARS = (st.integers(-3, 12) | st.floats(-2, 2) | st.sampled_from(FEATURE_MODES + OPTIMIZERS)
+            | st.booleans() | st.none() | st.floats() | st.text(max_size=8))
+_JSON_VALUES = _SCALARS | st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A 10-row dataset and a config that trains on it for one step, evaluating."""
+    root = tmp_path_factory.mktemp("tiny")
+    cfg = {"out_dir": str(root / "out"), "dataset": str(root / "data.jsonl"),
+           "env": {"n_modes": 2, "horizon": 5},
+           "data": {"n_trajectories": 2, "seed": 0},
+           "train": {"steps": 1, "hidden": [4], "batch_size": 4, "n_clusters": 2,
+                     "em_max_iters": 3, "em_warm_iters": 2, "eval_every": 1,
+                     "eval_episodes": 1}}
+    config = root / "run.json"
+    config.write_text(json.dumps(cfg))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-data", "--config", str(config), "--out", cfg["dataset"]]) == 0
+    return root, cfg
+
+
+def _gen_data_then_train(root, config, *flags) -> list[tuple[int, str]]:
+    """(exit code, stderr) of gen-data and of train on one config."""
+    results = []
+    for argv in (["gen-data", "--out", str(root / "gen.jsonl")], ["train"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--config", str(config), *flags])
+        results.append((code, err.getvalue()))
+    return results
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(where=st.sampled_from(_KNOWN_KEYS), value=_JSON_VALUES)
+def test_any_json_value_at_any_known_key_exits_0_or_2_naming_it(tiny_run, where, value):
+    root, cfg = tiny_run
+    section, key = where
+    config = root / "any_value.json"
+    config.write_text(json.dumps({**cfg, section: {**cfg[section], key: value}}))
+    for code, err in _gen_data_then_train(root, config):
+        assert code in (0, 2) and "Traceback" not in err
+        if code == 2:
+            assert f"{section}." in err and key in err
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(assignment=st.text() | st.builds(
+    "{0[0]}.{0[1]}={1}".format, st.sampled_from(_KNOWN_KEYS),
+    st.text(max_size=3) | _SCALARS.map(json.dumps)))
+def test_any_set_string_exits_0_or_2(tiny_run, assignment):
+    """Arbitrary --set strings, and short text or a JSON scalar assigned to a known key."""
+    root, cfg = tiny_run
+    config = root / "any_set.json"
+    config.write_text(json.dumps(cfg))
+    section, _, key = assignment.partition("=")[0].partition(".")
+    for code, err in _gen_data_then_train(root, config, "--set", assignment):
+        assert code in (0, 2) and "Traceback" not in err
+        if code == 2 and (section, key) in _KNOWN_KEYS:
+            assert f"{section}." in err and key in err
 
 
 def test_diverging_run_exits_2_naming_the_step_without_numpy_warnings(tmp_path):

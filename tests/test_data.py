@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,13 @@ def test_circular_modes_layout():
 def test_circular_modes_need_two_action_dims():
     with pytest.raises(InputError):
         EnvSpec.with_circular_modes(3, da=1)
+
+
+def test_generate_rejects_non_finite_columns_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="generated values are not finite"):
+            generate(EnvSpec(box_radius=1e300), n_trajectories=2, seed=0)
 
 
 def test_reward_bound_and_step_clip():

@@ -1,4 +1,4 @@
-"""Tests for the directional variance probes and report helpers."""
+"""Tests for the directional variance probes and the gradient cosine report."""
 
 import math
 from dataclasses import replace
@@ -15,12 +15,9 @@ from c4td.diagnostics import (
     direct_var_delta,
     estimate_abc,
     grad_cosine_report,
-    normalized_score,
-    pca_project,
     quadratic_form_variance,
 )
 from c4td.errors import InputError
-from c4td.gmm import StackedPairSet
 from c4td.nets import MlpCritic, TargetCritic
 
 
@@ -212,43 +209,3 @@ def test_cosines_follow_the_residual_structure():
     rep = grad_cosine_report(flat, flat, zero, gamma=0.9)
     assert math.isnan(rep.cos_var) and math.isnan(rep.cos_mean_sq)
 
-
-def test_normalized_score_is_an_affine_rescale():
-    assert normalized_score(5.0, 0.0, 10.0) == 50.0
-    assert normalized_score(-2.0, -2.0, 4.0) == 0.0
-    assert normalized_score(4.0, -2.0, 4.0) == 100.0
-    assert normalized_score(7.0, -2.0, 4.0) > 100.0
-    with pytest.raises(InputError):
-        normalized_score(1.0, 3.0, 3.0)
-
-
-def test_pca_projection_orders_column_variances():
-    rng = np.random.default_rng(17)
-    base = rng.normal(size=(200, 5)) * np.array([5.0, 3.0, 1.0, 0.5, 0.1])
-    mix = rng.normal(size=(5, 5))
-    y = base @ mix + rng.normal(size=5)
-    proj = pca_project(y, dims=3)
-    assert proj.shape == (200, 3)
-    variances = proj.var(axis=0)
-    assert variances[0] >= variances[1] >= variances[2]
-    # projection energy matches the top singular values of the centered data
-    centered = y - y.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    assert np.allclose(proj.var(axis=0) * len(y), svals[:3] ** 2, rtol=1e-8)
-    assert np.allclose(proj.mean(axis=0), 0.0, atol=1e-12)
-
-
-def test_pca_accepts_stacked_pairs_and_validates_dims():
-    rng = np.random.default_rng(3)
-    g_prime = rng.normal(size=(40, 3))
-    g = rng.normal(size=(40, 3))
-    pairs = StackedPairSet.from_pairs(g_prime, g)
-    proj = pca_project(pairs, dims=2)
-    assert proj.shape == (40, 2)
-    assert np.allclose(proj, pca_project(pairs.matrix, dims=2))
-    with pytest.raises(InputError):
-        pca_project(pairs, dims=0)
-    with pytest.raises(InputError):
-        pca_project(pairs, dims=7)
-    with pytest.raises(InputError):
-        pca_project(np.ones((1, 3)))
