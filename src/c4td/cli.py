@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 from pathlib import Path
@@ -40,7 +41,21 @@ from .verify import SUITES, run_suite
 _SECTIONS = {"env": ENV_SCHEMA, "data": DATA_SCHEMA,
              "train": {**{k: v for k, v in TRAIN_SCHEMA.items() if k != "eval_env"},
                        "evaluate": ("bool",)}}
-_TOP = {"out_dir": ("str",), "dataset": ("str",), **dict.fromkeys(_SECTIONS, ("object",))}
+
+
+def _encodable_path(path: str) -> bool:
+    """What open() and mkdir() need of a str path: no NUL, and os.fsencode succeeds."""
+    if "\0" in path:
+        return False
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+_PATH = ("str", _encodable_path, "must be a path the file system can encode, without NUL")
+_TOP = {"out_dir": _PATH, "dataset": _PATH, **dict.fromkeys(_SECTIONS, ("object",))}
 
 _REPORT_METRICS = ("td_loss", "tr_n_sample_convention", "eval_return")
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -26,10 +26,6 @@ from .nets import MlpCritic, TargetCritic
 
 FEATURE_MODES = ("surrogate", "exact_input_grad")
 OPTIMIZERS = ("sgd", "adam")
-
-METRIC_COLUMNS = ("step", "td_loss", "penalty", "objective",
-                  "tr_n_sample_convention", "active_cluster",
-                  "cluster_occupancy_entropy", "eval_return")
 
 
 # One row per TrainConfig field, in field order.
@@ -53,7 +49,6 @@ TRAIN_SCHEMA = {
     "em_max_iters": at_least(1),
     "em_warm_iters": at_least(1),
     "em_tol": NONNEGATIVE,
-    "full_refit": ("bool",),
     "eval_env": ("EnvSpec | None",),
     "eval_every": at_least(1),
     "eval_episodes": at_least(1),
@@ -84,7 +79,6 @@ class TrainConfig:
     em_max_iters: int = 50
     em_warm_iters: int = 10
     em_tol: float = 1e-6
-    full_refit: bool = False
     eval_env: EnvSpec | None = None
     eval_every: int = 2000
     eval_episodes: int = 4
@@ -97,8 +91,17 @@ class TrainConfig:
                              f"probe_size ({self.probe_size})")
 
 
+# How a metric field of each annotated type is written to, and read from, a CSV
+# cell: floats by repr so the round trip is exact, a missing value as ''.
+_CELLS = {"int": (lambda v: v, int), "float": (repr, float),
+          "float | None": (lambda v: "" if v is None else repr(v),
+                           lambda cell: None if cell == "" else float(cell))}
+
+
 @dataclass
 class MetricRecord:
+    """One row of the metric log; the fields, in order, are the CSV columns."""
+
     step: int
     td_loss: float
     penalty: float
@@ -109,10 +112,10 @@ class MetricRecord:
     eval_return: float | None = None
 
     def as_row(self) -> list:
-        return [self.step, repr(self.td_loss), repr(self.penalty),
-                repr(self.objective), repr(self.tr_n_sample_convention),
-                self.active_cluster, repr(self.cluster_occupancy_entropy),
-                "" if self.eval_return is None else repr(self.eval_return)]
+        return [_CELLS[f.type][0](getattr(self, f.name)) for f in fields(self)]
+
+
+METRIC_COLUMNS = tuple(f.name for f in fields(MetricRecord))
 
 
 class RngStreams(NamedTuple):
@@ -133,20 +136,6 @@ class RngStreams(NamedTuple):
         return cls(*np.random.default_rng(seed).spawn(5))
 
 
-@dataclass
-class TrainerState:
-    online: MlpCritic
-    target: TargetCritic
-    mixture: GaussianMixture | None
-    responsibilities: np.ndarray
-    step: int
-    rngs: RngStreams
-    metrics: list[MetricRecord] = field(default_factory=list)
-    visit_counts: np.ndarray | None = None
-    identity_residual_max: float = 0.0
-    zero_mass_redraws: int = 0
-
-
 def target_net(target) -> MlpCritic:
     return target.net if isinstance(target, TargetCritic) else target
 
@@ -155,23 +144,6 @@ def bootstrap_targets(r: np.ndarray, done: np.ndarray, q_prime: np.ndarray,
                       gamma: float) -> np.ndarray:
     """y_i = r_i + gamma (1 - done_i) q'_i; terminal rows bootstrap nothing."""
     return r + gamma * (1.0 - done) * q_prime
-
-
-def td_targets(batch: OfflineDataset, target, gamma: float) -> np.ndarray:
-    """y_i = r_i + gamma (1 - done_i) Q'(s'_i, a'_i) with the logged next action."""
-    if len(batch) == 0:
-        raise InputError("batch must be nonempty")
-    check_fields({"gamma": gamma}, TRAIN_SCHEMA, "train.")
-    _, x_prime = batch.joint_inputs()
-    return bootstrap_targets(batch.r, batch.done,
-                             target_net(target).forward_batch(x_prime), gamma)
-
-
-def td_loss(critic: MlpCritic, batch: OfflineDataset, targets: np.ndarray) -> float:
-    """Mean squared TD residual against precomputed targets."""
-    x, _ = batch.joint_inputs()
-    delta = critic.forward_batch(x) - np.asarray(targets, dtype=float)
-    return float(np.mean(delta * delta))
 
 
 def gradient_pairs(critic: MlpCritic, target, batch: OfflineDataset,
@@ -285,35 +257,27 @@ def single_cluster_batch(responsibilities: np.ndarray, z: int, batch_size: int,
     return ClusterSampler(responsibilities).draw(z, batch_size, rng)
 
 
-def refresh_clusters(state: TrainerState, dataset: OfflineDataset,
-                     cfg: TrainConfig) -> TrainerState:
-    """Refit the mixture on stacked gradient pairs and refresh responsibilities.
+def refresh_clusters(online: MlpCritic, target: TargetCritic, dataset: OfflineDataset,
+                     cfg: TrainConfig, rng: np.random.Generator,
+                     mixture: GaussianMixture | None) -> tuple[GaussianMixture, ClusterSampler]:
+    """Refit the mixture on stacked gradient pairs; return it and its batch sampler.
 
-    Fitting runs on a probe subsample when cfg.probe_size is set; the stored
-    responsibilities always cover the full dataset so batch sampling can
-    reach every transition. Warm starts reuse the previous mixture whenever
-    the feature dimension is unchanged.
+    Fitting runs on a probe subsample when cfg.probe_size is set; the sampler
+    covers the full dataset so batches can reach every transition. ``rng`` is
+    the EM stream. The previous ``mixture``, when given, warm-starts the fit
+    for cfg.em_warm_iters; the first fit runs cfg.em_max_iters.
     """
-    g_prime, g = gradient_pairs(state.online, state.target, dataset, cfg.feature_mode)
-    pairs = StackedPairSet.from_pairs(g_prime, g)
-    y = pairs.matrix
+    g_prime, g = gradient_pairs(online, target, dataset, cfg.feature_mode)
+    y = StackedPairSet.from_pairs(g_prime, g).matrix
     fit_rows = y
     if cfg.probe_size is not None and cfg.probe_size < y.shape[0]:
-        pick = state.rngs.em.choice(y.shape[0], size=cfg.probe_size, replace=False)
+        pick = rng.choice(y.shape[0], size=cfg.probe_size, replace=False)
         fit_rows = y[np.sort(pick)]
-    warm = (not cfg.full_refit and state.mixture is not None
-            and state.mixture.dim == y.shape[1]
-            and state.mixture.n_components == cfg.n_clusters)
-    result = gmm.fit(fit_rows, cfg.n_clusters,
-                     max_iters=cfg.em_warm_iters if warm else cfg.em_max_iters,
-                     tol=cfg.em_tol,
-                     seed=int(state.rngs.em.integers(2 ** 63)),
-                     ridge=cfg.ridge,
-                     init=state.mixture if warm else None)
-    mixture = result.mixture
-    responsibilities = gmm.e_step(mixture, y)
-    return replace(state, mixture=mixture, responsibilities=responsibilities,
-                   visit_counts=np.zeros(cfg.n_clusters))
+    fitted = gmm.fit(fit_rows, cfg.n_clusters,
+                     max_iters=cfg.em_max_iters if mixture is None else cfg.em_warm_iters,
+                     tol=cfg.em_tol, seed=int(rng.integers(2 ** 63)), ridge=cfg.ridge,
+                     init=mixture).mixture
+    return fitted, ClusterSampler(gmm.e_step(fitted, y))
 
 
 class _Sgd:
@@ -351,10 +315,6 @@ class _Adam:
         np.multiply(m, scale, out=step)
         step /= tmp
         params -= step
-
-
-def _make_optimizer(cfg: TrainConfig):
-    return _Sgd(cfg.learning_rate) if cfg.optimizer == "sgd" else _Adam(cfg.learning_rate)
 
 
 def _occupancy_entropy(counts: np.ndarray) -> float:
@@ -401,11 +361,10 @@ def second_moment_split(critic: MlpCritic, acts: list[np.ndarray], pres: list[np
     return MomentSplit(residual, g_sq, g_mean, g_var)
 
 
-def _check_step_identities(state: TrainerState, delta: np.ndarray, critic: MlpCritic,
-                           acts: list[np.ndarray], pres: list[np.ndarray]) -> None:
-    """Per-batch second-moment identity and its parameter-gradient split."""
-    split = second_moment_split(critic, acts, pres, delta)
-    state.identity_residual_max = max(state.identity_residual_max, split.residual)
+def _check_step_identities(delta: np.ndarray, critic: MlpCritic, acts: list[np.ndarray],
+                           pres: list[np.ndarray]) -> float:
+    """Per-batch second-moment identity and its parameter-gradient split; the residual."""
+    return second_moment_split(critic, acts, pres, delta).residual
 
 
 def _action_grid(env: EnvSpec) -> np.ndarray:
@@ -508,8 +467,11 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
     penalty_weight=0 and n_clusters=1 the run is bit-identical to
     baseline_mode because both draw batches through the same ClusterSampler
     with an all-uniform weight column, and clustering consumes only its own
-    random streams. ``on_refresh(step, mixture)`` is invoked after every
-    cluster refresh (step 0 included).
+    random streams. Outside baseline_mode the clusters are refit before
+    every step that is a multiple of cfg.refresh_period, step 0 (even of a
+    zero-step run) included, and ``on_refresh(step, mixture)`` is invoked
+    after each refit. A non-finite objective, gradient or greedy return
+    raises NumericalError naming the step.
     """
     if len(dataset) == 0:
         raise InputError("dataset must be nonempty")
@@ -523,60 +485,59 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
     rngs = RngStreams.from_seed(cfg.seed)
     online = MlpCritic.init(dataset.ds + dataset.da, cfg.hidden, rngs.init)
     target = TargetCritic.of(online, cfg.ema_rate)
-    n_clusters = 1 if cfg.baseline_mode else cfg.n_clusters
-    state = TrainerState(online=online, target=target, mixture=None,
-                         responsibilities=np.ones((len(dataset), 1)),
-                         step=0, rngs=rngs, visit_counts=np.zeros(n_clusters))
-    if not cfg.baseline_mode:
-        state = refresh_clusters(state, dataset, cfg)
-        if on_refresh is not None:
-            on_refresh(0, state.mixture)
-    sampler = ClusterSampler(state.responsibilities)
-    optimizer = _make_optimizer(cfg)
+    mixture = None
+    sampler = ClusterSampler(np.ones((len(dataset), 1)))
+    visits = np.zeros(1)
+    optimizer = _Sgd(cfg.learning_rate) if cfg.optimizer == "sgd" else _Adam(cfg.learning_rate)
     x_all, x_prime_all = dataset.joint_inputs()
+    metrics = []
+    # guard counters: draws that hit an empty cluster, worst identity residual
+    zero_mass_redraws = 0
+    identity_residual_max = 0.0
 
-    for step in range(1, cfg.steps + 1):
-        state.step = step
+    for step in range(cfg.steps + 1):
         if not cfg.baseline_mode and step % cfg.refresh_period == 0:
-            state = refresh_clusters(state, dataset, cfg)
-            state.step = step
-            sampler = ClusterSampler(state.responsibilities)
+            mixture, sampler = refresh_clusters(online, target, dataset, cfg, rngs.em,
+                                                mixture)
+            visits = np.zeros(cfg.n_clusters)
             if on_refresh is not None:
-                on_refresh(step, state.mixture)
-        if cfg.baseline_mode:
-            z = 0
-        else:
-            z = gmm.sample_cluster(state.mixture, state.rngs.cluster)
+                on_refresh(step, mixture)
+        if step == 0:  # step 0 is the first refresh alone
+            continue
+        z = 0
+        if not cfg.baseline_mode:
+            z = gmm.sample_cluster(mixture, rngs.cluster)
             while sampler.mass[z] <= 0.0:
-                state.zero_mass_redraws += 1
-                z = gmm.sample_cluster(state.mixture, state.rngs.cluster)
-        idx = sampler.draw(z, cfg.batch_size, state.rngs.batch)
+                zero_mass_redraws += 1
+                z = gmm.sample_cluster(mixture, rngs.cluster)
+        idx = sampler.draw(z, cfg.batch_size, rngs.batch)
         eval_ret = None
-        # a diverging run is reported once, by the check below, not by a
+        # a diverging run is reported once, by the checks below, not by a
         # RuntimeWarning from every operation that overflows on the way
         with np.errstate(over="ignore", invalid="ignore"):
-            rep = _objective_report(state.online, state.target.net, x_all[idx],
-                                    x_prime_all[idx], dataset.r[idx],
-                                    dataset.done[idx], cfg)
+            rep = _objective_report(online, target.net, x_all[idx], x_prime_all[idx],
+                                    dataset.r[idx], dataset.done[idx], cfg)
             if not (math.isfinite(rep.objective) and np.all(np.isfinite(rep.grads))):
                 raise NumericalError(f"training diverged: objective or gradient "
                                      f"not finite at step {step}")
             if cfg.check_identities:
-                _check_step_identities(state, rep.delta, state.online, rep.acts, rep.pres)
-            optimizer.apply(state.online.flat, rep.grads)
-            state.target.update(state.online)
-            if cfg.eval_env is not None and (step % cfg.eval_every == 0
-                                             or step == cfg.steps):
-                eval_ret = _eval_return(state.online, cfg.eval_env, cfg.eval_episodes,
-                                        state.rngs.eval)
-        state.visit_counts[z] += 1
-        state.metrics.append(MetricRecord(
+                identity_residual_max = max(identity_residual_max, _check_step_identities(
+                    rep.delta, online, rep.acts, rep.pres))
+            optimizer.apply(online.flat, rep.grads)
+            target.update(online)
+            if env is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
+                eval_ret = _eval_return(online, env, cfg.eval_episodes, rngs.eval)
+                if not math.isfinite(eval_ret):
+                    raise NumericalError(f"evaluation diverged: greedy return not finite "
+                                         f"at step {step}; lower env.box_radius or "
+                                         f"env.action_bound")
+        visits[z] += 1
+        metrics.append(MetricRecord(
             step=step, td_loss=rep.td, penalty=rep.penalty_part,
             objective=rep.objective, tr_n_sample_convention=rep.tr_n,
-            active_cluster=z,
-            cluster_occupancy_entropy=_occupancy_entropy(state.visit_counts),
+            active_cluster=z, cluster_occupancy_entropy=_occupancy_entropy(visits),
             eval_return=eval_ret))
-    return state.online, state.metrics
+    return online, metrics
 
 
 def metrics_to_csv(records: list[MetricRecord], path) -> None:
@@ -597,19 +558,13 @@ def metrics_from_csv(path) -> list[dict]:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or list(reader.fieldnames) != list(METRIC_COLUMNS):
+        if reader.fieldnames is None or tuple(reader.fieldnames) != METRIC_COLUMNS:
             raise ParseError(1, f"unexpected metrics header in {path}")
         for raw in reader:
             if None in raw or any(v is None for v in raw.values()):
                 raise ParseError(reader.line_num, "wrong number of fields")
             try:
-                row = {"step": int(raw["step"]),
-                       "active_cluster": int(raw["active_cluster"]),
-                       "eval_return": None if raw["eval_return"] == ""
-                       else float(raw["eval_return"])}
-                for key in ("td_loss", "penalty", "objective",
-                            "tr_n_sample_convention", "cluster_occupancy_entropy"):
-                    row[key] = float(raw[key])
+                row = {f.name: _CELLS[f.type][1](raw[f.name]) for f in fields(MetricRecord)}
             except ValueError as exc:
                 raise ParseError(reader.line_num, str(exc)) from exc
             rows.append(row)

@@ -104,7 +104,8 @@ def test_unknown_keys_are_rejected_at_every_level(tmp_path, capsys):
     for assignment, fragment in (("bogus=1", "'bogus'"),
                                  ("env.warp=2", "'env.warp'"),
                                  ("data.rate=3", "'data.rate'"),
-                                 ("train.moment=4", "'train.moment'")):
+                                 ("train.moment=4", "'train.moment'"),
+                                 ("train.full_refit=true", "'train.full_refit'")):
         assert main(["train", "--config", str(config),
                      "--set", assignment]) == 2
         err = capsys.readouterr().err
@@ -198,6 +199,8 @@ _TRAIN_ONLY_RULES = ("train.em_max_iters=0", "train.em_warm_iters=0", "train.em_
         "data.seed=-1", "env.mode_std=-0.05", "env.mode_std=0", "env.mode_std=1e200",
         "env.n_modes=0", "env.n_modes=-2", "env.da=1")),
     ("train", "train.seed=-1"),
+    *(("train", f'{key}="{bad}"') for key in ("out_dir", "dataset")
+      for bad in ("a\\u0000b", "\\udc00")),  # a NUL; a lone surrogate
     *(("train", a) for a in _TRAIN_ONLY_RULES),
     *(("train --baseline", a) for a in _TRAIN_ONLY_RULES),
 ])
@@ -346,12 +349,19 @@ def test_diverging_run_exits_2_naming_the_step_without_numpy_warnings(tmp_path):
     config, _ = _write_config(tmp_path)
     _gen(tmp_path, config)
     env = dict(os.environ, PYTHONPATH=str(Path(c4td.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-m", "c4td.cli", "train", "--config", str(config),
-                          "--set", 'train.optimizer="sgd"', "--set", "train.learning_rate=1e6"],
-                         env=env, capture_output=True, text=True)
-    assert out.returncode == 2
-    assert "RuntimeWarning" not in out.stderr
-    assert re.search(r"training diverged: .* at step \d+$", out.stderr.strip())
+    for overrides, message in (
+            (['train.optimizer="sgd"', "train.learning_rate=1e6"],
+             r"error: training diverged: .* at step \d+"),
+            # the dataset was generated in range; only the evaluation env overflows
+            (["env.box_radius=1e300", "train.evaluate=true", "train.eval_every=10"],
+             r"error: evaluation diverged: greedy return not finite at step 10; "
+             r"lower env\.box_radius or env\.action_bound")):
+        sets = [arg for value in overrides for arg in ("--set", value)]
+        out = subprocess.run([sys.executable, "-m", "c4td.cli", "train", "--config",
+                              str(config), *sets], env=env, capture_output=True, text=True)
+        assert out.returncode == 2
+        assert re.fullmatch(message, out.stderr.strip())  # no traceback, no RuntimeWarning
+        assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,8 +1,8 @@
 """Golden hashes: fixed commands must reproduce their outputs bit for bit.
 
 The hashes gate any refactor that claims to compute the same thing. They
-cover the metric log and the saved critic weights of two ``c4 train``
-configs, the mixture snapshots the c4 run writes at every cluster refresh,
+cover the metric log and the saved critic weights of three ``c4 train``
+configs, the mixture snapshots the c4 runs write at every cluster refresh,
 the report of ``c4 verify --suite all --seed 0`` (the only command that
 reaches the policy module and the verify suites), and one
 ``grad_cosine_report`` on a fixed batch. Float results depend on the numpy
@@ -49,15 +49,28 @@ CASES = {
         ["--baseline"],
         "_baseline",
     ),
+    # one cluster, exact input-gradient pairs, a trace penalty, SGD and evaluation
+    "c4_k1_exact_trace_sgd": (
+        {"steps": 120, "hidden": [16, 16], "optimizer": "sgd", "learning_rate": 0.05,
+         "ema_rate": 0.05, "penalty_weight": 0.2, "penalty_trace_weight": 0.5,
+         "n_clusters": 1, "feature_mode": "exact_input_grad", "refresh_period": 50,
+         "batch_size": 24, "em_max_iters": 8, "em_warm_iters": 3,
+         "check_identities": True, "evaluate": True, "eval_every": 60,
+         "eval_episodes": 2, "seed": 11},
+        [],
+        "",
+    ),
 }
 
 GOLDEN = {
     "c4_adam_checked_eval": "05fedb60a76780e95c524e15b70e937d48a8d666d4776c2515c89221868df367",
     "baseline_sgd_32": "dc606d0e5a9d8198a8b8f9d1ce4e3a92b45da32790fb7908d319c457141ccb6c",
+    "c4_k1_exact_trace_sgd": "bb0b45defc83aba68155994e33ff558e209119645b34d3d53993ff4929ece50a",
 }
 
 GOLDEN_MIXTURES = {
     "c4_adam_checked_eval": "37f2216504119248cf528d3511b834e77c3074381a6efbec03c08fb3840df37a",
+    "c4_k1_exact_trace_sgd": "8cd0c3eaac7603dbb917e67fd76e8629232e9818e3e1486e7c72cf29c8e2b35d",
 }
 
 GOLDEN_VERIFY_ALL_SEED0 = "82752cb72323b912d4f828cc9271ae32112d9d7ead8ec941ac0eb69d9c165d89"

@@ -19,13 +19,13 @@ from c4td.train import (
     _action_grid,
     _eval_return,
     _greedy_action,
+    _objective_report,
     _occupancy_entropy,
+    bootstrap_targets,
     gradient_pairs,
     metrics_from_csv,
     metrics_to_csv,
     single_cluster_batch,
-    td_loss,
-    td_targets,
     train,
 )
 from oracles import eval_return_one_episode_at_a_time
@@ -74,34 +74,38 @@ def test_rng_streams_are_independent_children():
     assert len(draws) == 5
 
 
-def test_td_targets_match_hand_computation():
+def test_bootstrap_targets_match_hand_computation():
     # first 50 rows of a 40-step-horizon log include one terminal row
     data = _dataset().take(np.arange(50))
     net = MlpCritic.init(4, (8,), np.random.default_rng(2))
     gamma = 0.9
-    got = td_targets(data, net, gamma)
     _, x_prime = data.joint_inputs()
-    want = data.r + gamma * (1.0 - data.done) * net.forward_batch(x_prime)
+    q_prime = net.forward_batch(x_prime)
+    got = bootstrap_targets(data.r, data.done, q_prime, gamma)
+    want = np.array([r + gamma * (1.0 - d) * q for r, d, q in zip(data.r, data.done, q_prime)])
     assert np.array_equal(got, want)
     # terminal rows bootstrap nothing
     done_rows = data.done == 1.0
     assert done_rows.any()
     assert np.array_equal(got[done_rows], data.r[done_rows])
-    wrapped = TargetCritic.of(net)
-    assert np.array_equal(td_targets(data, wrapped, gamma), want)
-    with pytest.raises(InputError):
-        td_targets(data, net, 1.0)
-    with pytest.raises(InputError):
-        td_targets(data.take(np.array([], dtype=int)), net, 0.9)
 
 
-def test_td_loss_is_mean_squared_residual():
+def test_objective_td_is_the_mean_squared_residual():
     data = subsample(_dataset(), 20, seed=3)
-    net = MlpCritic.init(4, (6,), np.random.default_rng(0))
-    targets = np.linspace(-1.0, 1.0, 20)
-    x, _ = data.joint_inputs()
-    want = np.mean((net.forward_batch(x) - targets) ** 2)
-    assert td_loss(net, data, targets) == pytest.approx(want, rel=1e-15)
+    rng = np.random.default_rng(0)
+    critic, tnet = MlpCritic.init(4, (6,), rng), MlpCritic.init(4, (6,), rng)
+    x, x_prime = data.joint_inputs()
+    targets = data.r + 0.9 * (1.0 - data.done) * tnet.forward_batch(x_prime)
+    delta = critic.forward_batch(x) - targets
+    for baseline_mode in (False, True):
+        cfg = TrainConfig(steps=1, gamma=0.9, baseline_mode=baseline_mode)
+        rep = _objective_report(critic, tnet, x, x_prime, data.r, data.done, cfg)
+        assert np.allclose(rep.delta, delta, rtol=1e-14, atol=1e-14)
+        assert rep.td == pytest.approx(np.mean(delta ** 2), rel=1e-14)
+        assert rep.objective == rep.td + rep.penalty_part
+        assert (rep.penalty_part == 0.0) == baseline_mode
+    with pytest.raises(InputError, match="at least 2 rows"):
+        _objective_report(critic, tnet, x[:1], x_prime[:1], data.r[:1], data.done[:1], cfg)
 
 
 def test_gradient_pairs_select_the_feature_mode():
@@ -229,16 +233,18 @@ def test_penalty_changes_the_trajectory():
 
 def test_refresh_callback_fires_on_schedule():
     data = _dataset(seed=1, n_trajectories=4)
-    seen = []
-    cfg = _small_cfg(steps=120, refresh_period=50, seed=5)
-    train(data, cfg, on_refresh=lambda step, mix: seen.append((step, mix)))
-    assert [step for step, _ in seen] == [0, 50, 100]
-    assert all(isinstance(mix, GaussianMixture) for _, mix in seen)
+    # a refresh due at the last step runs; a zero-step c4 run still refreshes once
+    for steps, refreshed in ((120, [0, 50, 100]), (100, [0, 50, 100]), (0, [0])):
+        seen = []
+        cfg = _small_cfg(steps=steps, refresh_period=50, seed=5)
+        train(data, cfg, on_refresh=lambda step, mix: seen.append((step, mix)))
+        assert [step for step, _ in seen] == refreshed
+        assert all(isinstance(mix, GaussianMixture) for _, mix in seen)
 
-    seen.clear()
-    train(data, replace(cfg, baseline_mode=True),
-          on_refresh=lambda step, mix: seen.append(step))
-    assert seen == []
+        seen.clear()
+        train(data, replace(cfg, baseline_mode=True),
+              on_refresh=lambda step, mix: seen.append(step))
+        assert seen == []
 
 
 def test_zero_steps_returns_the_freshly_initialized_critic():
