@@ -14,7 +14,8 @@ range, naming ``section.field``, and supplies its default. ``--set key=value``
 overrides single entries with dotted paths (``--set train.steps=500``);
 values are parsed as JSON when possible, otherwise kept as strings.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success, 1 verification failure, 2 usage or config error,
+including a size the schema accepts that memory cannot hold.
 The CSV stays the source of truth for plots; SVGs are rendered by hand so
 no plotting stack is needed. C4_THREADS caps BLAS worker pools; the package
 exports it to the BLAS variables on import, before numpy loads.
@@ -169,6 +170,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise InputError(f"--seed must be a nonnegative integer, got {args.seed}")
     report = run_suite(args.suite, seed=args.seed)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["passed"] else 1
@@ -340,6 +343,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (C4Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy refuses an allocation the machine cannot hold
+        print(f"error: {exc}; lower train.batch_size, train.hidden or train.probe_size",
+              file=sys.stderr)
         return 2
 
 

@@ -1,9 +1,9 @@
 """Cross-covariance statistics, penalties, and the bounds built on them.
 
-Conventions matter here and are carried explicitly: "population" divides by
-n, "sample" by n - 1. The law-of-total-covariance decomposition only closes
-exactly under the population convention, while the minibatch penalty uses the
-sample convention, so estimates remember which one produced them.
+Conventions matter here and are named at every call: "population" divides
+by n, "sample" by n - 1. The law-of-total-covariance decomposition only
+closes exactly under the population convention, while the minibatch penalty
+uses the sample convention.
 """
 
 from __future__ import annotations
@@ -13,20 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .gmm import StackedPairSet
 
 CONVENTIONS = ("population", "sample")
-
-
-@dataclass(frozen=True)
-class CrossCovEstimate:
-    matrix: np.ndarray
-    n: int
-    convention: str
-
-    def __post_init__(self):
-        if self.convention not in CONVENTIONS:
-            raise InputError(f"convention must be one of {CONVENTIONS}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +33,7 @@ def _paired(g_prime: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def cross_cov(g_prime: np.ndarray, g: np.ndarray,
-              convention: str = "sample") -> CrossCovEstimate:
+              convention: str = "sample") -> np.ndarray:
     """Cov(g', g) between paired rows; rows of g' index the first factor."""
     g_prime, g = _paired(g_prime, g)
     n = g.shape[0]
@@ -56,12 +44,12 @@ def cross_cov(g_prime: np.ndarray, g: np.ndarray,
         raise InputError(f"need at least 2 rows for the sample convention, got {n}")
     gp_c = g_prime - g_prime.mean(axis=0)
     g_c = g - g.mean(axis=0)
-    return CrossCovEstimate(gp_c.T @ g_c / divisor, n, convention)
+    return gp_c.T @ g_c / divisor
 
 
-def penalty(estimate: CrossCovEstimate | np.ndarray, trace_weight: float = 0.0) -> float:
+def penalty(c: np.ndarray, trace_weight: float = 0.0) -> float:
     """Squared Frobenius norm plus trace_weight * (trace)^2."""
-    c = estimate.matrix if isinstance(estimate, CrossCovEstimate) else np.asarray(estimate, dtype=float)
+    c = np.asarray(c, dtype=float)
     if trace_weight < 0:
         raise InputError("trace_weight must be nonnegative")
     value = float(np.sum(c * c))
@@ -72,7 +60,7 @@ def penalty(estimate: CrossCovEstimate | np.ndarray, trace_weight: float = 0.0) 
     return value
 
 
-def total_cov_decomposition(pairs: StackedPairSet,
+def total_cov_decomposition(g_prime: np.ndarray, g: np.ndarray,
                             hard_labels: np.ndarray) -> TotalCovDecomposition:
     """Split Cov(g', g) into within- and between-cluster parts.
 
@@ -80,15 +68,13 @@ def total_cov_decomposition(pairs: StackedPairSet,
     c_total == within_expectation + between then holds to float round-off
     for any labeling with nonempty clusters.
     """
-    y = np.asarray(pairs.matrix, dtype=float)
-    m = pairs.m
-    g_prime, g = y[:, :m], y[:, m:]
+    g_prime, g = _paired(g_prime, g)
     labels = np.asarray(hard_labels)
     n = g.shape[0]
     if labels.shape != (n,):
         raise InputError(f"labels must have shape ({n},)")
     values = np.unique(labels)
-    total = cross_cov(g_prime, g, "population").matrix
+    total = cross_cov(g_prime, g, "population")
     mu_p = g_prime.mean(axis=0)
     mu = g.mean(axis=0)
     within = np.zeros_like(total)
@@ -96,7 +82,7 @@ def total_cov_decomposition(pairs: StackedPairSet,
     for z in values:
         idx = labels == z
         weight = float(idx.sum()) / n
-        within += weight * cross_cov(g_prime[idx], g[idx], "population").matrix
+        within += weight * cross_cov(g_prime[idx], g[idx], "population")
         dp = g_prime[idx].mean(axis=0) - mu_p
         d = g[idx].mean(axis=0) - mu
         between += weight * np.outer(dp, d)
@@ -252,9 +238,9 @@ def svd_alignment_bound(c: np.ndarray, w_prime: np.ndarray,
     return value, lower
 
 
-def normalized_trace(c_hat: np.ndarray | CrossCovEstimate, m: int) -> float:
-    """Trace divided by the feature dimension m."""
-    c = c_hat.matrix if isinstance(c_hat, CrossCovEstimate) else np.asarray(c_hat, dtype=float)
-    if c.shape != (m, m):
-        raise InputError(f"expected an ({m}, {m}) matrix, got shape {c.shape}")
-    return float(np.trace(c)) / m
+def normalized_trace(c: np.ndarray) -> float:
+    """Trace divided by the feature dimension m of a square (m, m) matrix."""
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {c.shape}")
+    return float(np.trace(c)) / c.shape[0]

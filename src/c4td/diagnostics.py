@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .nets import MlpCritic
-from .train import bootstrap_targets, second_moment_split, target_net
+from .train import bootstrap_targets, second_moment_split
 
 # Keeps the (replicates x batch) perturbation tensor within a few MB.
 _REPLICATE_CHUNK = 512
@@ -96,7 +96,6 @@ def estimate_abc(critic: MlpCritic, target: MlpCritic, batch, spec: PerturbSpec,
     """
     if len(batch) < 2:
         raise InputError("need at least 2 transitions")
-    target = target_net(target)
     x, x_prime, _ = _batch_inputs(batch)
     w_prime, w = _draw_directions(rng, spec.n_directions, x.shape[1])
     g_prime = target.input_gradient_batch(x_prime)
@@ -124,7 +123,6 @@ def direct_var_delta(critic: MlpCritic, target: MlpCritic, batch,
     """
     if len(batch) < 2:
         raise InputError("need at least 2 transitions")
-    target = target_net(target)
     x, x_prime, _ = _batch_inputs(batch)
     w_prime, w = _draw_directions(rng, spec.n_directions, x.shape[1])
     q_base = critic.forward_batch(x)
@@ -188,7 +186,6 @@ def grad_cosine_report(critic: MlpCritic, target: MlpCritic, batch,
     """
     if len(batch) < 2:
         raise InputError("need at least 2 transitions")
-    target = target_net(target)
     x, x_prime, r = _batch_inputs(batch)
     values, acts, pres = critic._forward_cached(critic._check_batch(x))
     delta = values - bootstrap_targets(r, batch.done, target.forward_batch(x_prime), gamma)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,53 +21,40 @@ from .errors import FormatError, InputError
 STARVED_FRACTION = 1e-6
 
 
-@dataclass(frozen=True)
-class StackedPairSet:
-    """N x 2m matrix whose rows stack the target-side vector first."""
-
-    matrix: np.ndarray
-    m: int
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[1] != 2 * self.m or self.m < 1:
-            raise InputError(f"expected an (N, {2 * self.m}) matrix, got {mat.shape}")
-
-    @classmethod
-    def from_pairs(cls, g_prime: np.ndarray, g: np.ndarray) -> "StackedPairSet":
-        g_prime = np.asarray(g_prime, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if g_prime.shape != g.shape or g_prime.ndim != 2:
-            raise InputError(f"pair shapes must match, got {g_prime.shape} and {g.shape}")
-        return cls(np.concatenate([g_prime, g], axis=1), g.shape[1])
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GaussianMixture:
+    """K weighted Gaussians; validated, made read-only and factored once when built."""
+
     weights: np.ndarray      # (K,)
     means: np.ndarray        # (K, D)
     covariances: np.ndarray  # (K, D, D), each symmetric positive definite
+    chols: np.ndarray = field(init=False, repr=False)  # (K, D, D) lower Cholesky factors
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.means = np.asarray(self.means, dtype=float)
-        self.covariances = np.asarray(self.covariances, dtype=float)
-        k = self.weights.shape[0]
-        if self.means.ndim != 2 or self.means.shape[0] != k:
+        weights, means, covs = (np.array(a, dtype=float)
+                                for a in (self.weights, self.means, self.covariances))
+        k = weights.shape[0]
+        if means.ndim != 2 or means.shape[0] != k:
             raise InputError("means must be (K, D)")
-        d = self.means.shape[1]
-        if self.covariances.shape != (k, d, d):
+        d = means.shape[1]
+        if covs.shape != (k, d, d):
             raise InputError("covariances must be (K, D, D)")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-9:
+        if not all(np.all(np.isfinite(a)) for a in (weights, means, covs)):
+            raise InputError("mixture weights, means and covariances must be finite")
+        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
             raise InputError("weights must be a probability vector")
+        chols = np.empty_like(covs)
         for z in range(k):
-            if not np.allclose(self.covariances[z], self.covariances[z].T,
-                               rtol=0.0, atol=1e-10):
+            if not np.allclose(covs[z], covs[z].T, rtol=0.0, atol=1e-10):
                 raise InputError(f"covariance {z} is not symmetric")
             try:
-                np.linalg.cholesky(self.covariances[z])
+                chols[z] = np.linalg.cholesky(covs[z])
             except np.linalg.LinAlgError as exc:
                 raise InputError(f"covariance {z} is not positive definite") from exc
+        for name, arr in (("weights", weights), ("means", means),
+                          ("covariances", covs), ("chols", chols)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_components(self) -> int:
@@ -76,42 +64,18 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def copy(self) -> "GaussianMixture":
-        return GaussianMixture(self.weights.copy(), self.means.copy(),
-                               self.covariances.copy())
 
-
-@dataclass
-class FitResult:
-    """EM outcome; unpacks as (mixture, responsibilities) for convenience."""
+class FitResult(NamedTuple):
+    """EM outcome: the fitted mixture, its recorded log-likelihood trace and counts."""
 
     mixture: GaussianMixture
-    data: np.ndarray = field(repr=False)
     log_likelihoods: list[float]
     n_iterations: int
     n_reseeds: int
-    _responsibilities: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    @property
-    def responsibilities(self) -> np.ndarray:
-        """E-step of the fitted mixture on the fitted rows, computed on first access."""
-        if self._responsibilities is None:
-            self._responsibilities = e_step(self.mixture, self.data)
-        return self._responsibilities
-
-    def __iter__(self):
-        return iter((self.mixture, self.responsibilities))
 
 
-def _as_matrix(y) -> np.ndarray:
-    if isinstance(y, StackedPairSet):
-        return np.asarray(y.matrix, dtype=float)
-    return np.asarray(y, dtype=float)
-
-
-def default_ridge(y) -> float:
+def default_ridge(y: np.ndarray) -> float:
     """1e-6 of the mean global variance, floored so degenerate data stays PD."""
-    y = _as_matrix(y)
     mean_var = float(np.mean(np.var(y, axis=0)))
     return max(1e-6 * mean_var, 1e-12)
 
@@ -137,8 +101,7 @@ def gaussian_logpdf(y: np.ndarray, means, chols) -> np.ndarray:
 
 def _log_components(y: np.ndarray, mixture: GaussianMixture) -> np.ndarray:
     """log(p_z) + log N(y_i | mu_z, Omega_z) for every (i, z)."""
-    logs = gaussian_logpdf(y, mixture.means,
-                           [np.linalg.cholesky(cov) for cov in mixture.covariances])
+    logs = gaussian_logpdf(y, mixture.means, mixture.chols)
     logs += [np.log(w) if w > 0 else -np.inf for w in mixture.weights]
     return logs
 
@@ -149,8 +112,8 @@ def logsumexp_rows(logs: np.ndarray) -> np.ndarray:
     return safe + np.log(np.exp(logs - safe[:, None]).sum(axis=1))
 
 
-def log_likelihood(y, mixture: GaussianMixture) -> float:
-    y = _check_data(_as_matrix(y), mixture.dim)
+def log_likelihood(y: np.ndarray, mixture: GaussianMixture) -> float:
+    y = _check_data(y, mixture.dim)
     return float(logsumexp_rows(_log_components(y, mixture)).sum())
 
 
@@ -164,14 +127,13 @@ def _posterior(mixture: GaussianMixture, y: np.ndarray) -> tuple[np.ndarray, np.
     return resp, row_ll
 
 
-def e_step(mixture: GaussianMixture, y) -> np.ndarray:
+def e_step(mixture: GaussianMixture, y: np.ndarray) -> np.ndarray:
     """Responsibilities, rows normalized to sum to one exactly."""
-    return _posterior(mixture, _check_data(_as_matrix(y), mixture.dim))[0]
+    return _posterior(mixture, _check_data(y, mixture.dim))[0]
 
 
-def m_step(y, resp: np.ndarray, ridge: float) -> GaussianMixture:
+def m_step(y: np.ndarray, resp: np.ndarray, ridge: float) -> GaussianMixture:
     """Weighted moment update with a ridge added to every covariance."""
-    y = _as_matrix(y)
     resp = np.asarray(resp, dtype=float)
     n, d = y.shape
     if resp.shape[0] != n or resp.ndim != 2:
@@ -232,20 +194,21 @@ def _initial_mixture(y: np.ndarray, k: int, ridge: float,
 def _reseed_starved(mixture: GaussianMixture, y: np.ndarray, row_ll: np.ndarray,
                     starved: np.ndarray, ridge: float) -> GaussianMixture:
     """Move starved clusters onto the least-explained points (lowest ``row_ll``)."""
-    mix = mixture.copy()
+    weights, means, covs = (a.copy() for a in (mixture.weights, mixture.means,
+                                               mixture.covariances))
     d = y.shape[1]
     global_cov = np.cov(y, rowvar=False, bias=True).reshape(d, d)
     global_cov = 0.5 * (global_cov + global_cov.T) + ridge * np.eye(d)
     order = np.argsort(row_ll)
     for rank, z in enumerate(np.flatnonzero(starved)):
-        mix.means[z] = y[order[rank % len(order)]]
-        mix.covariances[z] = global_cov
-        mix.weights[z] = 1.0 / mixture.n_components
-    mix.weights /= mix.weights.sum()
-    return mix
+        means[z] = y[order[rank % len(order)]]
+        covs[z] = global_cov
+        weights[z] = 1.0 / mixture.n_components
+    weights /= weights.sum()
+    return GaussianMixture(weights, means, covs)
 
 
-def fit(y, k: int, max_iters: int = 200, tol: float = 1e-7,
+def fit(y: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-7,
         seed: int = 0, ridge: float | None = None,
         init: GaussianMixture | None = None) -> FitResult:
     """Full EM loop. Deterministic given (y, k, seed).
@@ -258,7 +221,7 @@ def fit(y, k: int, max_iters: int = 200, tol: float = 1e-7,
     the trace documents that final run. ``init`` warm-starts from a previous
     mixture.
     """
-    y = _check_data(_as_matrix(y))
+    y = _check_data(y)
     n = y.shape[0]
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= K <= N, got K={k}, N={n}")
@@ -271,7 +234,7 @@ def fit(y, k: int, max_iters: int = 200, tol: float = 1e-7,
     if init is not None:
         if init.n_components != k or init.dim != y.shape[1]:
             raise InputError("warm start shape does not match (K, D)")
-        mixture = init.copy()
+        mixture = init
     else:
         mixture = _initial_mixture(y, k, eps, rng)
 
@@ -302,7 +265,7 @@ def fit(y, k: int, max_iters: int = 200, tol: float = 1e-7,
         prev_ll = ll
         prev_mixture = mixture
         mixture = m_step(y, resp, eps)
-    return FitResult(mixture, y, trace, iters, reseeds)
+    return FitResult(mixture, trace, iters, reseeds)
 
 
 def split_blocks(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

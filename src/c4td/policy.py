@@ -34,6 +34,8 @@ class GaussianDist:
         d = self.mean.shape[0]
         if self.mean.ndim != 1 or self.cov.shape != (d, d):
             raise InputError(f"mean/cov shapes {self.mean.shape}/{self.cov.shape}")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.cov))):
+            raise InputError("mean and covariance must be finite")
         if not np.allclose(self.cov, self.cov.T, rtol=0.0, atol=1e-12):
             raise InputError("covariance must be symmetric")
         try:

@@ -21,7 +21,7 @@ from . import gmm
 from .covstats import cross_cov, normalized_trace, penalty
 from .data import NONNEGATIVE, POSITIVE, EnvSpec, OfflineDataset, at_least, check_fields
 from .errors import InputError, NumericalError, ParseError
-from .gmm import GaussianMixture, StackedPairSet
+from .gmm import GaussianMixture
 from .nets import MlpCritic, TargetCritic
 
 FEATURE_MODES = ("surrogate", "exact_input_grad")
@@ -136,27 +136,22 @@ class RngStreams(NamedTuple):
         return cls(*np.random.default_rng(seed).spawn(5))
 
 
-def target_net(target) -> MlpCritic:
-    return target.net if isinstance(target, TargetCritic) else target
-
-
 def bootstrap_targets(r: np.ndarray, done: np.ndarray, q_prime: np.ndarray,
                       gamma: float) -> np.ndarray:
     """y_i = r_i + gamma (1 - done_i) q'_i; terminal rows bootstrap nothing."""
     return r + gamma * (1.0 - done) * q_prime
 
 
-def gradient_pairs(critic: MlpCritic, target, batch: OfflineDataset,
+def gradient_pairs(critic: MlpCritic, target: MlpCritic, batch: OfflineDataset,
                    feature_mode: str = "surrogate") -> tuple[np.ndarray, np.ndarray]:
     """Stacked feature rows (Gp from the target at x', G from the online at x)."""
     check_fields({"feature_mode": feature_mode}, TRAIN_SCHEMA, "train.")
     if len(batch) == 0:
         raise InputError("batch must be nonempty")
     x, x_prime = batch.joint_inputs()
-    tnet = target_net(target)
     if feature_mode == "surrogate":
-        return tnet.penultimate_features_batch(x_prime), critic.penultimate_features_batch(x)
-    return tnet.input_gradient_batch(x_prime), critic.input_gradient_batch(x)
+        return target.penultimate_features_batch(x_prime), critic.penultimate_features_batch(x)
+    return target.input_gradient_batch(x_prime), critic.input_gradient_batch(x)
 
 
 class _StepReport(NamedTuple):
@@ -194,14 +189,13 @@ def _objective_report(critic: MlpCritic, tnet: MlpCritic, x: np.ndarray,
     td = float(np.mean(delta * delta))
 
     g_prime = target_acts[-1]
-    estimate = cross_cov(g_prime, feats, convention="sample")
-    c_hat = estimate.matrix
+    c_hat = cross_cov(g_prime, feats, convention="sample")
     trace_c = float(np.trace(c_hat))
-    pen_raw = penalty(estimate, cfg.penalty_trace_weight)
+    pen_raw = penalty(c_hat, cfg.penalty_trace_weight)
     lam = 0.0 if cfg.baseline_mode else cfg.penalty_weight
     pen_part = lam * pen_raw
     objective = td + pen_part
-    tr_n = normalized_trace(c_hat, c_hat.shape[0])
+    tr_n = normalized_trace(c_hat)
 
     grad_values = 2.0 * delta / n
     grad_features = None
@@ -267,8 +261,8 @@ def refresh_clusters(online: MlpCritic, target: TargetCritic, dataset: OfflineDa
     the EM stream. The previous ``mixture``, when given, warm-starts the fit
     for cfg.em_warm_iters; the first fit runs cfg.em_max_iters.
     """
-    g_prime, g = gradient_pairs(online, target, dataset, cfg.feature_mode)
-    y = StackedPairSet.from_pairs(g_prime, g).matrix
+    g_prime, g = gradient_pairs(online, target.net, dataset, cfg.feature_mode)
+    y = np.concatenate([g_prime, g], axis=1)  # target-side block first
     fit_rows = y
     if cfg.probe_size is not None and cfg.probe_size < y.shape[0]:
         pick = rng.choice(y.shape[0], size=cfg.probe_size, replace=False)

@@ -35,7 +35,6 @@ from c4td.diagnostics import (
     direct_var_delta,
     estimate_abc,
 )
-from c4td.gmm import StackedPairSet
 from c4td.nets import MlpCritic, param_gradient
 from c4td.policy import (
     ClusterBehavior,
@@ -89,7 +88,7 @@ def test_criterion_01_law_of_total_covariance():
         g = rng.normal(size=(50, 4)) + 0.3 * g_prime
         labels = rng.integers(0, k, size=50)
         labels[:k] = np.arange(k)  # every cluster nonempty
-        dec = total_cov_decomposition(StackedPairSet.from_pairs(g_prime, g), labels)
+        dec = total_cov_decomposition(g_prime, g, labels)
         residual = np.linalg.norm(
             dec.c_total - (dec.within_expectation + dec.between))
         worst = max(worst, float(residual))
@@ -264,7 +263,7 @@ def test_criterion_07_em_monotone_and_separated_recovery():
     labels_true = rng.integers(0, 2, size=300)
     y = centers[labels_true] + 0.5 * rng.normal(size=(300, 2))
     result = gmm.fit(y, k=2, seed=7)
-    ari = adjusted_rand_index(labels_true, np.argmax(result.responsibilities, axis=1))
+    ari = adjusted_rand_index(labels_true, np.argmax(gmm.e_step(result.mixture, y), axis=1))
     _report(7, worst_dip >= -1e-9 and ari == 1.0,
             f"worst log-likelihood dip {worst_dip:.2e}, ARI {ari:.1f}")
 
@@ -441,15 +440,15 @@ def test_criterion_12_single_cluster_batches_kill_the_between_term():
     labels = rng.integers(0, 3, size=400)
     y = centers[labels] + 0.4 * rng.normal(size=(400, 4))
     result = gmm.fit(y, k=3, seed=12)
-    resp = result.responsibilities
+    resp = gmm.e_step(result.mixture, y)
     assert float(resp.max(axis=1).min()) >= 0.99  # near-one-hot premise
 
     worst = 0.0
     for draw in range(50):
         z = draw % 3
         idx = single_cluster_batch(resp, z, 64, rng)
-        batch_pairs = StackedPairSet(y[idx], 2)
-        dec = total_cov_decomposition(batch_pairs, np.full(64, z))
+        batch = y[idx]
+        dec = total_cov_decomposition(batch[:, :2], batch[:, 2:], np.full(64, z))
         worst = max(worst, float(np.max(np.abs(dec.between))))
     _report(12, worst == 0.0,
             f"max |between| over 50 conditioned minibatches = {worst}")

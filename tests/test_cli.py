@@ -364,6 +364,26 @@ def test_diverging_run_exits_2_naming_the_step_without_numpy_warnings(tmp_path):
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
+def test_sizes_memory_cannot_hold_exit_2_naming_the_size_fields(tmp_path, capsys):
+    config, _ = _write_config(tmp_path)
+    _gen(tmp_path, config)
+    capsys.readouterr()
+    # numpy refuses each allocation at once: tebibytes, far beyond any host
+    for assignment in ("train.batch_size=10000000000000", "train.hidden=[100000000000]"):
+        assert main(["train", "--config", str(config), "--set", assignment]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: .*; lower train\.batch_size, train\.hidden or "
+                            r"train\.probe_size\n", err)
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    assert main(["verify", "--suite", "gmm", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be a nonnegative integer, got -1\n"
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["report", "--out", "somewhere"]) == 2

@@ -18,7 +18,7 @@ from c4td.diagnostics import (
     quadratic_form_variance,
 )
 from c4td.errors import InputError
-from c4td.nets import MlpCritic, TargetCritic
+from c4td.nets import MlpCritic
 
 
 def _batch(seed=0, n=64):
@@ -131,18 +131,6 @@ def test_direct_variance_ignores_constant_reward_shifts():
     assert v0 == v1
 
 
-def test_probes_unwrap_target_critic_wrappers():
-    critic, target = _nets(seed=1)
-    batch = _batch(seed=1)
-    spec = PerturbSpec(k=0.03, k_prime=0.03, n_directions=32)
-    wrapped = TargetCritic.of(target, ema_rate=0.01)
-    # the wrapper starts as a detached copy, so results must match the raw net
-    for fn in (estimate_abc, direct_var_delta):
-        raw = fn(critic, target, batch, spec, 0.95, np.random.default_rng(4))
-        via = fn(critic, wrapped, batch, spec, 0.95, np.random.default_rng(4))
-        assert via == raw
-
-
 def test_probes_reject_tiny_batches():
     critic, target = _nets()
     batch = _batch().take(np.array([0]))
@@ -178,9 +166,6 @@ def test_gradient_cosines_sit_in_range_and_split_cleanly():
     rep = grad_cosine_report(critic, target, batch, gamma=0.98)
     assert -1.0 <= rep.cos_var <= 1.0
     assert -1.0 <= rep.cos_mean_sq <= 1.0
-    wrapped = TargetCritic.of(target, ema_rate=0.5)
-    rep2 = grad_cosine_report(critic, wrapped, batch, gamma=0.98)
-    assert rep2 == rep
 
 
 def test_cosines_follow_the_residual_structure():

@@ -3,7 +3,7 @@ import pytest
 
 from c4td import gmm
 from c4td.errors import FormatError, InputError
-from c4td.gmm import (GaussianMixture, StackedPairSet, default_ridge, e_step,
+from c4td.gmm import (GaussianMixture, default_ridge, e_step,
                       effective_clusters, extract_blocks, fit, log_likelihood,
                       m_step, mixture_from_json, mixture_to_json,
                       sample_cluster, split_blocks)
@@ -19,17 +19,6 @@ def _random_mixture(rng, k, dim):
         a = rng.standard_normal((dim, dim))
         covs.append(a @ a.T / dim + 0.2 * np.eye(dim))
     return GaussianMixture(weights, means, np.asarray(covs))
-
-
-def test_stacked_pairs_put_target_block_first():
-    gp = np.arange(6.0).reshape(3, 2)
-    g = -np.arange(6.0).reshape(3, 2)
-    pairs = StackedPairSet.from_pairs(gp, g)
-    assert pairs.m == 2
-    assert np.array_equal(pairs.matrix[:, :2], gp)
-    assert np.array_equal(pairs.matrix[:, 2:], g)
-    with pytest.raises(InputError):
-        StackedPairSet.from_pairs(gp, g[:2])
 
 
 def test_e_step_rows_are_posteriors():
@@ -85,8 +74,9 @@ def test_fit_log_likelihood_is_monotone_on_generic_data():
         result = fit(y, k, seed=trial)
         diffs = np.diff(result.log_likelihoods)
         assert diffs.min() >= -1e-9
-        assert result.responsibilities.shape == (120, k)
-        assert np.allclose(result.responsibilities.sum(axis=1), 1.0)
+        resp = e_step(result.mixture, y)
+        assert resp.shape == (120, k)
+        assert np.allclose(resp.sum(axis=1), 1.0)
 
 
 def test_fit_recovers_well_separated_clusters_exactly():
@@ -94,8 +84,7 @@ def test_fit_recovers_well_separated_clusters_exactly():
     centers = np.array([[-10.0, 0.0], [10.0, 0.0]])
     labels_true = rng.integers(0, 2, size=200)
     y = centers[labels_true] + 0.5 * rng.standard_normal((200, 2))
-    mixture, resp = fit(y, 2, seed=0)
-    labels_fit = resp.argmax(axis=1)
+    labels_fit = e_step(fit(y, 2, seed=0).mixture, y).argmax(axis=1)
     assert adjusted_rand_index(labels_true, labels_fit) == 1.0
 
 
@@ -103,11 +92,12 @@ def test_fit_unpacks_and_reports_iterations():
     rng = np.random.default_rng(5)
     y = rng.standard_normal((80, 3))
     result = fit(y, 2, seed=1)
-    mixture, resp = result
+    mixture, trace, iterations, reseeds = result
+    assert mixture is result.mixture and trace is result.log_likelihoods
     assert mixture.n_components == 2
     # reseeds restart the recorded trace, so iterations can exceed its length
-    assert result.n_iterations >= len(result.log_likelihoods)
-    assert result.n_reseeds >= 0
+    assert iterations == result.n_iterations >= len(trace)
+    assert reseeds == result.n_reseeds >= 0
 
 
 def test_fit_never_returns_a_mixture_below_the_recorded_trace():
@@ -123,7 +113,7 @@ def test_fit_never_returns_a_mixture_below_the_recorded_trace():
         assert np.diff(result.log_likelihoods).min() >= -1e-9
 
 
-def test_fit_computes_responsibilities_on_first_access(monkeypatch):
+def test_fit_runs_no_e_step_outside_its_loop(monkeypatch):
     rng = np.random.default_rng(7)
     y = rng.standard_normal((60, 3))
     calls = []
@@ -136,11 +126,57 @@ def test_fit_computes_responsibilities_on_first_access(monkeypatch):
     monkeypatch.setattr(gmm, "e_step", counting_e_step)
     result = fit(y, 2, seed=3)
     assert calls == []
-    resp = result.responsibilities
+    assert not hasattr(result, "responsibilities")
+    resp = gmm.e_step(result.mixture, y)
     assert calls == [60]
-    assert result.responsibilities is resp
-    assert np.array_equal(resp, real_e_step(result.mixture, y))
-    assert calls == [60]
+    assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_fit_factors_each_mixture_once_and_the_e_step_never(monkeypatch):
+    rng = np.random.default_rng(12)
+    y = rng.standard_normal((80, 3))
+    y[:40] += 6.0
+    k = 3
+    counts = {"cholesky": 0, "built": 0}
+    real_cholesky = np.linalg.cholesky
+    real_post_init = GaussianMixture.__post_init__
+
+    def counting_cholesky(a):
+        counts["cholesky"] += 1
+        return real_cholesky(a)
+
+    def counting_post_init(self):
+        counts["built"] += 1
+        real_post_init(self)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(GaussianMixture, "__post_init__", counting_post_init)
+    result = fit(y, k, max_iters=20, tol=0.0, seed=2)
+    assert result.n_iterations > 1
+    # the initial mixture and one per M-step or reseed
+    assert counts["built"] >= result.n_iterations
+    assert counts["cholesky"] == k * counts["built"]
+    built = counts["built"]
+    warm = fit(y, k, max_iters=1, seed=2, init=result.mixture)
+    assert counts["built"] == built + 1  # its one M-step; the warm start is used as given
+    assert counts["cholesky"] == k * counts["built"]
+    e_step(warm.mixture, y)  # _log_components reads the stored factors
+    log_likelihood(y, warm.mixture)
+    assert counts["cholesky"] == k * counts["built"]
+
+
+def test_mixture_arrays_are_read_only_copies():
+    rng = np.random.default_rng(13)
+    covs = np.stack([np.eye(2), 2.0 * np.eye(2)])
+    mix = GaussianMixture(np.array([0.5, 0.5]), rng.standard_normal((2, 2)), covs)
+    covs[0, 0, 0] = 5.0  # the caller's array stays writable and detached
+    assert mix.covariances[0, 0, 0] == 1.0
+    for arr in (mix.weights, mix.means, mix.covariances, mix.chols):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(ValueError):
+        mix.covariances[1, 0, 0] = 3.0
+    assert np.array_equal(mix.chols[1], np.sqrt(2.0) * np.eye(2))
 
 
 def test_fit_is_deterministic_given_seed():
@@ -149,7 +185,7 @@ def test_fit_is_deterministic_given_seed():
     a = fit(y, 3, seed=9)
     b = fit(y, 3, seed=9)
     assert np.array_equal(a.mixture.means, b.mixture.means)
-    assert np.array_equal(a.responsibilities, b.responsibilities)
+    assert np.array_equal(e_step(a.mixture, y), e_step(b.mixture, y))
 
 
 def test_fit_survives_degenerate_data():
@@ -212,12 +248,27 @@ def test_mixture_json_round_trip():
     assert np.array_equal(back.covariances, mix.covariances)
     with pytest.raises(FormatError):
         mixture_from_json("{}")
+    for weights, means in (("[NaN]", "[[0.0]]"), ("[1.0]", "[[Infinity]]")):
+        with pytest.raises(FormatError, match="finite"):
+            mixture_from_json(f'{{"K": 1, "weights": {weights}, "means": {means}, '
+                              '"covariances": [[1.0]]}')
 
 
 def test_mixture_validation():
+    eyes = np.stack([np.eye(2), np.eye(2)])
     with pytest.raises(InputError):
-        GaussianMixture(np.array([0.5, 0.6]), np.zeros((2, 2)),
-                        np.stack([np.eye(2), np.eye(2)]))
+        GaussianMixture(np.array([0.5, 0.6]), np.zeros((2, 2)), eyes)
+    bad_cov = eyes.copy()
+    bad_cov[1, 0, 1] = np.inf
+    for weights, means, covs in (([np.nan, np.nan], np.zeros((2, 2)), eyes),
+                                 ([0.5, 0.5], np.full((2, 2), np.nan), eyes),
+                                 ([0.5, 0.5], np.zeros((2, 2)), bad_cov)):
+        with pytest.raises(InputError, match="finite"):
+            GaussianMixture(np.array(weights), means, covs)
+    with pytest.raises(InputError, match="symmetric"):
+        GaussianMixture(np.array([1.0]), np.zeros((1, 2)), np.array([[[1.0, 0.5], [0.0, 1.0]]]))
+    with pytest.raises(InputError, match="positive definite"):
+        GaussianMixture(np.array([1.0]), np.zeros((1, 2)), -eyes[:1])
     with pytest.raises(InputError):
         fit(np.zeros((5, 2)), 0)
     with pytest.raises(InputError):

@@ -36,6 +36,13 @@ def test_gaussian_dist_requires_pd_cov():
         GaussianDist(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def test_gaussian_dist_rejects_non_finite_parameters():
+    for mean, cov in (([np.nan], [[1.0]]), ([np.inf], [[1.0]]), ([0.0], [[np.inf]]),
+                      ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]])):
+        with pytest.raises(InputError, match="finite"):
+            GaussianDist(np.array(mean), np.array(cov))
+
+
 def test_gaussian_kl_closed_form():
     rng = np.random.default_rng(1)
     p = _random_gaussian(rng, 3)

@@ -3,12 +3,15 @@
 ``perfbench/tracer.py`` wraps functions and methods by name, looking each
 one up with ``owner.__dict__[attr]``. A rename or a move in ``src/`` would
 make a traced benchmark run fail, so this resolves every site the same way
-``tracer.install`` does, without patching anything.
+``tracer.install`` does, without patching anything, and runs the measure
+hooks that read fields of a return value on real ones.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -47,3 +50,13 @@ def test_every_verify_suite_has_a_traceable_function():
     assert verify._SUITE_FNS
     for key in verify._SUITE_FNS:
         assert callable(getattr(verify, f"suite_{key}"))
+
+
+def test_measure_hooks_read_real_return_values():
+    tracer = _load_tracer()
+    gmm = importlib.import_module("c4td.gmm")
+    y = np.random.default_rng(0).standard_normal((40, 3))
+    result = gmm.fit(y, 2, max_iters=5, seed=1)
+    assert tracer._fit_counts((y, 2), result) == [result.n_iterations, result.n_reseeds]
+    resp = gmm.e_step(result.mixture, y)
+    assert tracer._e_step_rows((result.mixture, y), resp) == 40

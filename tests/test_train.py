@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from c4td import gmm
 from c4td.data import EnvSpec, generate, subsample
 from c4td.errors import InputError, NumericalError, ParseError
 from c4td.gmm import GaussianMixture
@@ -25,6 +26,7 @@ from c4td.train import (
     gradient_pairs,
     metrics_from_csv,
     metrics_to_csv,
+    refresh_clusters,
     single_cluster_batch,
     train,
 )
@@ -120,7 +122,7 @@ def test_gradient_pairs_select_the_feature_mode():
     assert np.array_equal(gp, target.penultimate_features_batch(x_prime))
     assert np.array_equal(g, critic.penultimate_features_batch(x))
 
-    gp, g = gradient_pairs(critic, TargetCritic.of(target), data, "exact_input_grad")
+    gp, g = gradient_pairs(critic, target, data, "exact_input_grad")
     assert gp.shape == (30, 4) and g.shape == (30, 4)
     assert np.array_equal(gp, target.input_gradient_batch(x_prime))
     assert np.array_equal(g, critic.input_gradient_batch(x))
@@ -229,6 +231,30 @@ def test_penalty_changes_the_trajectory():
                               flatten_params(critic_b.layers))
     assert all(rec.penalty >= 0.0 for rec in metrics_c)
     assert any(rec.penalty > 0.0 for rec in metrics_c)
+
+
+def test_stacked_pairs_put_target_block_first(monkeypatch):
+    data = subsample(_dataset(), 30, seed=4)
+    rng = np.random.default_rng(6)
+    online = MlpCritic.init(4, (8, 6), rng)
+    target = TargetCritic.of(MlpCritic.init(4, (8, 6), rng))
+    fitted_rows = []
+    real_fit = gmm.fit
+
+    def recording_fit(y, k, **kwargs):
+        fitted_rows.append(y)
+        return real_fit(y, k, **kwargs)
+
+    monkeypatch.setattr(gmm, "fit", recording_fit)
+    cfg = _small_cfg(hidden=(8, 6), em_max_iters=3)
+    mixture, sampler = refresh_clusters(online, target, data, cfg,
+                                        np.random.default_rng(0), None)
+    x, x_prime = data.joint_inputs()
+    (y,) = fitted_rows
+    assert y.shape == (30, 12) and mixture.dim == 12
+    assert np.array_equal(y[:, :6], target.net.penultimate_features_batch(x_prime))
+    assert np.array_equal(y[:, 6:], online.penultimate_features_batch(x))
+    assert len(sampler.mass) == 2
 
 
 def test_refresh_callback_fires_on_schedule():
