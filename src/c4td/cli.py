@@ -16,6 +16,9 @@ values are parsed as JSON when possible, otherwise kept as strings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error,
 including a size the schema accepts that memory cannot hold.
+A command imports only the modules it runs: the verify suites (with policy
+and diagnostics) load on the first ``run_suite`` call, ``statistics`` in
+``report``, so ``gen-data`` and ``train`` pay for neither at start-up.
 The CSV stays the source of truth for plots; SVGs are rendered by hand so
 no plotting stack is needed. C4_THREADS caps BLAS worker pools; the package
 exports it to the BLAS variables on import, before numpy loads.
@@ -26,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 from pathlib import Path
 
@@ -36,7 +38,6 @@ from .data import (DATA_SCHEMA, ENV_SCHEMA, EnvSpec, check_fields, generate, loa
 from .errors import C4Error, InputError, ParseError
 from .gmm import mixture_to_json
 from .train import TRAIN_SCHEMA, TrainConfig, metrics_from_csv, metrics_to_csv, train
-from .verify import SUITES, run_suite
 
 # train.evaluate stands in for eval_env, which a JSON document cannot hold
 _SECTIONS = {"env": ENV_SCHEMA, "data": DATA_SCHEMA,
@@ -169,6 +170,13 @@ def cmd_train(args) -> int:
     return 0
 
 
+def run_suite(name: str, seed: int = 0) -> dict:
+    """``verify.run_suite``; an unknown name raises InputError listing ``verify.SUITES``."""
+    from .verify import run_suite as run
+
+    return run(name, seed=seed)
+
+
 def cmd_verify(args) -> int:
     if args.seed < 0:
         raise InputError(f"--seed must be a nonnegative integer, got {args.seed}")
@@ -270,6 +278,8 @@ def render_metric_svg(metric: str, runs: list[tuple[str, list[dict]]]) -> str:
 
 
 def cmd_report(args) -> int:
+    import statistics
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = []
@@ -322,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.set_defaults(func=cmd_train)
 
     ver = sub.add_parser("verify", help="run numerical invariant suites")
-    ver.add_argument("--suite", required=True, choices=SUITES)
+    ver.add_argument("--suite", required=True,
+                     help="a suite name or all; an unknown name exits 2 listing them")
     ver.add_argument("--seed", type=int, default=0)
     ver.set_defaults(func=cmd_verify)
 

@@ -18,6 +18,7 @@ import math
 import numbers
 import reprlib
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -285,6 +286,10 @@ def subsample(dataset: OfflineDataset, n: int, seed: int) -> OfflineDataset:
 
 _HEADER_KEYS = {"ds": int, "da": int, "env": str, "modes": int, "seed": int}
 _ROW_KEYS = {"s", "a", "r", "sn", "an", "done"}
+# Lines per json.loads in load_jsonl: one parse per chunk, and a chunk's
+# transient Python objects are freed before the next is parsed.
+_CHUNK_LINES = 1024
+_MARKER = ',"",'  # load_jsonl's separator between the lines of a chunk
 
 
 def save_jsonl(dataset: OfflineDataset, path: str) -> None:
@@ -314,26 +319,10 @@ def _float_vector(value, length: int, line: int, key: str) -> list[float]:
     return [float(v) for v in value]
 
 
-def load_jsonl(path: str) -> OfflineDataset:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError("empty dataset file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(1, f"header is not valid JSON: {exc.msg}") from exc
-    if not isinstance(header, dict) or set(header) != set(_HEADER_KEYS):
-        raise ParseError(1, f"header must have exactly the keys {sorted(_HEADER_KEYS)}")
-    for key, typ in _HEADER_KEYS.items():
-        if not isinstance(header[key], typ) or (typ is int and isinstance(header[key], bool)):
-            raise ParseError(1, f"header field {key!r} must be {typ.__name__}")
-    ds, da = header["ds"], header["da"]
-    if ds < 1 or da < 1:
-        raise ParseError(1, "header dimensions must be positive")
-
+def _rows_line_by_line(lines: list[str], first: int, ds: int, da: int) -> dict[str, list]:
+    """Columns of ``lines``, numbered from ``first``; raises the first row's first error."""
     cols: dict[str, list] = {k: [] for k in _ROW_KEYS}
-    for lineno, text in enumerate(lines[1:], start=2):
+    for lineno, text in enumerate(lines, start=first):
         if not text.strip():
             raise ParseError(lineno, "blank line")
         try:
@@ -352,17 +341,88 @@ def load_jsonl(path: str) -> OfflineDataset:
             raise ParseError(lineno, "field 'done' must be a boolean")
         cols["r"].append(float(row["r"]))
         cols["done"].append(row["done"])
-    if not cols["r"]:
+    return cols
+
+
+def _all_float_lists(column: list, width: int) -> bool:
+    return (set(map(type, column)) == {list} and set(map(len, column)) == {width}
+            and set(map(type, chain.from_iterable(column))) == {float})
+
+
+def _rows_in_one_parse(lines: list[str], widths: dict[str, int]) -> dict[str, list] | None:
+    """Columns of ``lines`` from one ``json.loads``, or None unless every line is a clean row.
+
+    The lines are joined into one array with an empty string between each
+    two. A valid row holds no string but its keys, so a marker can only
+    parse as an array element of its own; when the parse alternates rows and
+    markers, each line held exactly one row and would parse to it alone.
+    Integers take the line-by-line path, which converts them one by one.
+    """
+    try:
+        items = json.loads("[" + _MARKER.join(lines) + "]")
+    except (ValueError, RecursionError):
+        return None
+    rows = items[::2]
+    if (len(rows) != len(lines) or items[1::2] != [""] * (len(lines) - 1)
+            or set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(_ROW_KEYS)}):
+        return None
+    try:  # six keys, all of them found: exactly _ROW_KEYS
+        cols = {key: [row[key] for row in rows] for key in _ROW_KEYS}
+    except KeyError:
+        return None
+    if (all(_all_float_lists(cols[key], width) for key, width in widths.items())
+            and set(map(type, cols["r"])) == {float} and set(map(type, cols["done"])) == {bool}):
+        return cols
+    return None
+
+
+def load_jsonl(path: str) -> OfflineDataset:
+    """Read a dataset written by ``save_jsonl``; errors name the line, as ParseError.
+
+    Rows are parsed ``_CHUNK_LINES`` at a time with one ``json.loads``; a chunk
+    that is not all clean rows is parsed again line by line, so the first
+    error reported is the first in line order. Non-finite values are looked
+    for once every row has parsed.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise FormatError("empty dataset file")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise ParseError(1, f"header is not valid JSON: {exc.msg}") from exc
+    if not isinstance(header, dict) or set(header) != set(_HEADER_KEYS):
+        raise ParseError(1, f"header must have exactly the keys {sorted(_HEADER_KEYS)}")
+    for key, typ in _HEADER_KEYS.items():
+        if not isinstance(header[key], typ) or (typ is int and isinstance(header[key], bool)):
+            raise ParseError(1, f"header field {key!r} must be {typ.__name__}")
+    ds, da = header["ds"], header["da"]
+    if ds < 1 or da < 1:
+        raise ParseError(1, "header dimensions must be positive")
+
+    n = len(lines) - 1
+    if not n:
         raise FormatError("dataset has a header but no transitions")
-    arrays = {key: np.array(cols[key]) for key in ("s", "a", "r", "sn", "an")}
-    bad = [key for key, arr in arrays.items() if not np.isfinite(arr).all()]
+    widths = {"s": ds, "a": da, "sn": ds, "an": da}
+    parts = []  # per chunk, so nothing is sized from the header before its rows parse
+    for start in range(0, n, _CHUNK_LINES):
+        chunk = lines[1 + start:1 + start + _CHUNK_LINES]
+        cols = (_rows_in_one_parse(chunk, widths)
+                or _rows_line_by_line(chunk, start + 2, ds, da))
+        parts.append({**{key: np.fromiter(chain.from_iterable(cols[key]), float,
+                                          len(chunk) * width).reshape(len(chunk), width)
+                         for key, width in widths.items()},
+                      "r": np.array(cols["r"], dtype=float),
+                      "done": np.array(cols["done"], dtype=bool)})
+    arrays = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+    bad = [key for key in ("s", "a", "r", "sn", "an") if not np.isfinite(arrays[key]).all()]
     if bad:
         # JSON admits NaN, Infinity and overflowing literals; name the first such row
-        n = len(cols["r"])
         first = {key: int(np.flatnonzero(~np.isfinite(arrays[key]).reshape(n, -1)
                                          .all(axis=1))[0]) for key in bad}
         key = min(bad, key=first.get)
         raise ParseError(first[key] + 2, f"field {key!r} must be finite")
     return OfflineDataset(ds, da, header["env"], header["modes"], header["seed"],
                           arrays["s"], arrays["a"], arrays["r"], arrays["sn"], arrays["an"],
-                          np.array(cols["done"], dtype=bool))
+                          arrays["done"])

@@ -29,10 +29,13 @@ class GaussianMixture:
     means: np.ndarray        # (K, D)
     covariances: np.ndarray  # (K, D, D), each symmetric positive definite
     chols: np.ndarray = field(init=False, repr=False)  # (K, D, D) lower Cholesky factors
+    cdf: np.ndarray = field(init=False, repr=False)    # (K,) weight CDF, as Generator.choice's
 
     def __post_init__(self):
         weights, means, covs = (np.array(a, dtype=float)
                                 for a in (self.weights, self.means, self.covariances))
+        if weights.ndim != 1:
+            raise InputError(f"weights must be (K,), got shape {weights.shape}")
         k = weights.shape[0]
         if means.ndim != 2 or means.shape[0] != k:
             raise InputError("means must be (K, D)")
@@ -43,16 +46,19 @@ class GaussianMixture:
             raise InputError("mixture weights, means and covariances must be finite")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
             raise InputError("weights must be a probability vector")
+        asymmetric = (np.abs(covs - covs.transpose(0, 2, 1)) > 1e-10).any(axis=(1, 2))
+        if asymmetric.any():
+            raise InputError(f"covariance {np.flatnonzero(asymmetric)[0]} is not symmetric")
         chols = np.empty_like(covs)
         for z in range(k):
-            if not np.allclose(covs[z], covs[z].T, rtol=0.0, atol=1e-10):
-                raise InputError(f"covariance {z} is not symmetric")
             try:
                 chols[z] = np.linalg.cholesky(covs[z])
             except np.linalg.LinAlgError as exc:
                 raise InputError(f"covariance {z} is not positive definite") from exc
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
         for name, arr in (("weights", weights), ("means", means),
-                          ("covariances", covs), ("chols", chols)):
+                          ("covariances", covs), ("chols", chols), ("cdf", cdf)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -285,8 +291,8 @@ def extract_blocks(mixture: GaussianMixture, z: int) -> tuple[np.ndarray, np.nda
 
 
 def sample_cluster(mixture: GaussianMixture, rng: np.random.Generator) -> int:
-    """Draw z ~ Categorical(weights)."""
-    return int(rng.choice(mixture.n_components, p=mixture.weights))
+    """Draw z ~ Categorical(weights): ``rng.choice(K, p=weights)``'s draw, from the cached CDF."""
+    return int(mixture.cdf.searchsorted(rng.random(), side="right"))
 
 
 def effective_clusters(mixture: GaussianMixture, occupancy_threshold: float = 0.01) -> int:
@@ -316,18 +322,19 @@ def mixture_from_json(text: str) -> GaussianMixture:
     if not isinstance(payload, dict) or set(payload) != expected:
         raise FormatError(f"mixture payload must have exactly the keys {sorted(expected)}")
     k = payload["K"]
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise FormatError("K must be a positive integer")
-    weights = np.array(payload["weights"], dtype=float)
-    means = np.array(payload["means"], dtype=float)
+    try:
+        weights, means, covs = (np.array(payload[key], dtype=float)
+                                for key in ("weights", "means", "covariances"))
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+        raise FormatError(f"mixture arrays must be rectangular and numeric: {exc}") from exc
     if weights.shape != (k,) or means.ndim != 2 or means.shape[0] != k:
         raise FormatError("weights/means shapes do not match K")
     d = means.shape[1]
-    covs = payload["covariances"]
-    if len(covs) != k or any(len(c) != d * d for c in covs):
+    if covs.shape != (k, d * d):
         raise FormatError("covariances must hold K row-major D*D blocks")
-    cov_arr = np.array(covs, dtype=float).reshape(k, d, d)
     try:
-        return GaussianMixture(weights, means, cov_arr)
+        return GaussianMixture(weights, means, covs.reshape(k, d, d))
     except InputError as exc:
         raise FormatError(str(exc)) from exc

@@ -5,8 +5,13 @@ formulas, scipy where it has the canonical routine) so that agreement with
 the package is meaningful.
 """
 
+import json
+
 import numpy as np
 from scipy import stats
+
+from c4td.data import _HEADER_KEYS, _ROW_KEYS, OfflineDataset
+from c4td.errors import FormatError, ParseError
 
 
 def central_diff(f, x, eps=1e-6):
@@ -239,3 +244,65 @@ def adaptive_simpson_recursive(f, a, b, tol, max_depth=40):
         whole = simpson(lo, hi, flo, fm_, fhi)
         total += recurse(lo, hi, flo, fm_, fhi, whole, 0)
     return total
+
+
+def _float_vector(value, length: int, line: int, key: str) -> list[float]:
+    if (not isinstance(value, list) or len(value) != length
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+        raise ParseError(line, f"field {key!r} must be a list of {length} numbers")
+    return [float(v) for v in value]
+
+
+def load_jsonl_line_by_line(path: str) -> OfflineDataset:
+    """The dataset loader as it was before chunked parsing: one json.loads per line."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise FormatError("empty dataset file")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise ParseError(1, f"header is not valid JSON: {exc.msg}") from exc
+    if not isinstance(header, dict) or set(header) != set(_HEADER_KEYS):
+        raise ParseError(1, f"header must have exactly the keys {sorted(_HEADER_KEYS)}")
+    for key, typ in _HEADER_KEYS.items():
+        if not isinstance(header[key], typ) or (typ is int and isinstance(header[key], bool)):
+            raise ParseError(1, f"header field {key!r} must be {typ.__name__}")
+    ds, da = header["ds"], header["da"]
+    if ds < 1 or da < 1:
+        raise ParseError(1, "header dimensions must be positive")
+
+    cols: dict[str, list] = {k: [] for k in _ROW_KEYS}
+    for lineno, text in enumerate(lines[1:], start=2):
+        if not text.strip():
+            raise ParseError(lineno, "blank line")
+        try:
+            row = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(lineno, f"not valid JSON: {exc.msg}") from exc
+        if not isinstance(row, dict) or set(row) != _ROW_KEYS:
+            raise ParseError(lineno, f"row must have exactly the keys {sorted(_ROW_KEYS)}")
+        cols["s"].append(_float_vector(row["s"], ds, lineno, "s"))
+        cols["a"].append(_float_vector(row["a"], da, lineno, "a"))
+        cols["sn"].append(_float_vector(row["sn"], ds, lineno, "sn"))
+        cols["an"].append(_float_vector(row["an"], da, lineno, "an"))
+        if not isinstance(row["r"], (int, float)) or isinstance(row["r"], bool):
+            raise ParseError(lineno, "field 'r' must be a number")
+        if not isinstance(row["done"], bool):
+            raise ParseError(lineno, "field 'done' must be a boolean")
+        cols["r"].append(float(row["r"]))
+        cols["done"].append(row["done"])
+    if not cols["r"]:
+        raise FormatError("dataset has a header but no transitions")
+    arrays = {key: np.array(cols[key]) for key in ("s", "a", "r", "sn", "an")}
+    bad = [key for key, arr in arrays.items() if not np.isfinite(arr).all()]
+    if bad:
+        # JSON admits NaN, Infinity and overflowing literals; name the first such row
+        n = len(cols["r"])
+        first = {key: int(np.flatnonzero(~np.isfinite(arrays[key]).reshape(n, -1)
+                                         .all(axis=1))[0]) for key in bad}
+        key = min(bad, key=first.get)
+        raise ParseError(first[key] + 2, f"field {key!r} must be finite")
+    return OfflineDataset(ds, da, header["env"], header["modes"], header["seed"],
+                          arrays["s"], arrays["a"], arrays["r"], arrays["sn"], arrays["an"],
+                          np.array(cols["done"], dtype=bool))

@@ -425,6 +425,28 @@ def test_c4_threads_alone_caps_blas_before_numpy_loads():
     assert out.stdout.strip() == "1"
 
 
+def test_gen_data_and_train_import_only_the_modules_they_run(tmp_path):
+    config, _ = _write_config(tmp_path)
+    unused = ["c4td.verify", "c4td.policy", "c4td.diagnostics", "statistics"]
+    code = ("import json, sys\n"
+            "from c4td.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            f"print(json.dumps([code, [m for m in {unused!r} if m in sys.modules]]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(c4td.__file__).parents[1]))
+    for argv in (["gen-data", "--config", str(config), "--out", str(tmp_path / "data.jsonl")],
+                 ["train", "--config", str(config)],
+                 ["train", "--config", str(config), "--baseline"]):
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout.splitlines()[-1]) == [0, []], argv
+    # the suites load when a command runs them
+    out = subprocess.run([sys.executable, "-c", code, "verify", "--suite", "nonsense"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [2, ["c4td.verify", "c4td.policy",
+                                                          "c4td.diagnostics"]]
+    assert "choose from ('covariance', 'gmm', 'theorem1', 'policy', 'all')" in out.stderr
+
+
 def test_verify_suite_passes_and_prints_json(capsys):
     assert main(["verify", "--suite", "gmm"]) == 0
     report = json.loads(capsys.readouterr().out)

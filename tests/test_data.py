@@ -4,10 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from c4td import data as data_module
 from c4td.data import (EnvSpec, OfflineDataset, Transition, generate,
                        load_jsonl, save_jsonl, subsample)
 from c4td.errors import FormatError, InputError, ParseError
+from oracles import load_jsonl_line_by_line
 
 
 def test_spec_rejects_bad_shapes():
@@ -188,3 +192,198 @@ def test_dataset_rejects_ragged_rows():
                        s=np.zeros((3, 2)), a=np.zeros((2, 2)), r=np.zeros(3),
                        s_next=np.zeros((3, 2)), a_next=np.zeros((3, 2)),
                        done=np.zeros(3, dtype=bool))
+
+
+# ------------------------------------------------ chunked loader vs oracle
+
+_FIELDS = ("s", "a", "r", "s_next", "a_next", "done")
+
+
+def _outcome(load, path):
+    """What a loader makes of a file: its arrays' bytes, or its error's type, line and text."""
+    try:
+        data = load(str(path))
+    except Exception as exc:  # what escapes the oracle must escape the loader too
+        return type(exc), getattr(exc, "line_number", None), str(exc)
+    header = (data.ds, data.da, data.env_name, data.n_modes, data.seed)
+    return header, [(getattr(data, f).dtype.str, getattr(data, f).shape,
+                     getattr(data, f).tobytes()) for f in _FIELDS]
+
+
+def _saved_lines(directory, n_trajectories: int) -> list[str]:
+    path = directory / "saved.jsonl"
+    save_jsonl(generate(EnvSpec.with_circular_modes(3), n_trajectories, seed=3), str(path))
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def _with(lines, lineno, key, value=None, index=None, drop=False):
+    """``lines`` with one field of row ``lineno`` (1-based) replaced or dropped."""
+    out = list(lines)
+    row = json.loads(out[lineno - 1])
+    if drop:
+        del row[key]
+    elif index is None:
+        row[key] = value
+    else:
+        row[key][index] = value
+    out[lineno - 1] = json.dumps(row)
+    return out
+
+
+def _overflow(lines, lineno, key, index=None):
+    """``lines`` with 1e999, valid JSON that parses to inf, in one field of row ``lineno``."""
+    out = _with(lines, lineno, key, 12345.5, index)
+    out[lineno - 1] = out[lineno - 1].replace("12345.5", "1e999")
+    return out
+
+
+def _put(lines, lineno, text):
+    out = list(lines)
+    out[lineno - 1] = text
+    return out
+
+
+# name -> (edit of a 40-row file, expected: a ParseError's line, an error type, or "ok")
+_CASES = {
+    "clean": (lambda ls: ls, "ok"),
+    "blank line": (lambda ls: _put(ls, 5, ""), 5),
+    "whitespace line": (lambda ls: _put(ls, 7, " \t "), 7),
+    "invalid json": (lambda ls: _put(ls, 4, "{not json"), 4),
+    "two values on one line": (lambda ls: _put(ls, 6, ls[5] + " " + ls[5]), 6),
+    "two rows joined by a comma": (lambda ls: _put(ls, 6, ls[5] + "," + ls[6]), 6),
+    "a line 1], [2": (lambda ls: _put(ls, 8, "1], [2"), 8),
+    "row split over two lines": (
+        lambda ls: ls[:2] + ls[2].split(", ", 1) + [ls[3] + ", " + ls[4]] + ls[5:], 3),
+    "row holding a marker": (lambda ls: _put(ls, 9, ls[8] + ', "", ' + ls[9]), 9),
+    "marker alone": (lambda ls: _put(ls, 10, '""'), 10),
+    "list row": (lambda ls: _put(ls, 11, "[1, 2]"), 11),
+    "null row": (lambda ls: _put(ls, 12, "null"), 12),
+    "missing key": (lambda ls: _with(ls, 9, "done", drop=True), 9),
+    "extra key": (lambda ls: _with(ls, 10, "x", 1.0), 10),
+    "s too short": (lambda ls: _with(ls, 3, "s", [1.0]), 3),
+    "an too long": (lambda ls: _with(ls, 12, "an", [0.1, 0.2, 0.3]), 12),
+    "bool in a": (lambda ls: _with(ls, 11, "a", True, index=1), 11),
+    "string in sn": (lambda ls: _with(ls, 13, "sn", "0.5", index=0), 13),
+    "nested list in s": (lambda ls: _with(ls, 14, "s", [0.1], index=0), 14),
+    "vector is a number": (lambda ls: _with(ls, 14, "an", 0.5), 14),
+    "bool r": (lambda ls: _with(ls, 15, "r", True), 15),
+    "string r": (lambda ls: _with(ls, 15, "r", "-1.0"), 15),
+    "integer done": (lambda ls: _with(ls, 16, "done", 1), 16),
+    "integers are numbers": (
+        lambda ls: _with(_with(ls, 17, "r", -1), 18, "s", [0, 1]), "ok"),
+    "integer too large for a float": (lambda ls: _with(ls, 17, "s", 10 ** 400, index=0),
+                                      OverflowError),
+    "integer with too many digits": (
+        lambda ls: _put(ls, 19, ls[18].replace('"r": ', '"r": ' + "9" * 5000 + ", \"x\": ", 1)),
+        ValueError),
+    "nesting too deep": (lambda ls: _put(ls, 20, "[" * 100000), RecursionError),
+    "duplicate key": (lambda ls: _put(ls, 21, ls[20][:-1] + ', "r": -2.5}'), "ok"),
+    "escaped key": (lambda ls: _put(ls, 22, ls[21].replace('"s"', '"\\u0073"')), "ok"),
+    "whitespace around rows": (lambda ls: [ls[0]] + [" " + row + "\t" for row in ls[1:]], "ok"),
+    "line separator inside a row": (lambda ls: _put(ls, 23, ls[22].replace(", ", ",\u2028", 1)),
+                                    23),
+    "file separator inside a row": (lambda ls: _put(ls, 24, ls[23].replace(", ", ",\x1c", 1)),
+                                    24),
+    "nan r": (lambda ls: _with(ls, 6, "r", math.nan), 6),
+    "infinities and 1e999 at several rows": (
+        lambda ls: _overflow(_with(_with(_with(ls, 9, "a", -math.inf, index=0), 3, "sn",
+                                         math.inf, index=1), 30, "r", math.nan), 4, "s", 0),
+        3),
+    "1e999 alone": (lambda ls: _overflow(ls, 7, "r"), 7),
+    "structural error after a non-finite row": (
+        lambda ls: _with(_with(ls, 3, "r", math.nan), 20, "s", None), 20),
+    "a non-finite first row and a bad last row": (
+        lambda ls: _with(_with(ls, 2, "an", math.nan, index=1), 41, "done", "yes"), 41),
+    "header only": (lambda ls: ls[:1], FormatError),
+    "empty file": (lambda ls: [], FormatError),
+    "bad header": (lambda ls: _put(ls, 1, '{"ds": 2}'), 1),
+    "header dimension beyond memory": (
+        lambda ls: _put(ls, 1, ls[0].replace('"ds": 2', '"ds": 1' + "0" * 12)), 2),
+    "header dimension beyond any array": (
+        lambda ls: _put(ls, 1, ls[0].replace('"da": 2', '"da": 1' + "0" * 30)), 2),
+}
+
+
+def _write(path, lines, newline="\n"):
+    path.write_text("".join(line + newline for line in lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("chunk", [1, 3, data_module._CHUNK_LINES])
+@pytest.mark.parametrize("name", list(_CASES))
+def test_chunked_loader_matches_the_line_by_line_oracle(tmp_path, monkeypatch, name, chunk):
+    monkeypatch.setattr(data_module, "_CHUNK_LINES", chunk)
+    edit, expected = _CASES[name]
+    path = tmp_path / "d.jsonl"
+    _write(path, edit(_saved_lines(tmp_path, 1)))
+    got = _outcome(load_jsonl, path)
+    assert got == _outcome(load_jsonl_line_by_line, path)
+    if expected == "ok":
+        assert isinstance(got[0], tuple)
+    elif isinstance(expected, int):
+        assert got[:2] == (ParseError, expected)
+    else:
+        assert got[0] is expected
+
+
+def test_chunked_loader_keeps_crlf_files_and_reports_across_a_chunk_boundary(tmp_path):
+    # 1080 rows: line 1025 ends the first chunk, line 1026 starts the next
+    lines = _saved_lines(tmp_path, 27)
+    assert data_module._CHUNK_LINES == 1024
+    cases = [
+        (lines, None),
+        (_with(_with(lines, 1026, "s", [1.0]), 1025, "a", True, index=0), 1025),
+        (_with(_with(lines, 1025, "r", math.inf), 1026, "done", drop=True), 1026),
+        (_with(_with(lines, 1025, "sn", math.nan, index=0), 1026, "an", -math.inf, index=1),
+         1025),
+        (_put(_with(lines, 1080, "r", math.nan), 1081, ""), 1081),
+    ]
+    path = tmp_path / "d.jsonl"
+    for edited, line in cases:
+        for newline in ("\n", "\r\n"):
+            _write(path, edited, newline)
+            got = _outcome(load_jsonl, path)
+            assert got == _outcome(load_jsonl_line_by_line, path)
+            assert got[:2] == (ParseError, line) if line else isinstance(got[0], tuple)
+
+
+def test_clean_rows_take_one_json_parse_per_chunk(tmp_path, monkeypatch):
+    path = tmp_path / "d.jsonl"
+    lines = _saved_lines(tmp_path, 27)  # 1080 rows, two chunks
+    _write(path, lines)
+    parses, line_by_line = [], []
+    loads, rows_line_by_line = json.loads, data_module._rows_line_by_line
+    monkeypatch.setattr(json, "loads", lambda text: parses.append(text) or loads(text))
+    monkeypatch.setattr(data_module, "_rows_line_by_line",
+                        lambda *args: line_by_line.append(args) or rows_line_by_line(*args))
+    assert len(load_jsonl(str(path))) == 1080
+    assert (len(parses), line_by_line) == (3, [])  # the header, then one per chunk
+    _write(path, _with(lines, 1030, "r", -1))  # an integer r in the second chunk
+    parses.clear()
+    assert load_jsonl(str(path)).r[1028] == -1.0
+    assert [args[1] for args in line_by_line] == [1026]
+    assert len(parses) == 3 + 1080 - 1024
+
+
+_JUNK = ["", " ", "{", "}", "[", "]", ",", '""', ":", "1", "-0.5", "1e999", "NaN", "true",
+         "null", '"s"', '"done"', "[1.0, 2.0]", "\u2028", "\r"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(2, 41), st.integers(0, 400),
+                                st.sampled_from(_JUNK)), max_size=3),
+       chunk=st.sampled_from([1, 2, 5, 1024]))
+def test_chunked_loader_matches_the_oracle_on_spliced_text(tmp_path_factory, edits, chunk):
+    directory = tmp_path_factory.mktemp("spliced")
+    lines = _saved_lines(directory, 1)
+    for lineno, at, junk in edits:
+        text = lines[lineno - 1]
+        lines[lineno - 1] = text[:at] + junk + text[at:]
+    path = directory / "d.jsonl"
+    _write(path, lines)
+    original = data_module._CHUNK_LINES
+    data_module._CHUNK_LINES = chunk
+    try:
+        got = _outcome(load_jsonl, path)
+    finally:
+        data_module._CHUNK_LINES = original
+    assert got == _outcome(load_jsonl_line_by_line, path)

@@ -171,12 +171,27 @@ def test_mixture_arrays_are_read_only_copies():
     mix = GaussianMixture(np.array([0.5, 0.5]), rng.standard_normal((2, 2)), covs)
     covs[0, 0, 0] = 5.0  # the caller's array stays writable and detached
     assert mix.covariances[0, 0, 0] == 1.0
-    for arr in (mix.weights, mix.means, mix.covariances, mix.chols):
+    for arr in (mix.weights, mix.means, mix.covariances, mix.chols, mix.cdf):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     with pytest.raises(ValueError):
         mix.covariances[1, 0, 0] = 3.0
     assert np.array_equal(mix.chols[1], np.sqrt(2.0) * np.eye(2))
+
+
+def test_symmetry_tolerance_is_allcloses_and_names_the_first_bad_component():
+    eye = np.eye(2)
+    for gap in (0.0, 0.5e-10, 1e-10, 1.0000001e-10, 1.1e-10, 1e-6):
+        covs = np.stack([eye, eye, eye])
+        covs[1, 0, 1] = gap  # 1e-10 itself is allclose's atol, so it still passes
+        covs[2, 1, 0] = -gap
+        symmetric = all(np.allclose(c, c.T, rtol=0.0, atol=1e-10) for c in covs)
+        assert symmetric == (gap <= 1e-10)
+        if symmetric:
+            GaussianMixture(np.full(3, 1 / 3), np.zeros((3, 2)), covs)
+        else:
+            with pytest.raises(InputError, match="^covariance 1 is not symmetric$"):
+                GaussianMixture(np.full(3, 1 / 3), np.zeros((3, 2)), covs)
 
 
 def test_fit_is_deterministic_given_seed():
@@ -231,6 +246,23 @@ def test_sample_cluster_follows_weights():
     assert abs(draws.mean() - 0.8) < 0.01
 
 
+def test_sample_cluster_draws_what_generator_choice_draws():
+    rng = np.random.default_rng(21)
+    for trial in range(400):
+        k = int(rng.integers(1, 9))
+        weights = rng.dirichlet(np.ones(k))
+        if k > 1 and trial % 2:  # zero some weights, keeping one live
+            weights[rng.permutation(k)[:int(rng.integers(1, k))]] = 0.0
+            weights /= weights.sum()
+        mix = GaussianMixture(weights, np.zeros((k, 1)), np.ones((k, 1, 1)))
+        ours, numpys = np.random.default_rng(trial), np.random.default_rng(trial)
+        for _ in range(5):
+            z = sample_cluster(mix, ours)
+            assert z == numpys.choice(k, p=mix.weights)
+            assert mix.weights[z] > 0
+        assert ours.random() == numpys.random()
+
+
 def test_effective_clusters_counts_live_weights():
     mix = GaussianMixture(np.array([0.005, 0.495, 0.5]),
                           np.zeros((3, 2)),
@@ -252,6 +284,15 @@ def test_mixture_json_round_trip():
         with pytest.raises(FormatError, match="finite"):
             mixture_from_json(f'{{"K": 1, "weights": {weights}, "means": {means}, '
                               '"covariances": [[1.0]]}')
+    # ragged or non-numeric arrays are the payload's fault, not numpy's
+    for payload in ('{"K":2,"weights":[0.5,0.5],"means":[[1],[1,2]],"covariances":[[1],[1]]}',
+                    '{"K":1,"weights":["a"],"means":[[0.0]],"covariances":[[1.0]]}',
+                    '{"K":1,"weights":[1.0],"means":[[0.0]],"covariances":[[1.0], [1.0, 2.0]]}',
+                    '{"K":1,"weights":[1.0],"means":[[0.0]],"covariances":{"a": 1}}'):
+        with pytest.raises(FormatError, match="rectangular and numeric"):
+            mixture_from_json(payload)
+    with pytest.raises(FormatError, match="K must be a positive integer"):
+        mixture_from_json('{"K":true,"weights":[1.0],"means":[[0.0]],"covariances":[[1.0]]}')
 
 
 def test_mixture_validation():
@@ -267,6 +308,9 @@ def test_mixture_validation():
             GaussianMixture(np.array(weights), means, covs)
     with pytest.raises(InputError, match="symmetric"):
         GaussianMixture(np.array([1.0]), np.zeros((1, 2)), np.array([[[1.0, 0.5], [0.0, 1.0]]]))
+    for weights in (np.array(1.0), np.array([[0.5, 0.5]])):
+        with pytest.raises(InputError, match=r"weights must be \(K,\)"):
+            GaussianMixture(weights, np.zeros((1, 1)), np.ones((1, 1, 1)))
     with pytest.raises(InputError, match="positive definite"):
         GaussianMixture(np.array([1.0]), np.zeros((1, 2)), -eyes[:1])
     with pytest.raises(InputError):
