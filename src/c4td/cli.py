@@ -76,7 +76,7 @@ def _apply_override(cfg: dict, assignment: str) -> None:
         raise InputError(f"--set expects key=value, got {assignment!r}")
     try:
         value = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError):  # kept as text
+    except (ValueError, RecursionError):  # kept as text; the schema names the field
         value = raw
     node = cfg
     parts = key.split(".")
@@ -93,7 +93,7 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable bytes and int-digit limit too
         raise InputError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError("config root must be a JSON object")

@@ -312,11 +312,23 @@ def save_jsonl(dataset: OfflineDataset, path: str) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
+def _json_line(text: str, line: int, prefix: str = ""):
+    """``json.loads`` of one line; any failure, malformed JSON or one of Python's
+    integer-digit and nesting limits, is a ParseError naming the line."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(line, f"{prefix}not valid JSON: {getattr(exc, 'msg', exc)}") from exc
+
+
 def _float_vector(value, length: int, line: int, key: str) -> list[float]:
     if (not isinstance(value, list) or len(value) != length
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         raise ParseError(line, f"field {key!r} must be a list of {length} numbers")
-    return [float(v) for v in value]
+    try:
+        return [float(v) for v in value]
+    except OverflowError:  # an integer literal beyond the float range
+        raise ParseError(line, f"field {key!r} holds a number too large for a float") from None
 
 
 def _rows_line_by_line(lines: list[str], first: int, ds: int, da: int) -> dict[str, list]:
@@ -325,10 +337,7 @@ def _rows_line_by_line(lines: list[str], first: int, ds: int, da: int) -> dict[s
     for lineno, text in enumerate(lines, start=first):
         if not text.strip():
             raise ParseError(lineno, "blank line")
-        try:
-            row = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(lineno, f"not valid JSON: {exc.msg}") from exc
+        row = _json_line(text, lineno)
         if not isinstance(row, dict) or set(row) != _ROW_KEYS:
             raise ParseError(lineno, f"row must have exactly the keys {sorted(_ROW_KEYS)}")
         cols["s"].append(_float_vector(row["s"], ds, lineno, "s"))
@@ -339,7 +348,7 @@ def _rows_line_by_line(lines: list[str], first: int, ds: int, da: int) -> dict[s
             raise ParseError(lineno, "field 'r' must be a number")
         if not isinstance(row["done"], bool):
             raise ParseError(lineno, "field 'done' must be a boolean")
-        cols["r"].append(float(row["r"]))
+        cols["r"].extend(_float_vector([row["r"]], 1, lineno, "r"))
         cols["done"].append(row["done"])
     return cols
 
@@ -384,14 +393,14 @@ def load_jsonl(path: str) -> OfflineDataset:
     error reported is the first in line order. Non-finite values are looked
     for once every row has parsed.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"dataset {path} is not UTF-8 text: {exc}") from exc
     if not lines:
         raise FormatError("empty dataset file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(1, f"header is not valid JSON: {exc.msg}") from exc
+    header = _json_line(lines[0], 1, "header is ")
     if not isinstance(header, dict) or set(header) != set(_HEADER_KEYS):
         raise ParseError(1, f"header must have exactly the keys {sorted(_HEADER_KEYS)}")
     for key, typ in _HEADER_KEYS.items():

@@ -118,9 +118,13 @@ def logsumexp_rows(logs: np.ndarray) -> np.ndarray:
     return safe + np.log(np.exp(logs - safe[:, None]).sum(axis=1))
 
 
+def log_density(mixture: GaussianMixture, y: np.ndarray) -> np.ndarray:
+    """log p(y_i) under the mixture for every row i of y."""
+    return logsumexp_rows(_log_components(_check_data(y, mixture.dim), mixture))
+
+
 def log_likelihood(y: np.ndarray, mixture: GaussianMixture) -> float:
-    y = _check_data(y, mixture.dim)
-    return float(logsumexp_rows(_log_components(y, mixture)).sum())
+    return float(log_density(mixture, y).sum())
 
 
 def _posterior(mixture: GaussianMixture, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,36 +12,44 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .gmm import gaussian_logpdf, logsumexp_rows
+from .gmm import GaussianMixture, gaussian_logpdf, log_density
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GaussianDist:
-    """Multivariate Gaussian with a strictly positive definite covariance."""
+    """Multivariate Gaussian with a strictly positive definite covariance.
+
+    Like ``gmm.GaussianMixture``, it copies its inputs and is read-only, so
+    the Cholesky factor taken when it is built never goes stale.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
+    _chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        d = self.mean.shape[0]
-        if self.mean.ndim != 1 or self.cov.shape != (d, d):
-            raise InputError(f"mean/cov shapes {self.mean.shape}/{self.cov.shape}")
-        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.cov))):
+        mean = np.atleast_1d(np.array(self.mean, dtype=float))
+        cov = np.atleast_2d(np.array(self.cov, dtype=float))
+        d = mean.shape[0]
+        if mean.ndim != 1 or cov.shape != (d, d):
+            raise InputError(f"mean/cov shapes {mean.shape}/{cov.shape}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise InputError("mean and covariance must be finite")
-        if not np.allclose(self.cov, self.cov.T, rtol=0.0, atol=1e-12):
+        if (np.abs(cov - cov.T) > 1e-12).any():
             raise InputError("covariance must be symmetric")
         try:
-            self._chol = np.linalg.cholesky(self.cov)
+            chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise InputError("covariance must be positive definite") from exc
+        for name, arr in (("mean", mean), ("cov", cov), ("_chol", chol)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -83,57 +91,6 @@ class PenaltyCoeffs:
         return 1.0 / (1.0 - self.gamma)
 
 
-@dataclass
-class ClusterBehavior:
-    """Mixture of per-cluster action Gaussians nu_m with weights w_m."""
-
-    weights: np.ndarray
-    components: list[GaussianDist]
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 1 or len(self.weights) != len(self.components):
-            raise InputError("need one weight per component")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-9:
-            raise InputError("weights must form a probability vector")
-        dims = {c.dim for c in self.components}
-        if len(dims) != 1:
-            raise InputError("components must share one dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.components[0].dim
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        logs = np.stack([np.log(w) + c.logpdf(x) if w > 0
-                         else np.full(np.atleast_2d(x).shape[0], -np.inf)
-                         for w, c in zip(self.weights, self.components)], axis=1)
-        return logsumexp_rows(logs)
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_density(x))
-
-
-def fit_cluster_behaviors(actions: np.ndarray, responsibilities: np.ndarray,
-                          ridge: float = 1e-6) -> ClusterBehavior:
-    """State-independent action Gaussians per cluster, ridged to stay PD."""
-    actions = np.asarray(actions, dtype=float)
-    resp = np.asarray(responsibilities, dtype=float)
-    if actions.ndim != 2 or resp.ndim != 2 or actions.shape[0] != resp.shape[0]:
-        raise InputError("actions and responsibilities must have matching rows")
-    counts = resp.sum(axis=0)
-    if np.any(counts <= 0):
-        raise InputError("every cluster needs positive responsibility mass")
-    weights = counts / counts.sum()
-    comps = []
-    for z in range(resp.shape[1]):
-        mu = (resp[:, z] @ actions) / counts[z]
-        diff = actions - mu
-        cov = (diff * resp[:, z, None]).T @ diff / counts[z]
-        comps.append(GaussianDist(mu, 0.5 * (cov + cov.T) + ridge * np.eye(actions.shape[1])))
-    return ClusterBehavior(weights, comps)
-
-
 # ------------------------------------------------------------- divergences
 
 def gaussian_kl(p: GaussianDist, q: GaussianDist) -> float:
@@ -151,42 +108,39 @@ def gaussian_kl(p: GaussianDist, q: GaussianDist) -> float:
 
 def gaussian_chi2_equal_cov(mu1: np.ndarray, mu2: np.ndarray, sigma: np.ndarray) -> float:
     """Pearson chi-square between equal-covariance Gaussians: e^(d^T S^-1 d) - 1."""
-    mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
-    mu2 = np.atleast_1d(np.asarray(mu2, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if mu1.shape != mu2.shape or sigma.shape != (len(mu1), len(mu1)):
-        raise InputError("dimension mismatch")
-    try:
-        np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise InputError("sigma must be positive definite") from exc
-    delta = mu1 - mu2
-    return float(np.expm1(delta @ np.linalg.solve(sigma, delta)))
+    p, q = GaussianDist(mu1, sigma), GaussianDist(mu2, sigma)
+    delta = p.mean - q.mean
+    return float(np.expm1(delta @ np.linalg.solve(p.cov, delta)))
 
 
-def gaussian_chi2(p: GaussianDist, q: GaussianDist) -> float:
-    """General Gaussian Pearson chi-square; inf when the integral diverges.
+def _chi2(p: GaussianDist, q: GaussianDist) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """chi2(p||q) and the p_cov^-1, A and b it is built from, for the mean-gradient.
 
-    chi2(p||q) + 1 = integral of p^2/q, finite iff 2 p_cov^-1 - q_cov^-1 is
-    positive definite.
+    chi2(p||q) + 1 = integral of p^2/q, finite iff A = 2 p_cov^-1 - q_cov^-1
+    is positive definite (inf otherwise); b = 2 p_cov^-1 p_mean - q_cov^-1 q_mean.
     """
     if p.dim != q.dim:
         raise InputError("dimension mismatch")
     p_inv = np.linalg.inv(p.cov)
     q_inv = np.linalg.inv(q.cov)
     a = 2.0 * p_inv - q_inv
+    b = 2.0 * p_inv @ p.mean - q_inv @ q.mean
     try:
         a_chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return float("inf")
-    b = 2.0 * p_inv @ p.mean - q_inv @ q.mean
+        return float("inf"), p_inv, a, b
     # log of |q_cov|^(1/2) |p_cov|^(-1) |A|^(-1/2)
     log_coef = (0.5 * np.linalg.slogdet(q.cov)[1] - np.linalg.slogdet(p.cov)[1]
                 - np.sum(np.log(np.diag(a_chol))))
     u = np.linalg.solve(a_chol, b)
     exponent = 0.5 * float(u @ u) - float(p.mean @ p_inv @ p.mean) \
         + 0.5 * float(q.mean @ q_inv @ q.mean)
-    return float(np.expm1(log_coef + exponent))
+    return float(np.expm1(log_coef + exponent)), p_inv, a, b
+
+
+def gaussian_chi2(p: GaussianDist, q: GaussianDist) -> float:
+    """General Gaussian Pearson chi-square; inf when the integral diverges."""
+    return _chi2(p, q)[0]
 
 
 def _grad_mu_kl(policy: GaussianDist, nu: GaussianDist) -> np.ndarray:
@@ -195,14 +149,10 @@ def _grad_mu_kl(policy: GaussianDist, nu: GaussianDist) -> np.ndarray:
 
 def _grad_mu_chi2(policy: GaussianDist, nu: GaussianDist) -> np.ndarray:
     """Gradient of the general Gaussian chi-square in the policy mean."""
-    p_inv = np.linalg.inv(policy.cov)
-    q_inv = np.linalg.inv(nu.cov)
-    a = 2.0 * p_inv - q_inv
-    b = 2.0 * p_inv @ policy.mean - q_inv @ nu.mean
-    value_plus_one = gaussian_chi2(policy, nu) + 1.0
-    if not math.isfinite(value_plus_one):
+    value, p_inv, a, b = _chi2(policy, nu)
+    if not math.isfinite(value + 1.0):
         raise NumericalError("chi-square divergence is infinite at this policy")
-    return value_plus_one * 2.0 * (p_inv @ (np.linalg.solve(a, b) - policy.mean))
+    return (value + 1.0) * 2.0 * (p_inv @ (np.linalg.solve(a, b) - policy.mean))
 
 
 # -------------------------------------------------------------- step sizes
@@ -304,17 +254,11 @@ def kappa_star_pearson_closed_form(r_curvature: float, alpha: float, gamma: floa
 def policy_update_mean(mu_beta: np.ndarray, sigma_beta: np.ndarray,
                        g: np.ndarray, kappa: float) -> np.ndarray:
     """Penalized-improvement mean mu_beta + kappa * Sigma_beta g."""
-    mu_beta = np.atleast_1d(np.asarray(mu_beta, dtype=float))
-    sigma_beta = np.atleast_2d(np.asarray(sigma_beta, dtype=float))
+    beta = GaussianDist(mu_beta, sigma_beta)
     g = np.atleast_1d(np.asarray(g, dtype=float))
-    d = len(mu_beta)
-    if sigma_beta.shape != (d, d) or g.shape != (d,):
+    if g.shape != (beta.dim,):
         raise InputError("dimension mismatch")
-    try:
-        np.linalg.cholesky(sigma_beta)
-    except np.linalg.LinAlgError as exc:
-        raise InputError("sigma_beta must be positive definite") from exc
-    return mu_beta + kappa * (sigma_beta @ g)
+    return beta.mean + kappa * (beta.cov @ g)
 
 
 def chi2_inflation_at_optimum(r_curvature: float,
@@ -380,7 +324,7 @@ class BoundCheck(NamedTuple):
 DIVERGENCES = ("kl", "chi2", "mse")
 
 
-def mixture_bound_check(policy: GaussianDist, clusters: ClusterBehavior,
+def mixture_bound_check(policy: GaussianDist, clusters: GaussianMixture,
                         divergence: str, n_mc: int = 20_000,
                         rng: np.random.Generator | None = None,
                         quad_tol: float = 1e-9) -> BoundCheck:
@@ -392,17 +336,19 @@ def mixture_bound_check(policy: GaussianDist, clusters: ClusterBehavior,
     mean squared density difference over a fixed evaluation grid, where the
     convexity bound holds pointwise and both sides are exact. Zero-weight
     components are dropped; a single surviving component makes the mixture a
-    plain Gaussian, so lhs uses the same closed form as rhs.
+    plain Gaussian, so lhs uses the same closed form as rhs. ``clusters`` is
+    the behavior mixture over actions.
     """
     divergence = divergence.lower()
     if divergence not in DIVERGENCES:
         raise InputError(f"divergence must be one of {DIVERGENCES}")
     if policy.dim != clusters.dim:
         raise InputError("policy and behavior dimensions differ")
-    live = [(float(w), c) for w, c in zip(clusters.weights, clusters.components) if w > 0]
-    weights = np.array([w for w, _ in live])
-    comps = [c for _, c in live]
-    mixture = ClusterBehavior(weights, comps)
+    keep = clusters.weights > 0
+    live = clusters if keep.all() else GaussianMixture(
+        clusters.weights[keep], clusters.means[keep], clusters.covariances[keep])
+    weights = live.weights
+    comps = [GaussianDist(m, c) for m, c in zip(live.means, live.covariances)]
 
     if divergence == "mse":
         grid = _density_grid(policy, comps)
@@ -413,32 +359,24 @@ def mixture_bound_check(policy: GaussianDist, clusters: ClusterBehavior,
         rhs = float(weights @ np.mean((p_vals[:, None] - comp_vals) ** 2, axis=0))
         return BoundCheck(lhs, rhs, 0.0)
 
-    if divergence == "kl":
-        rhs = float(sum(w * gaussian_kl(policy, c) for w, c in live))
-    else:
-        rhs = float(sum(w * gaussian_chi2(policy, c) for w, c in live))
+    kl = divergence == "kl"
+    closed_form = gaussian_kl if kl else gaussian_chi2
+    rhs = float(sum(w * closed_form(policy, c) for w, c in zip(weights, comps)))
     if not math.isfinite(rhs):
         raise NumericalError(f"closed-form {divergence} is not finite")
 
     if len(comps) == 1:
-        lhs = gaussian_kl(policy, comps[0]) if divergence == "kl" \
-            else gaussian_chi2(policy, comps[0])
-        return BoundCheck(float(lhs), rhs, 0.0)
+        return BoundCheck(float(closed_form(policy, comps[0])), rhs, 0.0)
 
     if policy.dim == 1:
-        lo, hi = _integration_range(policy, comps)
-        if divergence == "kl":
-            def integrand(x):
-                pts = np.asarray(x, dtype=float).reshape(-1, 1)
-                logp = policy.logpdf(pts)
-                return np.exp(logp) * (logp - mixture.log_density(pts))
-        else:
-            def integrand(x):
-                pts = np.asarray(x, dtype=float).reshape(-1, 1)
-                logp = policy.logpdf(pts)
-                return np.exp(2.0 * logp - mixture.log_density(pts))
-        value = _adaptive_simpson(integrand, lo, hi, quad_tol)
-        lhs = value if divergence == "kl" else value - 1.0
+        def integrand(x):
+            pts = np.asarray(x, dtype=float).reshape(-1, 1)
+            logp = policy.logpdf(pts)
+            log_mix = log_density(live, pts)
+            return np.exp(logp) * (logp - log_mix) if kl else np.exp(2.0 * logp - log_mix)
+
+        value = _adaptive_simpson(integrand, *_integration_range(policy, comps), quad_tol)
+        lhs = value if kl else value - 1.0
         if not math.isfinite(lhs):
             raise NumericalError(f"quadrature {divergence} estimate is not finite")
         return BoundCheck(float(lhs), rhs, 0.0)
@@ -447,11 +385,8 @@ def mixture_bound_check(policy: GaussianDist, clusters: ClusterBehavior,
         raise InputError("multivariate mixture bounds need an rng for MC")
     draws = policy.sample(n_mc, rng)
     logp = policy.logpdf(draws)
-    log_mix = mixture.log_density(draws)
-    if divergence == "kl":
-        samples = logp - log_mix
-    else:
-        samples = np.exp(logp - log_mix) - 1.0
+    log_mix = log_density(live, draws)
+    samples = logp - log_mix if kl else np.exp(logp - log_mix) - 1.0
     lhs = float(samples.mean())
     stderr = float(samples.std(ddof=1) / np.sqrt(n_mc))
     if not math.isfinite(lhs) or not math.isfinite(stderr):
@@ -459,7 +394,7 @@ def mixture_bound_check(policy: GaussianDist, clusters: ClusterBehavior,
     return BoundCheck(lhs, rhs, stderr)
 
 
-def unbiased_cluster_gradient_check(policy: GaussianDist, clusters: ClusterBehavior,
+def unbiased_cluster_gradient_check(policy: GaussianDist, clusters: GaussianMixture,
                                     coeffs: PenaltyCoeffs, n_trials: int,
                                     rng: np.random.Generator,
                                     q_linear: np.ndarray | None = None
@@ -475,12 +410,13 @@ def unbiased_cluster_gradient_check(policy: GaussianDist, clusters: ClusterBehav
     q = np.zeros(policy.dim) if q_linear is None else np.asarray(q_linear, dtype=float)
     if q.shape != (policy.dim,):
         raise InputError(f"q_linear must have shape ({policy.dim},)")
+    comps = [GaussianDist(m, c) for m, c in zip(clusters.means, clusters.covariances)]
     per_cluster = np.stack([
         q - coeffs.rho_bar * (coeffs.alpha * _grad_mu_chi2(policy, c)
                               + coeffs.beta_kl * _grad_mu_kl(policy, c))
-        for c in clusters.components])
+        for c in comps])
     full = clusters.weights @ per_cluster
-    draws = rng.choice(len(clusters.components), size=n_trials, p=clusters.weights)
+    draws = rng.choice(clusters.n_components, size=n_trials, p=clusters.weights)
     sampled = per_cluster[draws]
     mean = sampled.mean(axis=0)
     stderr = sampled.std(axis=0, ddof=1) / np.sqrt(n_trials)
@@ -492,22 +428,19 @@ def unbiased_cluster_gradient_check(policy: GaussianDist, clusters: ClusterBehav
 
 # ----------------------------------------------------------- integration
 
-def _integration_range(policy: GaussianDist, comps: Sequence[GaussianDist],
+def _integration_range(policy: GaussianDist, comps: Sequence[GaussianDist], axis: int = 0,
                        n_sigma: float = 14.0) -> tuple[float, float]:
+    """Smallest interval along ``axis`` holding mean +- n_sigma sd of every distribution."""
     dists = [policy, *comps]
-    los = [float(d.mean[0]) - n_sigma * math.sqrt(float(d.cov[0, 0])) for d in dists]
-    his = [float(d.mean[0]) + n_sigma * math.sqrt(float(d.cov[0, 0])) for d in dists]
-    return min(los), max(his)
+    lo = min(float(d.mean[axis]) - n_sigma * math.sqrt(float(d.cov[axis, axis])) for d in dists)
+    hi = max(float(d.mean[axis]) + n_sigma * math.sqrt(float(d.cov[axis, axis])) for d in dists)
+    return lo, hi
 
 
 def _density_grid(policy: GaussianDist, comps: Sequence[GaussianDist],
                   points_per_dim: int = 121, n_sigma: float = 8.0) -> np.ndarray:
-    dists = [policy, *comps]
-    axes = []
-    for j in range(policy.dim):
-        lo = min(float(d.mean[j]) - n_sigma * math.sqrt(float(d.cov[j, j])) for d in dists)
-        hi = max(float(d.mean[j]) + n_sigma * math.sqrt(float(d.cov[j, j])) for d in dists)
-        axes.append(np.linspace(lo, hi, points_per_dim))
+    axes = [np.linspace(*_integration_range(policy, comps, j, n_sigma), points_per_dim)
+            for j in range(policy.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 

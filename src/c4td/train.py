@@ -20,7 +20,7 @@ import numpy as np
 from . import gmm
 from .covstats import cross_cov, normalized_trace, penalty
 from .data import NONNEGATIVE, POSITIVE, EnvSpec, OfflineDataset, at_least, check_fields
-from .errors import InputError, NumericalError, ParseError
+from .errors import FormatError, InputError, NumericalError, ParseError
 from .gmm import GaussianMixture
 from .nets import MlpCritic, TargetCritic
 
@@ -536,7 +536,7 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
 
 def metrics_to_csv(records: list[MetricRecord], path) -> None:
     """Write the metric log; zero records still produce the header row."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRIC_COLUMNS)
         for rec in records:
@@ -550,16 +550,19 @@ def metrics_from_csv(path) -> list[dict]:
     malformed row (header is line 1).
     """
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != METRIC_COLUMNS:
-            raise ParseError(1, f"unexpected metrics header in {path}")
-        for raw in reader:
-            if None in raw or any(v is None for v in raw.values()):
-                raise ParseError(reader.line_num, "wrong number of fields")
-            try:
-                row = {f.name: _CELLS[f.type][1](raw[f.name]) for f in fields(MetricRecord)}
-            except ValueError as exc:
-                raise ParseError(reader.line_num, str(exc)) from exc
-            rows.append(row)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or tuple(reader.fieldnames) != METRIC_COLUMNS:
+                raise ParseError(1, f"unexpected metrics header in {path}")
+            for raw in reader:
+                if None in raw or any(v is None for v in raw.values()):
+                    raise ParseError(reader.line_num, "wrong number of fields")
+                try:
+                    row = {f.name: _CELLS[f.type][1](raw[f.name]) for f in fields(MetricRecord)}
+                except ValueError as exc:
+                    raise ParseError(reader.line_num, str(exc)) from exc
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"metrics {path} is not UTF-8 text: {exc}") from exc
     return rows

@@ -18,8 +18,7 @@ from .data import EnvSpec, generate
 from .diagnostics import PerturbSpec, direct_var_delta, estimate_abc, grad_cosine_report
 from .errors import InputError
 from .nets import MlpCritic
-from .policy import (ClusterBehavior, GaussianDist, PenaltyCoeffs,
-                     chi2_inflation_at_optimum, kappa_star,
+from .policy import (GaussianDist, PenaltyCoeffs, chi2_inflation_at_optimum, kappa_star,
                      kappa_star_pearson_closed_form, mixture_bound_check)
 
 SUITES = ("covariance", "gmm", "theorem1", "policy", "all")
@@ -202,10 +201,9 @@ def suite_policy(seed: int = 0) -> dict:
     worst_bound = -math.inf
     for i in range(20):
         pol = GaussianDist(rng.uniform(-0.4, 0.4, 1), [[float(rng.uniform(0.2, 0.6))]])
-        comps = [GaussianDist(rng.uniform(-1, 1, 1), [[float(rng.uniform(0.4, 1.2))]])
-                 for _ in range(3)]
-        w = rng.dirichlet(np.ones(3))
-        clusters = ClusterBehavior(w, comps)
+        means, covs = zip(*[(rng.uniform(-1, 1, 1), [[float(rng.uniform(0.4, 1.2))]])
+                            for _ in range(3)])
+        clusters = gmm.GaussianMixture(rng.dirichlet(np.ones(3)), means, covs)
         for div in ("kl", "chi2", "mse"):
             res = mixture_bound_check(pol, clusters, div)
             worst_bound = max(worst_bound, res.lhs - res.rhs)

@@ -37,7 +37,6 @@ from c4td.diagnostics import (
 )
 from c4td.nets import MlpCritic, param_gradient
 from c4td.policy import (
-    ClusterBehavior,
     GaussianDist,
     PenaltyCoeffs,
     chi2_inflation_at_optimum,
@@ -319,6 +318,11 @@ def test_criterion_08_policy_step_and_inflation_cap():
             f"Lambert vs bisection {worst_lambert:.2e}, cap excess {worst_cap:.2e}")
 
 
+def _behavior(weights, comps):
+    """The behavior mixture over actions of weighted Gaussian components."""
+    return gmm.GaussianMixture(weights, [c.mean for c in comps], [c.cov for c in comps])
+
+
 def _random_behavior_1d(rng, n_comp):
     # component scales stay above policy_scale/sqrt(2) so the chi-square
     # closed form is finite for every pair
@@ -326,7 +330,7 @@ def _random_behavior_1d(rng, n_comp):
                           np.array([[rng.uniform(0.6, 2.0) ** 2]]))
              for _ in range(n_comp)]
     w = rng.dirichlet(np.ones(n_comp))
-    return ClusterBehavior(w, comps)
+    return _behavior(w, comps)
 
 
 def test_criterion_09_mixture_convexity_bounds():
@@ -348,7 +352,7 @@ def test_criterion_09_mixture_convexity_bounds():
         for _ in range(n_comp):
             cov = random_psd(rng, 2) + 0.8 * np.eye(2)
             comps.append(GaussianDist(rng.uniform(-1.5, 1.5, size=2), cov))
-        clusters = ClusterBehavior(rng.dirichlet(np.ones(n_comp)), comps)
+        clusters = _behavior(rng.dirichlet(np.ones(n_comp)), comps)
         # a policy narrower than every component keeps the density ratio tame
         policy = GaussianDist(rng.uniform(-1.0, 1.0, size=2), 0.5 * np.eye(2))
         for divergence in ("kl", "chi2"):
@@ -365,7 +369,7 @@ def test_criterion_09_mixture_convexity_bounds():
         dim = int(rng.integers(1, 4))
         comps = [GaussianDist(rng.normal(size=dim), random_psd(rng, dim) + np.eye(dim))
                  for _ in range(n_comp)]
-        clusters = ClusterBehavior(rng.dirichlet(np.ones(n_comp)), comps)
+        clusters = _behavior(rng.dirichlet(np.ones(n_comp)), comps)
         policy = GaussianDist(rng.normal(size=dim), np.eye(dim))
         coeffs = PenaltyCoeffs(alpha=0.3, beta_kl=0.7, gamma=0.9)
         _, _, z = unbiased_cluster_gradient_check(

@@ -132,18 +132,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_non_finite_dataset_value_exits_2_with_its_line(tmp_path, capsys):
+@pytest.mark.parametrize("lineno, edit, message", [
+    (5, lambda text: json.dumps({**json.loads(text), "r": float("nan")}),
+     "line 5: field 'r' must be finite"),
+    (4, lambda text: json.dumps({**json.loads(text), "r": 10 ** 400}),
+     "line 4: field 'r' holds a number too large for a float"),
+    (5, lambda text: text.replace('"r": ', '"r": ' + "9" * 5000 + ', "x": ', 1),
+     "line 5: not valid JSON: Exceeds the limit (4300 digits)"),
+    (6, lambda text: "[" * 100000, "line 6: not valid JSON: maximum recursion depth"),
+    (1, lambda text: text.replace('"seed": 0', '"seed": ' + "9" * 5000),
+     "line 1: header is not valid JSON: Exceeds the limit (4300 digits)"),
+    (1, lambda text: "[" * 100000, "line 1: header is not valid JSON: maximum recursion depth"),
+], ids=["nan", "int-overflow", "int-digits", "nesting", "header-int-digits", "header-nesting"])
+def test_bad_dataset_value_exits_2_with_its_line(tmp_path, capsys, lineno, edit, message):
     config, _ = _write_config(tmp_path)
     _gen(tmp_path, config)
     data = tmp_path / "data.jsonl"
     lines = data.read_text().splitlines()
-    row = json.loads(lines[4])
-    row["r"] = float("nan")
-    lines[4] = json.dumps(row)
+    lines[lineno - 1] = edit(lines[lineno - 1])
     data.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["train", "--config", str(config), "--baseline"]) == 2
-    assert "line 5: field 'r' must be finite" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "metrics_baseline.csv").exists()
 
 
@@ -252,16 +262,44 @@ def test_gen_data_out_naming_a_directory_exits_2(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
 
 
-def test_values_nested_too_deep_for_json_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("value", ["[" * 100000, "2" * 5000], ids=["nesting", "digits"])
+def test_values_beyond_the_json_parser_limits_exit_2(tmp_path, capsys, value):
     config, _ = _write_config(tmp_path)
     _gen(tmp_path, config)
     capsys.readouterr()
-    deep = "[" * 100000
-    assert main(["train", "--config", str(config), "--set", f"train.steps={deep}"]) == 2
-    assert "train.steps must be an integer, got '[[[[" in capsys.readouterr().err
-    config.write_text('{"train": {"steps": ' + deep + "}}")
+    assert main(["train", "--config", str(config), "--set", f"train.steps={value}"]) == 2
+    assert f"train.steps must be an integer, got '{value[:4]}" in capsys.readouterr().err
+    config.write_text('{"train": {"steps": ' + value + "}}")
     assert main(["train", "--config", str(config)]) == 2
-    assert "is not valid JSON" in capsys.readouterr().err
+    assert f"config {config} is not valid JSON" in capsys.readouterr().err
+
+
+def _undecodable(path):
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+
+
+def test_undecodable_config_exits_2_naming_the_file(tmp_path, capsys):
+    config, _ = _write_config(tmp_path)
+    _undecodable(config)
+    assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "d.jsonl")]) == 2
+    assert f"config {config} is not valid JSON: 'utf-8' codec can't decode" \
+        in capsys.readouterr().err
+
+
+def test_undecodable_dataset_exits_2_naming_the_file(tmp_path, capsys):
+    config, cfg = _write_config(tmp_path)
+    _gen(tmp_path, config)
+    _undecodable(tmp_path / "data.jsonl")
+    capsys.readouterr()
+    assert main(["train", "--config", str(config)]) == 2
+    assert f"dataset {cfg['dataset']} is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_undecodable_metrics_csv_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "metrics.csv"
+    path.write_bytes(b"\xff\xfe" + ",".join(METRIC_COLUMNS).encode() + b"\n")
+    assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == 2
+    assert f"metrics {path} is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_gen_data_rejects_overflowing_env_without_numpy_warnings(tmp_path):

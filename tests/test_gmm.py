@@ -4,8 +4,8 @@ import pytest
 from c4td import gmm
 from c4td.errors import FormatError, InputError
 from c4td.gmm import (GaussianMixture, default_ridge, e_step,
-                      effective_clusters, extract_blocks, fit, log_likelihood,
-                      m_step, mixture_from_json, mixture_to_json,
+                      effective_clusters, extract_blocks, fit, log_density,
+                      log_likelihood, m_step, mixture_from_json, mixture_to_json,
                       sample_cluster, split_blocks)
 from oracles import adjusted_rand_index, mixture_logpdf
 
@@ -46,6 +46,21 @@ def test_log_likelihood_matches_scipy():
     direct = float(np.sum(mixture_logpdf(y, mix.weights, mix.means,
                                          mix.covariances)))
     assert log_likelihood(y, mix) == pytest.approx(direct, rel=1e-10)
+
+
+def test_log_density_is_the_mixture_row_by_row():
+    rng = np.random.default_rng(12)
+    mix = _random_mixture(rng, 3, 2)
+    # a zero-weight component adds nothing to any row
+    weights = np.array([0.2, 0.0, 0.8])
+    mix = GaussianMixture(weights, mix.means, mix.covariances)
+    y = rng.standard_normal((15, 2))
+    direct = mixture_logpdf(y, weights, mix.means, mix.covariances)
+    assert log_density(mix, y).shape == (15,)
+    assert np.allclose(log_density(mix, y), direct, rtol=1e-12, atol=1e-12)
+    assert log_likelihood(y, mix) == float(log_density(mix, y).sum())
+    with pytest.raises(InputError):
+        log_density(mix, np.ones((3, 3)))
 
 
 def test_m_step_matches_weighted_moments():

@@ -4,10 +4,12 @@ The hashes gate any refactor that claims to compute the same thing. They
 cover the metric log and the saved critic weights of three ``c4 train``
 configs, the mixture snapshots the c4 runs write at every cluster refresh,
 the report of ``c4 verify --suite all --seed 0`` (the only command that
-reaches the policy module and the verify suites), and one
-``grad_cosine_report`` on a fixed batch. Float results depend on the numpy
-build and its BLAS kernels, so the values are keyed by numpy version and the
-tests are skipped on a build they were not recorded on.
+reaches the policy module and the verify suites), the values the policy
+module's mixture checks return on fixed cases (verify never reaches their
+Monte Carlo path), and one ``grad_cosine_report`` on a fixed batch. Float
+results depend on the numpy build and its BLAS kernels, so the values are
+keyed by numpy version and the tests are skipped on a build they were not
+recorded on.
 """
 
 import hashlib
@@ -19,7 +21,10 @@ import pytest
 from c4td.cli import main
 from c4td.data import EnvSpec, generate, subsample
 from c4td.diagnostics import grad_cosine_report
+from c4td.gmm import GaussianMixture
 from c4td.nets import MlpCritic
+from c4td.policy import (GaussianDist, PenaltyCoeffs, mixture_bound_check,
+                         unbiased_cluster_gradient_check)
 
 RECORDED_NUMPY = "2.4.6"
 
@@ -74,6 +79,8 @@ GOLDEN_MIXTURES = {
 }
 
 GOLDEN_VERIFY_ALL_SEED0 = "82752cb72323b912d4f828cc9271ae32112d9d7ead8ec941ac0eb69d9c165d89"
+
+GOLDEN_POLICY_CHECKS = "1073cc4c908a98a1770bf38ccee87025f4c30b1ec804e378fec235a31641fc15"
 
 GOLDEN_COSINE_REPR = \
     "CosineReport(cos_var=0.7449617467316171, cos_mean_sq=0.9903117975562837)"
@@ -138,3 +145,67 @@ def test_grad_cosine_report_matches_golden_repr():
     critic = MlpCritic.init(4, (12, 12), rng)
     target = MlpCritic.init(4, (12, 12), rng)
     assert repr(grad_cosine_report(critic, target, batch, gamma=0.97)) == GOLDEN_COSINE_REPR
+
+
+def _behavior(weights, means, covs):
+    """The behavior mixture over actions that the policy checks take."""
+    return GaussianMixture(weights, means, covs)
+
+
+def _behavior_case(rng, dim, k, zero=()):
+    """Policy and k-component behavior in ``dim`` dimensions; weights at ``zero`` are 0.
+
+    Every component covariance exceeds half the policy's, so each chi-square is finite.
+    """
+    weights = rng.uniform(0.2, 1.0, size=k)
+    weights[list(zero)] = 0.0
+    weights /= weights.sum()
+    means = rng.normal(size=(k, dim))
+    covs = []
+    for _ in range(k):
+        a = rng.standard_normal((dim, dim))
+        covs.append(a @ a.T / dim + rng.uniform(0.3, 1.0) * np.eye(dim))
+    policy = GaussianDist(rng.normal(scale=0.3, size=dim),
+                          rng.uniform(0.05, 0.25) * np.eye(dim))
+    return policy, _behavior(weights, means, covs)
+
+
+def _policy_check_results():
+    """float.hex of every value the mixture checks return on 30 fixed cases."""
+    rng = np.random.default_rng(2610)
+    out, cases = [], []
+
+    def record(*values):
+        cases.append(len(values))
+        out.extend(float(v).hex() for v in np.concatenate([np.ravel(v) for v in values]))
+
+    # 1-D: quadrature for kl and chi2, the exact grid for mse; then a zero
+    # weight, and a single live component
+    for zero in ((), (), (1,), (0, 2)):
+        policy, behavior = _behavior_case(rng, 1, 3, zero)
+        for divergence in ("kl", "chi2", "mse"):
+            record(*mixture_bound_check(policy, behavior, divergence))
+    # 2-D and 3-D Monte Carlo, one draw stream per case; one 2-D mse grid
+    for trial, (dim, zero) in enumerate(((2, ()), (2, (1,)), (2, (0, 2)), (3, ()), (3, (2,)),
+                                           (3, (0, 1)))):
+        policy, behavior = _behavior_case(rng, dim, 3, zero)
+        for divergence in ("kl", "chi2"):
+            record(*mixture_bound_check(policy, behavior, divergence, n_mc=4000,
+                                        rng=np.random.default_rng(300 + trial)))
+        if trial == 0:
+            record(*mixture_bound_check(policy, behavior, "mse"))
+    # sampled-cluster gradients against the weighted full gradient
+    coeffs = PenaltyCoeffs(alpha=0.3, beta_kl=0.7, gamma=0.9)
+    for trial, (dim, zero) in enumerate(((1, ()), (1, (2,)), (2, (1,)), (2, (0, 3)),
+                                           (3, ()))):
+        policy, behavior = _behavior_case(rng, dim, 4, zero)
+        record(*unbiased_cluster_gradient_check(
+            policy, behavior, coeffs, n_trials=2000, rng=np.random.default_rng(400 + trial),
+            q_linear=rng.normal(size=dim)))
+    assert len(cases) == 30
+    return out
+
+
+def test_policy_mixture_checks_match_golden_hash():
+    results = "\n".join(_policy_check_results())
+    assert hashlib.sha256(results.encode()).hexdigest() == GOLDEN_POLICY_CHECKS

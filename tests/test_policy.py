@@ -5,9 +5,10 @@ import pytest
 from scipy import integrate, special, stats
 
 from c4td.errors import InputError, NumericalError
-from c4td.policy import (ClusterBehavior, GaussianDist, PenaltyCoeffs,
+from c4td.gmm import GaussianMixture, log_density
+from c4td.policy import (GaussianDist, PenaltyCoeffs,
                          chi2_inflation_at_optimum, cql_global_lower_bound,
-                         fit_cluster_behaviors, gaussian_chi2,
+                         gaussian_chi2,
                          gaussian_chi2_equal_cov, gaussian_kl, kappa_star,
                          kappa_star_pearson_closed_form, lambert_w,
                          mixture_bound_check, per_cluster_objective,
@@ -20,6 +21,11 @@ def _random_gaussian(rng, dim, spread=1.0):
     a = rng.standard_normal((dim, dim))
     cov = a @ a.T / dim + 0.3 * np.eye(dim)
     return GaussianDist(spread * rng.standard_normal(dim), cov)
+
+
+def _mixture(weights, comps):
+    """The behavior mixture over actions of weighted Gaussian components."""
+    return GaussianMixture(weights, [c.mean for c in comps], [c.cov for c in comps])
 
 
 def test_gaussian_dist_logpdf_matches_scipy():
@@ -41,6 +47,22 @@ def test_gaussian_dist_rejects_non_finite_parameters():
                       ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]])):
         with pytest.raises(InputError, match="finite"):
             GaussianDist(np.array(mean), np.array(cov))
+
+
+def test_gaussian_dist_copies_its_inputs_and_is_read_only():
+    mean, cov = np.zeros(2), np.eye(2)
+    d = GaussianDist(mean, cov)
+    before = d.logpdf(np.zeros(2))
+    mean += 1.0
+    cov *= 4.0  # the caller's arrays stay writable and detached
+    assert np.array_equal(d.mean, np.zeros(2)) and np.array_equal(d.cov, np.eye(2))
+    assert d.logpdf(np.zeros(2)) == before
+    assert gaussian_kl(d, GaussianDist(np.zeros(2), np.eye(2))) == 0.0
+    for arr in (d.mean, d.cov):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    with pytest.raises(AttributeError):
+        d.mean = np.ones(2)
 
 
 def test_gaussian_kl_closed_form():
@@ -202,35 +224,26 @@ def test_policy_update_mean():
         policy_update_mean(mu, np.array([[1.0, 2.0], [2.0, 1.0]]), g, 0.1)
 
 
+def test_equal_cov_helpers_reject_what_gaussian_dist_rejects():
+    mu, g = np.zeros(2), np.ones(2)
+    # asymmetric with a positive definite lower triangle, non-finite, the wrong size
+    for sigma in (np.array([[1.0, 5.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [0.0, np.inf]]),
+                  np.eye(3)):
+        with pytest.raises(InputError):
+            policy_update_mean(mu, sigma, g, 0.1)
+        with pytest.raises(InputError):
+            gaussian_chi2_equal_cov(mu, mu, sigma)
+    with pytest.raises(InputError):
+        policy_update_mean(mu, np.eye(2), np.ones(3), 0.1)
+    with pytest.raises(InputError):
+        gaussian_chi2_equal_cov(mu, np.zeros(3), np.eye(2))
+
+
 def test_cql_global_lower_bound_formula():
     val = cql_global_lower_bound(expected_q=2.0, sup_chi2=0.5, alpha=0.3, gamma=0.9)
     assert val == pytest.approx(2.0 - 0.3 * 10.0 * 0.5)
     with pytest.raises(InputError):
         cql_global_lower_bound(1.0, -0.1, 0.3, 0.9)
-
-
-def test_fit_cluster_behaviors_weighted_moments():
-    rng = np.random.default_rng(11)
-    actions = rng.standard_normal((100, 2))
-    resp = rng.uniform(size=(100, 3))
-    resp /= resp.sum(axis=1, keepdims=True)
-    clusters = fit_cluster_behaviors(actions, resp)
-    assert np.allclose(clusters.weights, resp.mean(axis=0))
-    for j, comp in enumerate(clusters.components):
-        w = resp[:, j]
-        mu = (w[:, None] * actions).sum(axis=0) / w.sum()
-        assert np.allclose(comp.mean, mu)
-
-
-def test_cluster_behavior_density_is_the_mixture():
-    rng = np.random.default_rng(12)
-    comps = [_random_gaussian(rng, 2) for _ in range(3)]
-    weights = np.array([0.2, 0.3, 0.5])
-    mix = ClusterBehavior(weights, comps)
-    x = rng.standard_normal((15, 2))
-    direct = sum(w * c.pdf(x) for w, c in zip(weights, comps))
-    assert np.allclose(mix.density(x), direct, rtol=1e-12)
-    assert np.allclose(np.exp(mix.log_density(x)), direct, rtol=1e-10)
 
 
 def test_mixture_bound_1d_by_quadrature():
@@ -244,7 +257,7 @@ def test_mixture_bound_1d_by_quadrature():
                      for _ in range(3)]
             weights = rng.uniform(0.2, 1.0, size=3)
             weights /= weights.sum()
-            check = mixture_bound_check(policy, ClusterBehavior(weights, comps),
+            check = mixture_bound_check(policy, _mixture(weights, comps),
                                         divergence)
             assert check.lhs <= check.rhs + 1e-6
             assert check.stderr == 0.0
@@ -256,13 +269,13 @@ def test_mixture_bound_1d_kl_lhs_matches_scipy_quadrature():
     comps = [GaussianDist(np.array([-0.5]), np.array([[0.5]])),
              GaussianDist(np.array([0.8]), np.array([[0.7]]))]
     weights = np.array([0.4, 0.6])
-    mix = ClusterBehavior(weights, comps)
+    mix = _mixture(weights, comps)
     check = mixture_bound_check(policy, mix, "kl")
 
     def integrand(t):
         pt = np.array([[t]])
         dens = policy.pdf(pt)[0]
-        return dens * (policy.logpdf(pt)[0] - mix.log_density(pt)[0])
+        return dens * (policy.logpdf(pt)[0] - log_density(mix, pt)[0])
 
     ref, err = integrate.quad(integrand, -12, 12, limit=400)
     assert check.lhs == pytest.approx(ref, abs=max(1e-8, 10 * err))
@@ -283,8 +296,8 @@ def _divergence_integrand(policy, mixture, divergence):
         pts = np.asarray(x, dtype=float).reshape(-1, 1)
         logp = policy.logpdf(pts)
         if divergence == "kl":
-            return np.exp(logp) * (logp - mixture.log_density(pts))
-        return np.exp(2.0 * logp - mixture.log_density(pts))
+            return np.exp(logp) * (logp - log_density(mixture, pts))
+        return np.exp(2.0 * logp - log_density(mixture, pts))
     return integrand
 
 
@@ -304,7 +317,7 @@ def _quadrature_cases():
                               np.array([[rng.uniform(0.02, 0.14)]]))
         lo, hi = _integration_range(policy, comps)
         for divergence in ("kl", "chi2"):
-            f = _divergence_integrand(policy, ClusterBehavior(weights, comps), divergence)
+            f = _divergence_integrand(policy, _mixture(weights, comps), divergence)
             cases.append((f"{divergence}-{trial}", f, lo, hi, 1e-9, 40))
     cases.append(("cubic", lambda x: 3.0 * x ** 3 - x + 0.5, -2.0, 3.0, 1e-9, 40))
     cases.append(("narrow", lambda x: np.exp(-0.5 * ((x - 0.31) / 0.01) ** 2),
@@ -343,7 +356,7 @@ def test_mixture_bound_2d_mc_within_3_sigma():
             comps = [_random_gaussian(rng, 2) for _ in range(3)]
             weights = rng.uniform(0.2, 1.0, size=3)
             weights /= weights.sum()
-            check = mixture_bound_check(policy, ClusterBehavior(weights, comps),
+            check = mixture_bound_check(policy, _mixture(weights, comps),
                                         divergence, n_mc=20_000,
                                         rng=np.random.default_rng(100 + trial))
             assert check.lhs <= check.rhs + 3.0 * check.stderr + 1e-9
@@ -352,8 +365,8 @@ def test_mixture_bound_2d_mc_within_3_sigma():
 def test_mixture_bound_single_live_component_is_tight():
     policy = GaussianDist(np.array([0.1]), np.array([[0.2]]))
     comp = GaussianDist(np.array([-0.3]), np.array([[0.6]]))
-    mix = ClusterBehavior(np.array([0.0, 1.0]),
-                          [GaussianDist(np.array([9.0]), np.array([[1.0]])), comp])
+    mix = _mixture(np.array([0.0, 1.0]),
+                   [GaussianDist(np.array([9.0]), np.array([[1.0]])), comp])
     for divergence in ("kl", "chi2"):
         check = mixture_bound_check(policy, mix, divergence)
         assert check.lhs == pytest.approx(check.rhs, rel=1e-12)
@@ -363,7 +376,7 @@ def test_mixture_bound_needs_rng_for_mc():
     policy = GaussianDist(np.zeros(2), np.eye(2))
     comps = [GaussianDist(np.zeros(2), np.eye(2)),
              GaussianDist(np.ones(2), 2.0 * np.eye(2))]
-    mix = ClusterBehavior(np.array([0.5, 0.5]), comps)
+    mix = _mixture(np.array([0.5, 0.5]), comps)
     with pytest.raises(InputError):
         mixture_bound_check(policy, mix, "kl", rng=None)
     with pytest.raises(InputError):
@@ -381,12 +394,12 @@ def test_unbiased_cluster_gradients():
     weights /= weights.sum()
     coeffs = PenaltyCoeffs(alpha=0.2, beta_kl=0.4, gamma=0.9)
     mean, full, z = unbiased_cluster_gradient_check(
-        policy, ClusterBehavior(weights, comps), coeffs, n_trials=10_000,
+        policy, _mixture(weights, comps), coeffs, n_trials=10_000,
         rng=np.random.default_rng(17), q_linear=np.array([0.5, -0.2]))
     assert z < 3.0
     assert mean.shape == full.shape == (2,)
     with pytest.raises(InputError):
-        unbiased_cluster_gradient_check(policy, ClusterBehavior(weights, comps),
+        unbiased_cluster_gradient_check(policy, _mixture(weights, comps),
                                         coeffs, n_trials=10, rng=rng)
 
 
