@@ -110,18 +110,15 @@ def build_env(cfg: dict) -> EnvSpec:
     return EnvSpec.with_circular_modes(**cfg.get("env", {}))
 
 
-def _train_config(env: EnvSpec, evaluate: bool = True, **fields) -> TrainConfig:
-    check_fields({"evaluate": evaluate}, _SECTIONS["train"], "train.")
-    return TrainConfig(eval_env=env if evaluate else None, **fields)
-
-
 def build_train_config(cfg: dict, env: EnvSpec, baseline: bool) -> TrainConfig:
     section = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.get("train", {}).items()}
     if "steps" not in section:
         raise InputError("config must set train.steps")
     if baseline:
         section["baseline_mode"] = True
-    return _train_config(env, **section)
+    evaluate = section.pop("evaluate", True)
+    check_fields({"evaluate": evaluate}, _SECTIONS["train"], "train.")
+    return TrainConfig(eval_env=env if evaluate else None, **section)
 
 
 def cmd_gen_data(args) -> int:

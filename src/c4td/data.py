@@ -167,23 +167,6 @@ class EnvSpec:
         return radius * direction
 
 
-@dataclass(frozen=True)
-class Transition:
-    s: np.ndarray
-    a: np.ndarray
-    r: float
-    s_next: np.ndarray
-    a_next: np.ndarray
-    done: bool
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Transition):
-            return NotImplemented
-        return (np.array_equal(self.s, other.s) and np.array_equal(self.a, other.a)
-                and self.r == other.r and np.array_equal(self.s_next, other.s_next)
-                and np.array_equal(self.a_next, other.a_next) and self.done == other.done)
-
-
 @dataclass
 class OfflineDataset:
     """Column-major bag of transitions plus the header describing its origin."""
@@ -212,10 +195,6 @@ class OfflineDataset:
 
     def __len__(self) -> int:
         return len(self.r)
-
-    def __getitem__(self, i: int) -> Transition:
-        return Transition(self.s[i], self.a[i], float(self.r[i]),
-                          self.s_next[i], self.a_next[i], bool(self.done[i]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OfflineDataset):

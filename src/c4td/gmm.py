@@ -123,10 +123,6 @@ def log_density(mixture: GaussianMixture, y: np.ndarray) -> np.ndarray:
     return logsumexp_rows(_log_components(_check_data(y, mixture.dim), mixture))
 
 
-def log_likelihood(y: np.ndarray, mixture: GaussianMixture) -> float:
-    return float(log_density(mixture, y).sum())
-
-
 def _posterior(mixture: GaussianMixture, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities, rows normalized to sum to one exactly, and log p(y_i) per row."""
     logs = _log_components(y, mixture)
@@ -191,11 +187,16 @@ def _kmeanspp_means(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return y[chosen].copy()
 
 
+def _global_cov(y: np.ndarray, ridge: float) -> np.ndarray:
+    """Symmetrized covariance of all rows plus the ridge: every fresh cluster's covariance."""
+    d = y.shape[1]
+    cov = np.cov(y, rowvar=False, bias=True).reshape(d, d)
+    return 0.5 * (cov + cov.T) + ridge * np.eye(d)
+
+
 def _initial_mixture(y: np.ndarray, k: int, ridge: float,
                      rng: np.random.Generator) -> GaussianMixture:
-    d = y.shape[1]
-    global_cov = np.cov(y, rowvar=False, bias=True).reshape(d, d)
-    global_cov = 0.5 * (global_cov + global_cov.T) + ridge * np.eye(d)
+    global_cov = _global_cov(y, ridge)
     means = _kmeanspp_means(y, k, rng)
     return GaussianMixture(np.full(k, 1.0 / k), means,
                            np.repeat(global_cov[None, :, :], k, axis=0))
@@ -206,9 +207,7 @@ def _reseed_starved(mixture: GaussianMixture, y: np.ndarray, row_ll: np.ndarray,
     """Move starved clusters onto the least-explained points (lowest ``row_ll``)."""
     weights, means, covs = (a.copy() for a in (mixture.weights, mixture.means,
                                                mixture.covariances))
-    d = y.shape[1]
-    global_cov = np.cov(y, rowvar=False, bias=True).reshape(d, d)
-    global_cov = 0.5 * (global_cov + global_cov.T) + ridge * np.eye(d)
+    global_cov = _global_cov(y, ridge)
     order = np.argsort(row_ll)
     for rank, z in enumerate(np.flatnonzero(starved)):
         means[z] = y[order[rank % len(order)]]
@@ -320,7 +319,7 @@ def mixture_to_json(mixture: GaussianMixture) -> str:
 def mixture_from_json(text: str) -> GaussianMixture:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also int-digit and nesting limits
         raise FormatError(f"mixture payload is not valid JSON: {exc}") from exc
     expected = {"K", "weights", "means", "covariances"}
     if not isinstance(payload, dict) or set(payload) != expected:

@@ -85,11 +85,6 @@ class MlpCritic:
     def input_dim(self) -> int:
         return self.arch[0]
 
-    @property
-    def feature_dim(self) -> int:
-        """Width of the penultimate (last hidden) layer."""
-        return self.arch[-2]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MlpCritic):
             return NotImplemented
@@ -137,15 +132,9 @@ class MlpCritic:
         return float(self.forward_batch(x[None, :])[0])
 
     def penultimate_features_batch(self, x: np.ndarray) -> np.ndarray:
-        """Last hidden activations, shape (n, feature_dim)."""
+        """Last hidden activations, shape (n, arch[-2])."""
         _, acts, _ = self._forward_cached(self._check_batch(x))
         return acts[-1]
-
-    def penultimate_features(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise InputError(f"expected a flat input vector, got shape {x.shape}")
-        return self.penultimate_features_batch(x[None, :])[0]
 
     # ------------------------------------------------------------ gradients
 
@@ -161,12 +150,6 @@ class MlpCritic:
         for (w, _), z in zip(reversed(self.layers[:-1]), reversed(pres)):
             g = (g * (z > 0.0)) @ w
         return g
-
-    def input_gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise InputError(f"expected a flat input vector, got shape {x.shape}")
-        return self.input_gradient_batch(x[None, :])[0]
 
     def backprop(self, x: np.ndarray, grad_values: np.ndarray,
                  grad_features: np.ndarray | None = None) -> Params:
@@ -229,7 +212,7 @@ class MlpCritic:
     def from_json(cls, text: str) -> "MlpCritic":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also int-digit and nesting limits
             raise FormatError(f"critic payload is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict) or set(payload) != {"arch", "layers"}:
             raise FormatError("critic payload must have exactly the keys arch, layers")
@@ -260,7 +243,11 @@ class MlpCritic:
     @classmethod
     def load(cls, path: str) -> "MlpCritic":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: critic file is not UTF-8: {exc}") from exc
+        return cls.from_json(text)
 
 
 @dataclass
@@ -305,10 +292,6 @@ def param_gradient(critic: MlpCritic, x: np.ndarray, loss_closure) -> tuple[floa
     loss, grad_values, grad_features = loss_closure(values, acts[-1])
     grads = critic.backprop(x, grad_values, grad_features)
     return float(loss), grads
-
-
-def flatten_params(params: Params) -> np.ndarray:
-    return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in params])
 
 
 class _LayerViews(list):

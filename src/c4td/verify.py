@@ -1,8 +1,8 @@
 """Built-in verification suites reporting residuals of the core guarantees.
 
 Each suite runs seeded random problems against the module contracts and
-returns a JSON-friendly report: one entry per check with its worst residual
-and tolerance. The CLI exposes these as `c4 verify --suite NAME`.
+returns its checks: one JSON-friendly entry per check with its worst
+residual and tolerance. The CLI exposes these as `c4 verify --suite NAME`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _random_psd(rng: np.random.Generator, m: int) -> np.ndarray:
     return a @ a.T + 0.1 * np.eye(m)
 
 
-def suite_covariance(seed: int = 0) -> dict:
+def suite_covariance(seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
     worst_law = 0.0
     for _ in range(40):
@@ -81,15 +81,13 @@ def suite_covariance(seed: int = 0) -> dict:
         _, sv, _ = jacobi_svd(c)
         worst_norm = max(worst_norm, abs(spectral_norm(c) - sv[0]))
 
-    checks = [_check("law_of_total_covariance", worst_law, 1e-10),
-              _check("within_bound_chain_slack", worst_chain, 1e-10),
-              _check("svd_alignment_lower_bound", worst_align, 1e-10),
-              _check("spectral_norm_vs_jacobi_svd", worst_norm, 1e-8)]
-    return {"suite": "covariance", "checks": checks,
-            "passed": all(c["passed"] for c in checks)}
+    return [_check("law_of_total_covariance", worst_law, 1e-10),
+            _check("within_bound_chain_slack", worst_chain, 1e-10),
+            _check("svd_alignment_lower_bound", worst_align, 1e-10),
+            _check("spectral_norm_vs_jacobi_svd", worst_norm, 1e-8)]
 
 
-def suite_gmm(seed: int = 0) -> dict:
+def suite_gmm(seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
     worst_drop = 0.0
     worst_rowsum = 0.0
@@ -110,11 +108,9 @@ def suite_gmm(seed: int = 0) -> dict:
     hard = gmm.e_step(gmm.fit(y, 2, max_iters=100, seed=3).mixture, y).argmax(axis=1)
     agreement = max(float(np.mean(hard == truth)), float(np.mean(hard == 1 - truth)))
 
-    checks = [_check("log_likelihood_max_drop", worst_drop, 1e-9),
-              _check("responsibility_row_sums", worst_rowsum, 1e-12),
-              _check("separated_clusters_label_error", 1.0 - agreement, 0.0)]
-    return {"suite": "gmm", "checks": checks,
-            "passed": all(c["passed"] for c in checks)}
+    return [_check("log_likelihood_max_drop", worst_drop, 1e-9),
+            _check("responsibility_row_sums", worst_rowsum, 1e-12),
+            _check("separated_clusters_label_error", 1.0 - agreement, 0.0)]
 
 
 def _ridge_lifted_net(input_dim: int, seed: int, bias: float = 25.0) -> MlpCritic:
@@ -126,7 +122,7 @@ def _ridge_lifted_net(input_dim: int, seed: int, bias: float = 25.0) -> MlpCriti
     return net
 
 
-def suite_theorem1(seed: int = 0) -> dict:
+def suite_theorem1(seed: int = 0) -> list[dict]:
     env = EnvSpec.with_circular_modes(3)
     dataset = generate(env, n_trajectories=4, seed=seed)
     batch = dataset.take(np.arange(48))
@@ -155,14 +151,12 @@ def suite_theorem1(seed: int = 0) -> dict:
     report = grad_cosine_report(net1, net1.copy(), batch, 0.99)
     cosine_defined = 0.0 if math.isfinite(report.cos_var) else 1.0
 
-    checks = [_check("linear_direct_vs_composed", linear_gap, 1e-10),
-              _check("relu_relative_gap", relu_gap, 0.05),
-              _check("gradient_identity_and_cosines", cosine_defined, 0.0)]
-    return {"suite": "theorem1", "checks": checks,
-            "passed": all(c["passed"] for c in checks)}
+    return [_check("linear_direct_vs_composed", linear_gap, 1e-10),
+            _check("relu_relative_gap", relu_gap, 0.05),
+            _check("gradient_identity_and_cosines", cosine_defined, 0.0)]
 
 
-def suite_policy(seed: int = 0) -> dict:
+def suite_policy(seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
     worst_res = 0.0
     for _ in range(200):
@@ -208,12 +202,10 @@ def suite_policy(seed: int = 0) -> dict:
             res = mixture_bound_check(pol, clusters, div)
             worst_bound = max(worst_bound, res.lhs - res.rhs)
 
-    checks = [_check("kappa_star_residual", worst_res, 1e-12),
-              _check("pearson_lambert_route_gap", worst_lambert, 1e-10),
-              _check("chi2_inflation_cap_slack", worst_cap, 1e-10),
-              _check("mixture_bound_slack", worst_bound, 1e-6)]
-    return {"suite": "policy", "checks": checks,
-            "passed": all(c["passed"] for c in checks)}
+    return [_check("kappa_star_residual", worst_res, 1e-12),
+            _check("pearson_lambert_route_gap", worst_lambert, 1e-10),
+            _check("chi2_inflation_cap_slack", worst_cap, 1e-10),
+            _check("mixture_bound_slack", worst_bound, 1e-6)]
 
 
 _SUITE_FNS = {"covariance": suite_covariance, "gmm": suite_gmm,
@@ -225,7 +217,8 @@ def run_suite(name: str, seed: int = 0) -> dict:
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; choose from {SUITES}")
     if name != "all":
-        return _SUITE_FNS[name](seed)
-    reports = [fn(seed) for fn in _SUITE_FNS.values()]
+        checks = _SUITE_FNS[name](seed)
+        return {"suite": name, "checks": checks, "passed": all(c["passed"] for c in checks)}
+    reports = [run_suite(key, seed) for key in _SUITE_FNS]
     return {"suite": "all", "suites": reports,
             "passed": all(r["passed"] for r in reports)}

@@ -27,6 +27,17 @@ def central_diff(f, x, eps=1e-6):
     return grad
 
 
+def smooth_points(net, n, rng, margin=1e-3):
+    """n inputs at which every pre-activation of ``net`` is far from the ReLU kink."""
+    points = []
+    while len(points) < n:
+        x = rng.standard_normal(net.input_dim)
+        _, _, pres = net._forward_cached(x[None, :])
+        if all(np.min(np.abs(p)) > margin for p in pres):
+            points.append(x)
+    return np.asarray(points)
+
+
 def param_fd_gradient(critic, loss, eps=1e-6):
     """Finite-difference gradient of loss(critic) in every weight and bias."""
     grads = []
@@ -46,6 +57,11 @@ def param_fd_gradient(critic, loss, eps=1e-6):
                 g[idx] = (hi - lo) / (2.0 * eps)
         grads.append((gw, gb))
     return grads
+
+
+def flatten_params(params):
+    """``W`` row-major then ``b``, layer by layer: the layout of ``MlpCritic.flat``."""
+    return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in params])
 
 
 def adjusted_rand_index(labels_a, labels_b):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c4td import data as data_module
-from c4td.data import (EnvSpec, OfflineDataset, Transition, generate,
+from c4td.data import (EnvSpec, OfflineDataset, generate,
                        load_jsonl, save_jsonl, subsample)
 from c4td.errors import FormatError, InputError, ParseError
 from oracles import load_jsonl_line_by_line
@@ -176,14 +176,6 @@ def test_loader_rejects_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(FormatError):
         load_jsonl(str(path))
-
-
-def test_transition_equality():
-    t = Transition(np.zeros(2), np.ones(2), -1.0, np.zeros(2), np.ones(2), False)
-    same = Transition(np.zeros(2), np.ones(2), -1.0, np.zeros(2), np.ones(2), False)
-    other = Transition(np.zeros(2), np.ones(2), -1.0, np.zeros(2), np.ones(2), True)
-    assert t == same
-    assert t != other
 
 
 def test_dataset_rejects_ragged_rows():

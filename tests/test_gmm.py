@@ -5,7 +5,7 @@ from c4td import gmm
 from c4td.errors import FormatError, InputError
 from c4td.gmm import (GaussianMixture, default_ridge, e_step,
                       effective_clusters, extract_blocks, fit, log_density,
-                      log_likelihood, m_step, mixture_from_json, mixture_to_json,
+                      m_step, mixture_from_json, mixture_to_json,
                       sample_cluster, split_blocks)
 from oracles import adjusted_rand_index, mixture_logpdf
 
@@ -45,7 +45,7 @@ def test_log_likelihood_matches_scipy():
     y = rng.standard_normal((40, 3))
     direct = float(np.sum(mixture_logpdf(y, mix.weights, mix.means,
                                          mix.covariances)))
-    assert log_likelihood(y, mix) == pytest.approx(direct, rel=1e-10)
+    assert float(log_density(mix, y).sum()) == pytest.approx(direct, rel=1e-10)
 
 
 def test_log_density_is_the_mixture_row_by_row():
@@ -58,7 +58,6 @@ def test_log_density_is_the_mixture_row_by_row():
     direct = mixture_logpdf(y, weights, mix.means, mix.covariances)
     assert log_density(mix, y).shape == (15,)
     assert np.allclose(log_density(mix, y), direct, rtol=1e-12, atol=1e-12)
-    assert log_likelihood(y, mix) == float(log_density(mix, y).sum())
     with pytest.raises(InputError):
         log_density(mix, np.ones((3, 3)))
 
@@ -121,7 +120,7 @@ def test_fit_never_returns_a_mixture_below_the_recorded_trace():
         y = rng.standard_normal((90, 4))
         y[:, 2] = y[:, 0]  # rank-deficient: ridge dips become likely
         result = fit(y, 2, seed=trial)
-        final_ll = log_likelihood(y, result.mixture)
+        final_ll = float(log_density(result.mixture, y).sum())
         assert final_ll >= result.log_likelihoods[-1] - 1e-8
         if result.n_iterations < 200:  # converged before the iteration cap
             assert final_ll == pytest.approx(result.log_likelihoods[-1], abs=1e-8)
@@ -176,7 +175,7 @@ def test_fit_factors_each_mixture_once_and_the_e_step_never(monkeypatch):
     assert counts["built"] == built + 1  # its one M-step; the warm start is used as given
     assert counts["cholesky"] == k * counts["built"]
     e_step(warm.mixture, y)  # _log_components reads the stored factors
-    log_likelihood(y, warm.mixture)
+    log_density(warm.mixture, y)
     assert counts["cholesky"] == k * counts["built"]
 
 
@@ -308,6 +307,13 @@ def test_mixture_json_round_trip():
             mixture_from_json(payload)
     with pytest.raises(FormatError, match="K must be a positive integer"):
         mixture_from_json('{"K":true,"weights":[1.0],"means":[[0.0]],"covariances":[[1.0]]}')
+
+
+@pytest.mark.parametrize("text", ['{"K": ' + "9" * 5000 + "}", "[" * 100_000],
+                         ids=["5000_digit_integer", "100000_brackets"])
+def test_mixture_from_json_turns_python_json_limits_into_format_errors(text):
+    with pytest.raises(FormatError, match="not valid JSON"):
+        mixture_from_json(text)
 
 
 def test_mixture_validation():

@@ -2,19 +2,8 @@ import numpy as np
 import pytest
 
 from c4td.errors import FormatError, InputError
-from c4td.nets import MlpCritic, TargetCritic, ema_update, flatten_params, param_gradient
-from oracles import central_diff, param_fd_gradient
-
-
-def _smooth_points(net, n, rng, margin=1e-3):
-    """Inputs whose every pre-activation is far from the ReLU kink."""
-    points = []
-    while len(points) < n:
-        x = rng.standard_normal(net.input_dim)
-        _, _, pres = net._forward_cached(x[None, :])
-        if all(np.min(np.abs(p)) > margin for p in pres):
-            points.append(x)
-    return np.asarray(points)
+from c4td.nets import MlpCritic, TargetCritic, ema_update, param_gradient
+from oracles import central_diff, flatten_params, param_fd_gradient, smooth_points
 
 
 def test_init_shapes_and_determinism():
@@ -22,7 +11,7 @@ def test_init_shapes_and_determinism():
     net = MlpCritic.init(4, (8, 5), rng)
     assert [w.shape for w, _ in net.layers] == [(8, 4), (5, 8), (1, 5)]
     assert net.input_dim == 4
-    assert net.feature_dim == 5
+    assert net.arch[-2] == 5
     other = MlpCritic.init(4, (8, 5), np.random.default_rng(3))
     assert all(np.array_equal(w1, w2) and np.array_equal(b1, b2)
                for (w1, b1), (w2, b2) in zip(net.layers, other.layers))
@@ -49,15 +38,15 @@ def test_penultimate_features_are_last_hidden_activation():
     assert feats.shape == (5, 4)
     w, b = net.layers[-1]
     assert np.allclose(feats @ w.T + b, net.forward_batch(x)[:, None])
-    assert np.array_equal(net.penultimate_features(x[2]), feats[2])
+    assert np.array_equal(net.penultimate_features_batch(x[2:3])[0], feats[2])
 
 
 def test_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     net = MlpCritic.init(5, (16, 16), rng)
-    for x in _smooth_points(net, 20, rng):
+    for x in smooth_points(net, 20, rng):
         fd = central_diff(lambda v: net.forward(v), x)
-        analytic = net.input_gradient(x)
+        analytic = net.input_gradient_batch(x[None, :])[0]
         assert np.max(np.abs(analytic - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
 
 
@@ -67,7 +56,7 @@ def test_input_gradient_batch_agrees_with_loop():
     x = rng.standard_normal((12, 4))
     batched = net.input_gradient_batch(x)
     for i in range(12):
-        assert np.allclose(batched[i], net.input_gradient(x[i]), atol=0)
+        assert np.allclose(batched[i], net.input_gradient_batch(x[i:i + 1])[0], atol=0)
 
 
 @pytest.mark.parametrize("hidden", [(16, 16), (8, 8, 8)])
@@ -155,8 +144,8 @@ def test_param_gradient_closure_route():
 
 def test_relu_gradient_uses_zero_at_kink():
     net = MlpCritic(layers=[(np.eye(1), np.zeros(1)), (np.ones((1, 1)), np.zeros(1))])
-    assert net.input_gradient(np.zeros(1))[0] == 0.0
-    assert net.input_gradient(np.ones(1))[0] == 1.0
+    assert net.input_gradient_batch(np.zeros((1, 1)))[0, 0] == 0.0
+    assert net.input_gradient_batch(np.ones((1, 1)))[0, 0] == 1.0
 
 
 def test_json_round_trip_and_schema_errors(tmp_path):
@@ -173,6 +162,20 @@ def test_json_round_trip_and_schema_errors(tmp_path):
         MlpCritic.from_json("{}")
     with pytest.raises(FormatError):
         MlpCritic.from_json('{"layers": "nope"}')
+
+
+@pytest.mark.parametrize("text", ['{"arch": [' + "9" * 5000 + "]}", "[" * 100_000],
+                         ids=["5000_digit_integer", "100000_brackets"])
+def test_from_json_turns_python_json_limits_into_format_errors(text):
+    with pytest.raises(FormatError, match="not valid JSON"):
+        MlpCritic.from_json(text)
+
+
+def test_load_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "critic.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(FormatError, match="critic.json: critic file is not UTF-8"):
+        MlpCritic.load(str(path))
 
 
 def test_target_critic_ema():

@@ -10,7 +10,7 @@ from c4td import gmm
 from c4td.data import EnvSpec, generate, subsample
 from c4td.errors import InputError, NumericalError, ParseError
 from c4td.gmm import GaussianMixture
-from c4td.nets import MlpCritic, TargetCritic, flatten_params
+from c4td.nets import MlpCritic, TargetCritic
 from c4td.train import (
     METRIC_COLUMNS,
     MetricRecord,
@@ -30,7 +30,7 @@ from c4td.train import (
     single_cluster_batch,
     train,
 )
-from oracles import eval_return_one_episode_at_a_time
+from oracles import central_diff, eval_return_one_episode_at_a_time, smooth_points
 
 ENV = EnvSpec.with_circular_modes(3)
 
@@ -204,8 +204,7 @@ def test_training_is_deterministic():
     cfg = _small_cfg(steps=80, seed=11)
     critic_a, metrics_a = train(data, cfg)
     critic_b, metrics_b = train(data, cfg)
-    assert np.array_equal(flatten_params(critic_a.layers),
-                          flatten_params(critic_b.layers))
+    assert np.array_equal(critic_a.flat, critic_b.flat)
     assert metrics_a == metrics_b
 
 
@@ -217,8 +216,7 @@ def test_unit_cluster_run_is_bit_identical_to_baseline_mode():
                      eval_env=ENV, eval_every=40, eval_episodes=2)
     critic_c, metrics_c = train(data, cfg)
     critic_b, metrics_b = train(data, replace(cfg, baseline_mode=True))
-    assert np.array_equal(flatten_params(critic_c.layers),
-                          flatten_params(critic_b.layers))
+    assert np.array_equal(critic_c.flat, critic_b.flat)
     assert metrics_c == metrics_b
 
 
@@ -227,8 +225,7 @@ def test_penalty_changes_the_trajectory():
     cfg = _small_cfg(steps=60, penalty_weight=0.5, seed=2)
     critic_c, metrics_c = train(data, cfg)
     critic_b, _ = train(data, replace(cfg, baseline_mode=True))
-    assert not np.array_equal(flatten_params(critic_c.layers),
-                              flatten_params(critic_b.layers))
+    assert not np.array_equal(critic_c.flat, critic_b.flat)
     assert all(rec.penalty >= 0.0 for rec in metrics_c)
     assert any(rec.penalty > 0.0 for rec in metrics_c)
 
@@ -279,8 +276,7 @@ def test_zero_steps_returns_the_freshly_initialized_critic():
     critic, metrics = train(data, cfg)
     assert metrics == []
     expected = MlpCritic.init(4, cfg.hidden, RngStreams.from_seed(9).init)
-    assert np.array_equal(flatten_params(critic.layers),
-                          flatten_params(expected.layers))
+    assert np.array_equal(critic.flat, expected.flat)
 
 
 def test_eval_returns_appear_on_schedule():
@@ -369,6 +365,62 @@ def test_identity_checks_hold_at_large_reward_scale():
         _, metrics = train(scaled, _small_cfg(steps=60, check_identities=True))
         assert len(metrics) == 60
         assert all(math.isfinite(rec.objective) for rec in metrics)
+
+
+@pytest.mark.parametrize("lam, beta, n", [(0.0, 0.0, 16), (0.3, 0.0, 16), (0.3, 0.5, 16),
+                                           (2.0, 1.5, 7), (0.3, 0.5, 2)])
+def test_objective_gradient_matches_central_differences(lam, beta, n):
+    # the gradient the trainer descends: TD loss plus lam (||C||_F^2 + beta tr(C)^2),
+    # the penalty taken through the online penultimate features; the target is fixed
+    rng = np.random.default_rng(n)
+    critic = MlpCritic.init(4, (16, 16), rng)
+    tnet = MlpCritic.init(4, (16, 16), rng)
+    # a pre-activation at the kink, such as an exact 0.0 behind a dead first
+    # layer and a zero bias, puts the difference quotient across it
+    x = smooth_points(critic, n, rng)
+    x_prime = rng.standard_normal((n, 4))
+    r = rng.standard_normal(n)
+    done = np.arange(n) % 3 == 1
+    cfg = TrainConfig(steps=1, hidden=(16, 16), penalty_weight=lam,
+                      penalty_trace_weight=beta)
+    grads = _objective_report(critic, tnet, x, x_prime, r, done, cfg).grads
+    td_only = _objective_report(critic, tnet, x, x_prime, r, done,
+                                replace(cfg, penalty_weight=0.0)).grads
+
+    def objective(flat):
+        critic.flat[:] = flat
+        return _objective_report(critic, tnet, x, x_prime, r, done, cfg).objective
+
+    fd = central_diff(objective, critic.flat.copy(), eps=1e-6)
+    scale = np.max(np.abs(grads))
+    assert np.max(np.abs(grads - fd)) < 1e-7 * scale
+    if lam > 0.0:  # the penalty's share of the gradient is far above the tolerance
+        assert np.max(np.abs(grads - td_only)) > 1e-2 * scale
+
+
+@pytest.mark.parametrize("baseline", [False, True], ids=["c4", "baseline"])
+@pytest.mark.parametrize("part", ["rewards", "inputs"])
+@pytest.mark.parametrize("k", range(-12, 13, 4))
+def test_checked_training_holds_at_every_data_scale(k, part, baseline):
+    # Every runtime check (the identity bounds, the divergence check, and
+    # numpy warnings, which are errors under pytest) must hold whatever the
+    # units of the data. tr_n_sample_convention is trace(C)/m, so it scales
+    # with the features squared: it is not scale-free and is not compared here.
+    data = generate(EnvSpec.with_circular_modes(3, horizon=12), n_trajectories=12, seed=3)
+    scale = 10.0 ** k
+    if part == "rewards":
+        data = replace(data, r=data.r * scale)
+    else:
+        data = replace(data, s=data.s * scale, a=data.a * scale,
+                       s_next=data.s_next * scale, a_next=data.a_next * scale)
+    cfg = TrainConfig(steps=300, hidden=(16, 16), optimizer="adam", learning_rate=0.01,
+                      ema_rate=0.05, penalty_weight=0.1, n_clusters=3, refresh_period=50,
+                      batch_size=32, probe_size=96, em_max_iters=10, em_warm_iters=3,
+                      check_identities=True, baseline_mode=baseline, seed=7)
+    _, metrics = train(data, cfg)
+    assert len(metrics) == 300
+    assert all(math.isfinite(v) for rec in metrics
+               for v in (rec.td_loss, rec.penalty, rec.objective, rec.tr_n_sample_convention))
 
 
 def test_identity_check_still_catches_a_corrupted_gradient(monkeypatch):
