@@ -237,10 +237,3 @@ def svd_alignment_bound(c: np.ndarray, w_prime: np.ndarray,
     lower = float(sing[0]) * cos_p * cos - sigma2 * sin_p * sin
     return value, lower
 
-
-def normalized_trace(c: np.ndarray) -> float:
-    """Trace divided by the feature dimension m of a square (m, m) matrix."""
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {c.shape}")
-    return float(np.trace(c)) / c.shape[0]

@@ -218,17 +218,16 @@ def _reseed_starved(mixture: GaussianMixture, y: np.ndarray, row_ll: np.ndarray,
 
 
 def fit(y: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-7,
-        seed: int = 0, ridge: float | None = None,
-        init: GaussianMixture | None = None) -> FitResult:
+        seed: int = 0, init: GaussianMixture | None = None) -> FitResult:
     """Full EM loop. Deterministic given (y, k, seed).
 
     Iteration stops when the log-likelihood improvement drops below tol.
-    The ridge added after each M-step can push the raw likelihood down by a
-    hair on rank-deficient data; such a dip is treated as convergence and the
-    pre-dip mixture is returned, so the recorded trace stays non-decreasing.
-    Reseeding a starved cluster restarts EM from the modified mixture, and
-    the trace documents that final run. ``init`` warm-starts from a previous
-    mixture.
+    The ridge ``default_ridge(y)`` added after each M-step can push the raw
+    likelihood down by a hair on rank-deficient data; such a dip is treated
+    as convergence and the pre-dip mixture is returned, so the recorded
+    trace stays non-decreasing. Reseeding a starved cluster restarts EM from
+    the modified mixture, and the trace documents that final run. ``init``
+    warm-starts from a previous mixture.
     """
     y = _check_data(y)
     n = y.shape[0]
@@ -236,9 +235,7 @@ def fit(y: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-7,
         raise InputError(f"need 1 <= K <= N, got K={k}, N={n}")
     if max_iters < 1:
         raise InputError("max_iters must be positive")
-    eps = default_ridge(y) if ridge is None else float(ridge)
-    if eps <= 0:
-        raise InputError("ridge must be positive")
+    eps = default_ridge(y)
     rng = np.random.default_rng(seed)
     if init is not None:
         if init.n_components != k or init.dim != y.shape[1]:
@@ -248,7 +245,6 @@ def fit(y: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-7,
         mixture = _initial_mixture(y, k, eps, rng)
 
     trace: list[float] = []
-    prev_ll = None
     prev_mixture = None
     reseeds = 0
     iters = 0
@@ -262,16 +258,13 @@ def fit(y: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-7,
             mixture = _reseed_starved(mixture, y, row_ll, starved, eps)
             reseeds += 1
             trace.clear()
-            prev_ll = None
-            prev_mixture = None
             continue
-        if prev_ll is not None and ll < prev_ll:
+        if trace and ll < trace[-1]:
             mixture = prev_mixture  # ridge dip: keep the better iterate
             break
         trace.append(ll)
-        if prev_ll is not None and ll - prev_ll < tol:
+        if len(trace) > 1 and ll - trace[-2] < tol:
             break
-        prev_ll = ll
         prev_mixture = mixture
         mixture = m_step(y, resp, eps)
     return FitResult(mixture, trace, iters, reseeds)
@@ -330,7 +323,7 @@ def mixture_from_json(text: str) -> GaussianMixture:
     try:
         weights, means, covs = (np.array(payload[key], dtype=float)
                                 for key in ("weights", "means", "covariances"))
-    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric, huge
         raise FormatError(f"mixture arrays must be rectangular and numeric: {exc}") from exc
     if weights.shape != (k,) or means.ndim != 2 or means.shape[0] != k:
         raise FormatError("weights/means shapes do not match K")

@@ -219,7 +219,7 @@ class MlpCritic:
         arch = payload["arch"]
         entries = payload["layers"]
         if (not isinstance(arch, list) or len(arch) < 3
-                or not all(isinstance(d, int) and d > 0 for d in arch)):
+                or not all(type(d) is int and d > 0 for d in arch)):  # bools are not widths
             raise FormatError(f"bad arch {arch!r}")
         if not isinstance(entries, list) or len(entries) != len(arch) - 1:
             raise FormatError("layer count does not match arch")
@@ -228,12 +228,16 @@ class MlpCritic:
             if not isinstance(entry, dict) or set(entry) != {"w", "b"}:
                 raise FormatError(f"layer {i} must have exactly the keys w, b")
             fan_out, fan_in = arch[i + 1], arch[i]
-            w, b = entry["w"], entry["b"]
-            if len(w) != fan_out * fan_in or len(b) != fan_out:
-                raise FormatError(f"layer {i}: got {len(w)} weights, "
-                                  f"expected {fan_out * fan_in}")
-            layers.append((np.array(w, dtype=float).reshape(fan_out, fan_in),
-                           np.array(b, dtype=float)))
+            try:
+                w, b = (np.array(entry[key], dtype=float) for key in ("w", "b"))
+            except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric, huge
+                raise FormatError(f"layer {i}: w and b must be lists of numbers: {exc}") from exc
+            if w.shape != (fan_out * fan_in,) or b.shape != (fan_out,):
+                raise FormatError(f"layer {i}: got w/b shapes {w.shape}/{b.shape}, "
+                                  f"expected ({fan_out * fan_in},)/({fan_out},)")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise FormatError(f"layer {i}: w and b must be finite")
+            layers.append((w.reshape(fan_out, fan_in), b))
         return cls(layers)
 
     def save(self, path: str) -> None:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gmm
-from .covstats import cross_cov, normalized_trace, penalty
+from .covstats import cross_cov, penalty
 from .data import NONNEGATIVE, POSITIVE, EnvSpec, OfflineDataset, at_least, check_fields
 from .errors import FormatError, InputError, NumericalError, ParseError
 from .gmm import GaussianMixture
@@ -39,7 +39,6 @@ TRAIN_SCHEMA = {
     "batch_size": at_least(2),
     "ema_rate": ("float", lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
     "learning_rate": POSITIVE,
-    "ridge": ("float | None", *POSITIVE[1:]),
     "seed": at_least(0),
     "feature_mode": ("str", FEATURE_MODES.__contains__, f"must be one of {FEATURE_MODES}"),
     "baseline_mode": ("bool",),
@@ -69,7 +68,6 @@ class TrainConfig:
     batch_size: int = 256
     ema_rate: float = 0.005
     learning_rate: float = 3e-4
-    ridge: float | None = None
     seed: int = 0
     feature_mode: str = "surrogate"
     baseline_mode: bool = False
@@ -142,13 +140,12 @@ def bootstrap_targets(r: np.ndarray, done: np.ndarray, q_prime: np.ndarray,
     return r + gamma * (1.0 - done) * q_prime
 
 
-def gradient_pairs(critic: MlpCritic, target: MlpCritic, batch: OfflineDataset,
+def gradient_pairs(critic: MlpCritic, target: MlpCritic, x: np.ndarray, x_prime: np.ndarray,
                    feature_mode: str = "surrogate") -> tuple[np.ndarray, np.ndarray]:
-    """Stacked feature rows (Gp from the target at x', G from the online at x)."""
+    """Stacked feature rows: Gp from the target at joint inputs x', G from the online at x."""
     check_fields({"feature_mode": feature_mode}, TRAIN_SCHEMA, "train.")
-    if len(batch) == 0:
+    if len(x) == 0:
         raise InputError("batch must be nonempty")
-    x, x_prime = batch.joint_inputs()
     if feature_mode == "surrogate":
         return target.penultimate_features_batch(x_prime), critic.penultimate_features_batch(x)
     return target.input_gradient_batch(x_prime), critic.input_gradient_batch(x)
@@ -190,19 +187,19 @@ def _objective_report(critic: MlpCritic, tnet: MlpCritic, x: np.ndarray,
 
     g_prime = target_acts[-1]
     c_hat = cross_cov(g_prime, feats, convention="sample")
+    m = c_hat.shape[0]
     trace_c = float(np.trace(c_hat))
     pen_raw = penalty(c_hat, cfg.penalty_trace_weight)
     lam = 0.0 if cfg.baseline_mode else cfg.penalty_weight
     pen_part = lam * pen_raw
     objective = td + pen_part
-    tr_n = normalized_trace(c_hat)
+    tr_n = trace_c / m
 
     grad_values = 2.0 * delta / n
     grad_features = None
     if lam != 0.0:
         # d penalty / d G = 2a Gp_c (C + beta tr(C) I); the centering of G
         # contributes nothing because Gp_c's columns sum to zero.
-        m = c_hat.shape[0]
         g_prime_c = g_prime - g_prime.mean(axis=0)
         a = 1.0 / (n - 1)
         grad_features = lam * 2.0 * a * (
@@ -251,17 +248,19 @@ def single_cluster_batch(responsibilities: np.ndarray, z: int, batch_size: int,
     return ClusterSampler(responsibilities).draw(z, batch_size, rng)
 
 
-def refresh_clusters(online: MlpCritic, target: TargetCritic, dataset: OfflineDataset,
+def refresh_clusters(online: MlpCritic, target: MlpCritic, x: np.ndarray, x_prime: np.ndarray,
                      cfg: TrainConfig, rng: np.random.Generator,
                      mixture: GaussianMixture | None) -> tuple[GaussianMixture, ClusterSampler]:
     """Refit the mixture on stacked gradient pairs; return it and its batch sampler.
 
-    Fitting runs on a probe subsample when cfg.probe_size is set; the sampler
-    covers the full dataset so batches can reach every transition. ``rng`` is
-    the EM stream. The previous ``mixture``, when given, warm-starts the fit
-    for cfg.em_warm_iters; the first fit runs cfg.em_max_iters.
+    ``x`` and ``x_prime`` are the joint input rows of the whole dataset, built
+    once per run. Fitting runs on a probe subsample of their pairs when
+    cfg.probe_size is set; the sampler covers every row so batches can reach
+    every transition. ``rng`` is the EM stream. The previous ``mixture``,
+    when given, warm-starts the fit for cfg.em_warm_iters; the first fit runs
+    cfg.em_max_iters. EM's ridge is derived from the rows it fits.
     """
-    g_prime, g = gradient_pairs(online, target.net, dataset, cfg.feature_mode)
+    g_prime, g = gradient_pairs(online, target, x, x_prime, cfg.feature_mode)
     y = np.concatenate([g_prime, g], axis=1)  # target-side block first
     fit_rows = y
     if cfg.probe_size is not None and cfg.probe_size < y.shape[0]:
@@ -269,8 +268,7 @@ def refresh_clusters(online: MlpCritic, target: TargetCritic, dataset: OfflineDa
         fit_rows = y[np.sort(pick)]
     fitted = gmm.fit(fit_rows, cfg.n_clusters,
                      max_iters=cfg.em_max_iters if mixture is None else cfg.em_warm_iters,
-                     tol=cfg.em_tol, seed=int(rng.integers(2 ** 63)), ridge=cfg.ridge,
-                     init=mixture).mixture
+                     tol=cfg.em_tol, seed=int(rng.integers(2 ** 63)), init=mixture).mixture
     return fitted, ClusterSampler(gmm.e_step(fitted, y))
 
 
@@ -491,8 +489,8 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
 
     for step in range(cfg.steps + 1):
         if not cfg.baseline_mode and step % cfg.refresh_period == 0:
-            mixture, sampler = refresh_clusters(online, target, dataset, cfg, rngs.em,
-                                                mixture)
+            mixture, sampler = refresh_clusters(online, target.net, x_all, x_prime_all, cfg,
+                                                rngs.em, mixture)
             visits = np.zeros(cfg.n_clusters)
             if on_refresh is not None:
                 on_refresh(step, mixture)

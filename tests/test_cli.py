@@ -1,6 +1,7 @@
 """End-to-end tests for the c4 command-line interface."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import re
 import statistics
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,9 @@ from hypothesis import strategies as st
 import c4td
 from c4td import BLAS_THREAD_VARS
 from c4td.cli import _SECTIONS, main, render_metric_svg
-from c4td.train import FEATURE_MODES, METRIC_COLUMNS, OPTIMIZERS, metrics_from_csv
+from c4td.data import DATA_SCHEMA, ENV_SCHEMA, EnvSpec, generate
+from c4td.train import (FEATURE_MODES, METRIC_COLUMNS, OPTIMIZERS, TRAIN_SCHEMA, TrainConfig,
+                        metrics_from_csv)
 
 
 def _write_config(tmp_path, **extra):
@@ -105,11 +109,24 @@ def test_unknown_keys_are_rejected_at_every_level(tmp_path, capsys):
                                  ("env.warp=2", "'env.warp'"),
                                  ("data.rate=3", "'data.rate'"),
                                  ("train.moment=4", "'train.moment'"),
-                                 ("train.full_refit=true", "'train.full_refit'")):
+                                 ("train.full_refit=true", "'train.full_refit'"),
+                                 ("train.ridge=0.1", "'train.ridge'")):
         assert main(["train", "--config", str(config),
                      "--set", assignment]) == 2
         err = capsys.readouterr().err
         assert "unknown config key" in err and fragment in err
+
+
+def test_schema_tables_match_the_signatures_they_feed():
+    # the CLI's keys come from these tables: a row left behind would let a key
+    # through to a constructor that does not take it
+    assert tuple(TRAIN_SCHEMA) == tuple(f.name for f in fields(TrainConfig))
+    env_params = {f.name for f in fields(EnvSpec)}
+    env_params |= set(inspect.signature(EnvSpec.with_circular_modes).parameters)
+    assert set(ENV_SCHEMA) <= env_params
+    keywords = [p.name for p in inspect.signature(generate).parameters.values()
+                if p.default is not p.empty]
+    assert tuple(DATA_SCHEMA) == tuple(keywords)
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -200,7 +217,7 @@ def test_bad_env_values_exit_2_naming_the_field(tmp_path, capsys, assignment, me
 
 
 _TRAIN_ONLY_RULES = ("train.em_max_iters=0", "train.em_warm_iters=0", "train.em_tol=-1",
-                     "train.ridge=-1", "train.penalty_trace_weight=-1")
+                     "train.penalty_trace_weight=-1")
 
 
 @pytest.mark.parametrize("command, assignment", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from c4td.covstats import (cross_cov, jacobi_svd, normalized_trace, penalty,
+from c4td.covstats import (cross_cov, jacobi_svd, penalty,
                            spectral_norm, svd_alignment_bound,
                            total_cov_decomposition, within_bound_check)
 from c4td.errors import InputError
@@ -156,13 +156,3 @@ def test_svd_alignment_zero_matrix():
 def test_directions_must_be_unit():
     with pytest.raises(InputError):
         svd_alignment_bound(np.eye(2), np.ones(2), np.array([1.0, 0.0]))
-
-
-def test_normalized_trace():
-    c = np.diag([1.0, 2.0, 3.0])
-    assert normalized_trace(c) == pytest.approx(2.0)
-    est = cross_cov(np.random.default_rng(0).standard_normal((9, 3)),
-                    np.random.default_rng(1).standard_normal((9, 3)))
-    assert normalized_trace(est) == pytest.approx(np.trace(est) / 3)
-    with pytest.raises(InputError):
-        normalized_trace(c[:, :2])

@@ -302,7 +302,8 @@ def test_mixture_json_round_trip():
     for payload in ('{"K":2,"weights":[0.5,0.5],"means":[[1],[1,2]],"covariances":[[1],[1]]}',
                     '{"K":1,"weights":["a"],"means":[[0.0]],"covariances":[[1.0]]}',
                     '{"K":1,"weights":[1.0],"means":[[0.0]],"covariances":[[1.0], [1.0, 2.0]]}',
-                    '{"K":1,"weights":[1.0],"means":[[0.0]],"covariances":{"a": 1}}'):
+                    '{"K":1,"weights":[1.0],"means":[[0.0]],"covariances":{"a": 1}}',
+                    '{"K":1,"weights":[1.0],"means":[[1' + "0" * 400 + ']],"covariances":[[1.0]]}'):
         with pytest.raises(FormatError, match="rectangular and numeric"):
             mixture_from_json(payload)
     with pytest.raises(FormatError, match="K must be a positive integer"):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -169,6 +172,30 @@ def test_json_round_trip_and_schema_errors(tmp_path):
 def test_from_json_turns_python_json_limits_into_format_errors(text):
     with pytest.raises(FormatError, match="not valid JSON"):
         MlpCritic.from_json(text)
+
+
+@pytest.mark.parametrize("where, literal, match", [
+    (("layers", 0, "w"), "5", "shapes"),
+    (("layers", 0, "b"), "null", "shapes"),
+    (("layers", 1, "b"), "true", "shapes"),
+    (("arch", 2), "true", "bad arch"),
+    (("layers", 0, "w", 2), '"x"', "lists of numbers"),
+    (("layers", 0, "w", 2), "[1.0, 2.0]", "lists of numbers"),
+    (("layers", 0, "w", 0), "1" + "0" * 400, "lists of numbers"),
+    (("layers", 0, "w", 2), "NaN", "layer 0: w and b must be finite"),
+    (("layers", 1, "w", 0), "Infinity", "layer 1: w and b must be finite"),
+    (("layers", 0, "b", 1), "1e400", "layer 0: w and b must be finite"),
+], ids=["w_number", "b_null", "b_true", "arch_true", "string_weight", "nested_weight",
+        "int_too_large_for_a_float", "nan_weight", "infinite_weight", "overflowing_bias"])
+def test_from_json_rejects_malformed_layers_with_format_errors(where, literal, match):
+    payload = json.loads(MlpCritic.init(3, (2,), np.random.default_rng(0)).to_json())
+    *path, last = where
+    node = payload
+    for key in path:
+        node = node[key]
+    node[last] = "@"  # a placeholder replaced by the raw JSON text
+    with pytest.raises(FormatError, match=re.escape(match)):
+        MlpCritic.from_json(json.dumps(payload).replace('"@"', literal))
 
 
 def test_load_names_a_file_that_is_not_utf8(tmp_path):

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from c4td import gmm
-from c4td.data import EnvSpec, generate, subsample
+from c4td.covstats import cross_cov
+from c4td.data import EnvSpec, OfflineDataset, generate, subsample
 from c4td.errors import InputError, NumericalError, ParseError
 from c4td.gmm import GaussianMixture
-from c4td.nets import MlpCritic, TargetCritic
+from c4td.nets import MlpCritic
 from c4td.train import (
     METRIC_COLUMNS,
     MetricRecord,
@@ -58,13 +59,13 @@ def test_config_validation():
                 dict(steps=1, eval_episodes=0), dict(steps=1, n_clusters=5, probe_size=3),
                 dict(steps="20"), dict(steps=True), dict(steps=1.0),
                 dict(steps=1, penalty_weight=float("nan")),
-                dict(steps=1, learning_rate=float("inf")), dict(steps=1, ridge="0.1"),
+                dict(steps=1, learning_rate=float("inf")),
                 dict(steps=1, hidden=()), dict(steps=1, hidden=(8, 0)),
                 dict(steps=1, hidden=[8, 8]), dict(steps=1, baseline_mode="yes"),
                 dict(steps=1, eval_env="pointmass")):
         with pytest.raises(InputError):
             TrainConfig(**bad)
-    assert TrainConfig(steps=np.int64(3), ridge=None, learning_rate=1).steps == 3
+    assert TrainConfig(steps=np.int64(3), probe_size=None, learning_rate=1).steps == 3
 
 
 def test_rng_streams_are_independent_children():
@@ -106,6 +107,9 @@ def test_objective_td_is_the_mean_squared_residual():
         assert rep.td == pytest.approx(np.mean(delta ** 2), rel=1e-14)
         assert rep.objective == rep.td + rep.penalty_part
         assert (rep.penalty_part == 0.0) == baseline_mode
+        c = cross_cov(tnet.penultimate_features_batch(x_prime),
+                      critic.penultimate_features_batch(x), convention="sample")
+        assert rep.tr_n == pytest.approx(np.trace(c) / 6, rel=1e-14)
     with pytest.raises(InputError, match="at least 2 rows"):
         _objective_report(critic, tnet, x[:1], x_prime[:1], data.r[:1], data.done[:1], cfg)
 
@@ -117,18 +121,20 @@ def test_gradient_pairs_select_the_feature_mode():
     target = MlpCritic.init(4, (8, 6), rng)
     x, x_prime = data.joint_inputs()
 
-    gp, g = gradient_pairs(critic, target, data, "surrogate")
+    gp, g = gradient_pairs(critic, target, x, x_prime, "surrogate")
     assert gp.shape == (30, 6) and g.shape == (30, 6)
     assert np.array_equal(gp, target.penultimate_features_batch(x_prime))
     assert np.array_equal(g, critic.penultimate_features_batch(x))
 
-    gp, g = gradient_pairs(critic, target, data, "exact_input_grad")
+    gp, g = gradient_pairs(critic, target, x, x_prime, "exact_input_grad")
     assert gp.shape == (30, 4) and g.shape == (30, 4)
     assert np.array_equal(gp, target.input_gradient_batch(x_prime))
     assert np.array_equal(g, critic.input_gradient_batch(x))
 
     with pytest.raises(InputError):
-        gradient_pairs(critic, target, data, "spectral")
+        gradient_pairs(critic, target, x, x_prime, "spectral")
+    with pytest.raises(InputError, match="nonempty"):
+        gradient_pairs(critic, target, x[:0], x_prime[:0])
 
 
 def test_single_cluster_batch_respects_responsibility_weights():
@@ -234,7 +240,7 @@ def test_stacked_pairs_put_target_block_first(monkeypatch):
     data = subsample(_dataset(), 30, seed=4)
     rng = np.random.default_rng(6)
     online = MlpCritic.init(4, (8, 6), rng)
-    target = TargetCritic.of(MlpCritic.init(4, (8, 6), rng))
+    target = MlpCritic.init(4, (8, 6), rng)
     fitted_rows = []
     real_fit = gmm.fit
 
@@ -244,14 +250,31 @@ def test_stacked_pairs_put_target_block_first(monkeypatch):
 
     monkeypatch.setattr(gmm, "fit", recording_fit)
     cfg = _small_cfg(hidden=(8, 6), em_max_iters=3)
-    mixture, sampler = refresh_clusters(online, target, data, cfg,
-                                        np.random.default_rng(0), None)
     x, x_prime = data.joint_inputs()
+    mixture, sampler = refresh_clusters(online, target, x, x_prime, cfg,
+                                        np.random.default_rng(0), None)
     (y,) = fitted_rows
     assert y.shape == (30, 12) and mixture.dim == 12
-    assert np.array_equal(y[:, :6], target.net.penultimate_features_batch(x_prime))
+    assert np.array_equal(y[:, :6], target.penultimate_features_batch(x_prime))
     assert np.array_equal(y[:, 6:], online.penultimate_features_batch(x))
     assert len(sampler.mass) == 2
+
+
+def test_a_run_builds_the_joint_inputs_once(monkeypatch):
+    data = _dataset(seed=1, n_trajectories=4)
+    built = []
+    real_joint_inputs = OfflineDataset.joint_inputs
+
+    def counting_joint_inputs(self):
+        built.append(self)
+        return real_joint_inputs(self)
+
+    monkeypatch.setattr(OfflineDataset, "joint_inputs", counting_joint_inputs)
+    refreshed = []
+    train(data, _small_cfg(steps=120, refresh_period=50, seed=5),
+          on_refresh=lambda step, mix: refreshed.append(step))
+    assert refreshed == [0, 50, 100]
+    assert len(built) == 1 and built[0] is data
 
 
 def test_refresh_callback_fires_on_schedule():
