@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check of its JSON readers."""
 
 
 class C4Error(Exception):
@@ -23,3 +23,19 @@ class ParseError(FormatError):
 
 class NumericalError(C4Error, RuntimeError):
     """An iterative routine failed to converge or lost required structure."""
+
+
+def check_json_numbers(value, message: str) -> None:
+    """Raise FormatError(message) unless every scalar inside the JSON lists ``value`` is a number.
+
+    A number is an int or a float, not a bool: numpy would turn booleans and
+    numeric strings into floats. A ``value`` that is not a list is left to
+    the caller's shape check.
+    """
+    pending = [value] if isinstance(value, list) else []
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif type(item) is not int and type(item) is not float:
+            raise FormatError(f"{message}; found {item!r}")

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, check_json_numbers
 
 # A cluster whose soft count falls below this fraction of N is starved and
 # gets re-seeded at the least-explained point.
@@ -89,19 +89,31 @@ def default_ridge(y: np.ndarray) -> float:
 def gaussian_logpdf(y: np.ndarray, means, chols) -> np.ndarray:
     """log N(y_i | means[z], L_z L_z^T) for every row i of y and component z, shape (N, Z).
 
-    ``chols[z]`` is the lower Cholesky factor L_z. The loop over components
-    stays inside this function: freeing the (N, D) temporaries on a return
-    per component let the allocator trim the heap and fault it back in each
-    time, 8x the page faults and twice the time at N=10000, D=32, K=8.
+    ``chols[z]`` is the lower Cholesky factor L_z; one stacked ``inv`` call
+    inverts them all, each with the bits of its own call. Every component is
+    written through the same two (N, D) buffers, ``diff`` and ``u``, so a
+    call holds two N x D arrays whatever Z is, and the heap is not trimmed
+    and faulted back in between components.
+
+    Never split the rows of these products into chunks: a row's GEMM bits
+    depend on the matrix around it. In a (10000, 32) @ (32, 32) product on
+    single-threaded OpenBLAS, chunks of 32 rows or fewer changed every row,
+    and 64-row chunks changed the 16-row remainder, which takes a
+    small-matrix path.
     """
-    out = np.empty((y.shape[0], len(means)))
+    n, d = y.shape
+    out = np.empty((n, len(means)))
+    inv_t = np.linalg.inv(chols).swapaxes(1, 2)  # triangular back-substitution; D is small
+    diff = np.empty_like(y)
+    u = np.empty_like(y)
+    maha = np.empty(n)
     for z, (mean, chol) in enumerate(zip(means, chols)):
-        diff = y - mean
-        # Triangular back-substitution via inv(L); D stays small here.
-        u = diff @ np.linalg.inv(chol).T
-        maha = np.einsum("ij,ij->i", u, u)
-        log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-        out[:, z] = -0.5 * (maha + log_det + y.shape[1] * np.log(2.0 * np.pi))
+        np.subtract(y, mean, out=diff)
+        np.matmul(diff, inv_t[z], out=u)
+        np.einsum("ij,ij->i", u, u, out=maha)
+        maha += 2.0 * np.sum(np.log(np.diag(chol)))  # log det
+        maha += d * np.log(2.0 * np.pi)
+        np.multiply(maha, -0.5, out=out[:, z])
     return out
 
 
@@ -115,7 +127,8 @@ def _log_components(y: np.ndarray, mixture: GaussianMixture) -> np.ndarray:
 def logsumexp_rows(logs: np.ndarray) -> np.ndarray:
     peak = logs.max(axis=1)
     safe = np.where(np.isfinite(peak), peak, 0.0)
-    return safe + np.log(np.exp(logs - safe[:, None]).sum(axis=1))
+    shifted = logs - safe[:, None]
+    return safe + np.log(np.exp(shifted, out=shifted).sum(axis=1))
 
 
 def log_density(mixture: GaussianMixture, y: np.ndarray) -> np.ndarray:
@@ -128,7 +141,7 @@ def _posterior(mixture: GaussianMixture, y: np.ndarray) -> tuple[np.ndarray, np.
     logs = _log_components(y, mixture)
     row_ll = logsumexp_rows(logs)
     logs -= row_ll[:, None]
-    resp = np.exp(logs)
+    resp = np.exp(logs, out=logs)
     resp /= resp.sum(axis=1, keepdims=True)
     return resp, row_ll
 
@@ -154,9 +167,11 @@ def m_step(y: np.ndarray, resp: np.ndarray, ridge: float) -> GaussianMixture:
     means = (resp.T @ y) / counts[:, None]
     covs = np.empty((k, d, d))
     eye = ridge * np.eye(d)
+    diff = np.empty_like(y)
+    weighted = np.empty_like(y)
     for z in range(k):
-        diff = y - means[z]
-        weighted = diff * resp[:, z, None]
+        np.subtract(y, means[z], out=diff)
+        np.multiply(diff, resp[:, z, None], out=weighted)
         cov = (weighted.T @ diff) / counts[z]
         covs[z] = 0.5 * (cov + cov.T) + eye
     return GaussianMixture(weights, means, covs)
@@ -320,6 +335,8 @@ def mixture_from_json(text: str) -> GaussianMixture:
     k = payload["K"]
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise FormatError("K must be a positive integer")
+    for key in ("weights", "means", "covariances"):
+        check_json_numbers(payload[key], f"mixture arrays must be rectangular and numeric ({key})")
     try:
         weights, means, covs = (np.array(payload[key], dtype=float)
                                 for key in ("weights", "means", "covariances"))

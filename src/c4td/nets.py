@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, check_json_numbers
 
 Params = list[tuple[np.ndarray, np.ndarray]]
 
@@ -94,9 +94,10 @@ class MlpCritic:
 
     # -------------------------------------------------------------- forward
 
-    def _check_batch(self, x: np.ndarray) -> np.ndarray:
+    def _check_batch(self, x: np.ndarray, stacked: bool = False) -> np.ndarray:
+        """``x`` as floats, shaped (n, input_dim), or (E, n, input_dim) if ``stacked``."""
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
+        if x.ndim not in ((2, 3) if stacked else (2,)) or x.shape[-1] != self.input_dim:
             raise InputError(f"expected (n, {self.input_dim}) inputs, got {x.shape}")
         return x
 
@@ -120,9 +121,26 @@ class MlpCritic:
         values = h @ w_out.T + b_out
         return values[..., 0], acts, pres
 
+    def _hidden(self, x: np.ndarray) -> np.ndarray:
+        """The last hidden activations, keeping only the current layer's array.
+
+        The same ``h @ w.T + b`` and ``max(., 0)`` as ``_forward_cached``, the
+        add and the clamp done in place on the product: elementwise, so the
+        bits do not depend on where they are written. 2-D or stacked.
+        """
+        h = x
+        for w, b in self.layers[:-1]:
+            h = h @ w.T
+            h += b
+            np.maximum(h, 0.0, out=h)
+        return h
+
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Scalar critic values for a batch of joint inputs, shape (n,)."""
-        return self._forward_cached(self._check_batch(x))[0]
+        """Scalar critic values, shape (n,) for (n, input_dim) inputs or (E, n) for a stack."""
+        w_out, b_out = self.layers[-1]
+        values = self._hidden(self._check_batch(x, stacked=True)) @ w_out.T
+        values += b_out
+        return values[..., 0]
 
     def forward(self, x: np.ndarray) -> float:
         """Critic value at a single joint input vector."""
@@ -133,8 +151,7 @@ class MlpCritic:
 
     def penultimate_features_batch(self, x: np.ndarray) -> np.ndarray:
         """Last hidden activations, shape (n, arch[-2])."""
-        _, acts, _ = self._forward_cached(self._check_batch(x))
-        return acts[-1]
+        return self._hidden(self._check_batch(x))
 
     # ------------------------------------------------------------ gradients
 
@@ -178,22 +195,26 @@ class MlpCritic:
                         grad_features: np.ndarray | None = None) -> np.ndarray:
         """``backprop`` from a cached forward pass, as one vector laid out like ``flat``.
 
-        ``acts`` and ``pres`` come from ``_forward_cached`` at the current
-        parameters; the inputs are trusted to have matching shapes.
+        ``acts`` and ``pres`` come from a 2-D ``_forward_cached`` pass at the
+        current parameters; the inputs are trusted to have matching shapes.
+        ``grad_values`` may also be a stack (S, n) of upstream gradients, and
+        ``grad_features`` then (n, width) or (S, n, width): the result is
+        (S, flat.size), each row with the bits of its own call, because matmul
+        runs every 2-D slice as its own BLAS call.
         """
-        flat = np.empty(self.flat.size)
+        flat = np.empty(grad_values.shape[:-1] + self.flat.shape)
         grads = _LayerViews(flat, self.arch)
         gw, gb = grads[-1]
-        np.matmul(grad_values[None, :], acts[-1], out=gw)
-        gb[0] = grad_values.sum()
-        g = grad_values[:, None] * self.layers[-1][0]  # gradient flowing into the features
+        np.matmul(grad_values[..., None, :], acts[-1], out=gw)
+        gb[..., 0] = grad_values.sum(axis=-1)
+        g = grad_values[..., None] * self.layers[-1][0]  # gradient flowing into the features
         if grad_features is not None:
             g = g + grad_features
         for i in range(len(self.layers) - 2, -1, -1):
             dz = g * (pres[i] > 0.0)
             gw, gb = grads[i]
-            np.matmul(dz.T, acts[i], out=gw)
-            np.sum(dz, axis=0, out=gb)
+            np.matmul(dz.swapaxes(-1, -2), acts[i], out=gw)
+            np.sum(dz, axis=-2, out=gb)
             if i > 0:
                 g = dz @ self.layers[i][0]
         return flat
@@ -228,6 +249,9 @@ class MlpCritic:
             if not isinstance(entry, dict) or set(entry) != {"w", "b"}:
                 raise FormatError(f"layer {i} must have exactly the keys w, b")
             fan_out, fan_in = arch[i + 1], arch[i]
+            for key in ("w", "b"):
+                check_json_numbers(entry[key],
+                                   f"layer {i}: w and b must be lists of numbers ({key})")
             try:
                 w, b = (np.array(entry[key], dtype=float) for key in ("w", "b"))
             except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric, huge
@@ -301,16 +325,18 @@ def param_gradient(critic: MlpCritic, x: np.ndarray, loss_closure) -> tuple[floa
 class _LayerViews(list):
     """``(W, b)`` pairs viewing one flat vector, laid out layer by layer.
 
-    Item assignment copies into the views after checking shapes, so the
-    pairs keep sharing the flat vector.
+    A stack of flat vectors, shape (S, size), gives (S, fan_out, fan_in) and
+    (S, fan_out) views. Item assignment copies into the views after checking
+    shapes, so the pairs keep sharing the flat vector.
     """
 
     def __init__(self, flat: np.ndarray, arch: list[int]):
         views, start = [], 0
+        lead = flat.shape[:-1]
         for fan_in, fan_out in zip(arch[:-1], arch[1:]):
             stop = start + fan_out * fan_in
-            views.append((flat[start:stop].reshape(fan_out, fan_in),
-                          flat[stop:stop + fan_out]))
+            views.append((flat[..., start:stop].reshape(*lead, fan_out, fan_in),
+                          flat[..., stop:stop + fan_out]))
             start = stop + fan_out
         super().__init__(views)
 

@@ -260,8 +260,8 @@ def refresh_clusters(online: MlpCritic, target: MlpCritic, x: np.ndarray, x_prim
     when given, warm-starts the fit for cfg.em_warm_iters; the first fit runs
     cfg.em_max_iters. EM's ridge is derived from the rows it fits.
     """
-    g_prime, g = gradient_pairs(online, target, x, x_prime, cfg.feature_mode)
-    y = np.concatenate([g_prime, g], axis=1)  # target-side block first
+    # target-side block first; the pair is not kept alive through EM
+    y = np.concatenate(gradient_pairs(online, target, x, x_prime, cfg.feature_mode), axis=1)
     fit_rows = y
     if cfg.probe_size is not None and cfg.probe_size < y.shape[0]:
         pick = rng.choice(y.shape[0], size=cfg.probe_size, replace=False)
@@ -332,10 +332,12 @@ def second_moment_split(critic: MlpCritic, acts: list[np.ndarray], pres: list[np
 
     ``delta`` is Q(x_i) - y_i with y held fixed, and ``acts``/``pres`` are the
     online forward pass that produced Q(x_i). The three scalars (population
-    convention) differ only in the per-sample weights on dQ/dtheta, so each
-    gradient is one backward pass. Both identities are checked against the
-    rounding error of their own scale, which grows with mean(delta^2) and
-    with the gradient magnitude; at unit scale the bounds are 1e-12 and 1e-10.
+    convention) differ only in the per-sample weights on dQ/dtheta, so the
+    three gradients are one backward pass over a stack of those weights,
+    each row with the bits of its own pass. Both identities are checked
+    against the rounding error of their own scale, which grows with
+    mean(delta^2) and with the gradient magnitude; at unit scale the bounds
+    are 1e-12 and 1e-10.
     """
     n = delta.shape[0]
     mean = float(delta.mean())
@@ -344,9 +346,8 @@ def second_moment_split(critic: MlpCritic, acts: list[np.ndarray], pres: list[np
     residual = abs(mean_sq - (mean * mean + var))
     if residual >= 1e-12 * max(1.0, mean_sq):
         raise NumericalError(f"second-moment identity violated by {residual:.3e}")
-    g_sq = critic.backprop_cached(acts, pres, 2.0 * delta / n)
-    g_mean = critic.backprop_cached(acts, pres, np.full(n, 2.0 * mean / n))
-    g_var = critic.backprop_cached(acts, pres, 2.0 * (delta - mean) / n)
+    g_sq, g_mean, g_var = critic.backprop_cached(acts, pres, np.stack(
+        [2.0 * delta / n, np.full(n, 2.0 * mean / n), 2.0 * (delta - mean) / n]))
     worst = float(np.max(np.abs(g_sq - g_mean - g_var)))
     if worst >= 1e-10 * max(1.0, float(np.max(np.abs(g_sq)))):
         raise NumericalError(f"gradient identity violated by {worst:.3e}")
@@ -398,7 +399,7 @@ def _greedy_action(critic: MlpCritic, states: np.ndarray, env: EnvSpec,
     joint = np.empty((n, cand.shape[0], ds + cand.shape[1]))
     joint[:, :, :ds] = states[:, None, :]
     joint[:, :, ds:] = cand
-    values = critic._forward_cached(joint)[0]
+    values = critic.forward_batch(joint)
     best_val = values.max(axis=1)
     a = cand[values.argmax(axis=1)]
     _, _, pres = critic._forward_cached(np.concatenate([states, a], axis=1)[:, None, :])

@@ -322,3 +322,56 @@ def load_jsonl_line_by_line(path: str) -> OfflineDataset:
     return OfflineDataset(ds, da, header["env"], header["modes"], header["seed"],
                           arrays["s"], arrays["a"], arrays["r"], arrays["sn"], arrays["an"],
                           np.array(cols["done"], dtype=bool))
+
+
+def forward_keeping_every_layer(net, x):
+    """(values, penultimate features) as the inference forwards once made them.
+
+    Every layer's product, pre-activation and activation is a fresh array,
+    the way ``MlpCritic._forward_cached`` still computes them for training.
+    """
+    h = x
+    for w, b in net.layers[:-1]:
+        h = np.maximum(h @ w.T + b, 0.0)
+    w_out, b_out = net.layers[-1]
+    return (h @ w_out.T + b_out)[..., 0], h
+
+
+def gaussian_logpdf_per_component(y, means, chols):
+    """``gmm.gaussian_logpdf`` as it was: fresh (N, D) arrays and one inv per component."""
+    out = np.empty((y.shape[0], len(means)))
+    for z, (mean, chol) in enumerate(zip(means, chols)):
+        diff = y - mean
+        u = diff @ np.linalg.inv(chol).T
+        maha = np.einsum("ij,ij->i", u, u)
+        log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+        out[:, z] = -0.5 * (maha + log_det + y.shape[1] * np.log(2.0 * np.pi))
+    return out
+
+
+def posterior_out_of_place(mixture, y):
+    """``gmm._posterior`` as it was: (responsibilities, log p(y_i)), exp into new arrays."""
+    logs = gaussian_logpdf_per_component(y, mixture.means, mixture.chols)
+    logs += [np.log(w) if w > 0 else -np.inf for w in mixture.weights]
+    peak = logs.max(axis=1)
+    safe = np.where(np.isfinite(peak), peak, 0.0)
+    row_ll = safe + np.log(np.exp(logs - safe[:, None]).sum(axis=1))
+    logs -= row_ll[:, None]
+    resp = np.exp(logs)
+    resp /= resp.sum(axis=1, keepdims=True)
+    return resp, row_ll
+
+
+def m_step_moments(y, resp, ridge):
+    """``gmm.m_step``'s (weights, means, covariances) as it was: fresh arrays per component."""
+    n, d = y.shape
+    counts = resp.sum(axis=0)
+    means = (resp.T @ y) / counts[:, None]
+    covs = np.empty((resp.shape[1], d, d))
+    eye = ridge * np.eye(d)
+    for z in range(resp.shape[1]):
+        diff = y - means[z]
+        weighted = diff * resp[:, z, None]
+        cov = (weighted.T @ diff) / counts[z]
+        covs[z] = 0.5 * (cov + cov.T) + eye
+    return counts / n, means, covs

@@ -7,7 +7,8 @@ from c4td.gmm import (GaussianMixture, default_ridge, e_step,
                       effective_clusters, extract_blocks, fit, log_density,
                       m_step, mixture_from_json, mixture_to_json,
                       sample_cluster, split_blocks)
-from oracles import adjusted_rand_index, mixture_logpdf
+from oracles import (adjusted_rand_index, gaussian_logpdf_per_component, m_step_moments,
+                     mixture_logpdf, posterior_out_of_place)
 
 
 def _random_mixture(rng, k, dim):
@@ -78,6 +79,44 @@ def test_m_step_matches_weighted_moments():
         assert np.allclose(mix.means[j], mu)
         assert np.allclose(mix.covariances[j], cov)
     assert mix.weights.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("k", [1, 5, 8])
+@pytest.mark.parametrize("d", [1, 2, 32])
+@pytest.mark.parametrize("n", [1, 7, 512, 2053])
+def test_em_kernels_match_their_unbuffered_forms_byte_for_byte(n, d, k):
+    # reused buffers, a stacked inverse and in-place exp move no bit
+    rng = np.random.default_rng(n * 100 + d * 10 + k)
+    mix = _random_mixture(rng, k, d)
+    if k > 1:  # an empty component exercises the -inf column
+        weights = mix.weights.copy()
+        weights[-1] = 0.0
+        mix = GaussianMixture(weights / weights.sum(), mix.means, mix.covariances)
+    y = rng.standard_normal((n, d)) * rng.uniform(0.1, 4.0, d) + mix.means[0]
+    logs = gmm.gaussian_logpdf(y, mix.means, mix.chols)
+    assert logs.tobytes() == gaussian_logpdf_per_component(y, mix.means, mix.chols).tobytes()
+    resp, row_ll = gmm._posterior(mix, y)
+    ref_resp, ref_ll = posterior_out_of_place(mix, y)
+    assert resp.tobytes() == ref_resp.tobytes() and row_ll.tobytes() == ref_ll.tobytes()
+    soft = rng.dirichlet(np.ones(k), size=n)
+    moved = m_step(y, soft, 1e-6)
+    for got, ref in zip((moved.weights, moved.means, moved.covariances),
+                        m_step_moments(y, soft, 1e-6)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_e_step_holds_two_row_buffers_whatever_k_is(traced_peak):
+    # The largest (N, D) arrays live in gaussian_logpdf: diff and u, reused
+    # for every component (2). Beside them: the (N, K) table that becomes the
+    # responsibilities (K/D = 0.25), the (N,) Mahalanobis row (1/D = 0.03)
+    # and the K stacked inverses (K D / N = 0.03): 2.31 in units of N D
+    # doubles. Fresh diff and u per component keep a third (N, D) array alive
+    # while the next one is made (3.31); 2.6 lies between the two counts.
+    n, d, k = 10_000, 32, 8
+    rng = np.random.default_rng(5)
+    mix = _random_mixture(rng, k, d)
+    y = rng.standard_normal((n, d))
+    assert traced_peak(lambda: e_step(mix, y)) <= 2.6 * n * d * 8
 
 
 def test_fit_log_likelihood_is_monotone_on_generic_data():
@@ -308,6 +347,18 @@ def test_mixture_json_round_trip():
             mixture_from_json(payload)
     with pytest.raises(FormatError, match="K must be a positive integer"):
         mixture_from_json('{"K":true,"weights":[1.0],"means":[[0.0]],"covariances":[[1.0]]}')
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"K":1,"weights":["1"],"means":[[true]],"covariances":[["2.0"]]}', "weights"),
+    ('{"K":1,"weights":[1.0],"means":[[true]],"covariances":[[2.0]]}', "means"),
+    ('{"K":1,"weights":[1.0],"means":[[0.0]],"covariances":[["2.0"]]}', "covariances"),
+    ('{"K":1,"weights":[1],"means":[[0]],"covariances":[[false]]}', "covariances"),
+], ids=["reported_payload", "bool_mean", "string_covariance", "bool_covariance"])
+def test_mixture_from_json_takes_only_json_numbers(text, field):
+    # numpy would read "1", true and "2.0" as 1.0, 1.0 and 2.0
+    with pytest.raises(FormatError, match=rf"numeric \({field}\)"):
+        mixture_from_json(text)
 
 
 @pytest.mark.parametrize("text", ['{"K": ' + "9" * 5000 + "}", "[" * 100_000],

@@ -6,7 +6,8 @@ import pytest
 
 from c4td.errors import FormatError, InputError
 from c4td.nets import MlpCritic, TargetCritic, ema_update, param_gradient
-from oracles import central_diff, flatten_params, param_fd_gradient, smooth_points
+from oracles import (central_diff, flatten_params, forward_keeping_every_layer,
+                     param_fd_gradient, smooth_points)
 
 
 def test_init_shapes_and_determinism():
@@ -78,6 +79,58 @@ def test_stacked_passes_equal_per_slice_passes_byte_for_byte(hidden, rows):
         for stacked, alone in zip(acts + pres, one_acts + one_pres):
             assert stacked[e].tobytes() == alone.tobytes()
         assert grads[e].tobytes() == net.input_gradient_cached(one_pres).tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(16, 16), (32, 32), (5, 7, 3)])
+@pytest.mark.parametrize("rows", [1, 7, 512, 2053])
+def test_inference_forwards_match_the_kept_layer_forward_byte_for_byte(hidden, rows):
+    # one live activation, the bias and the clamp in place: the same bits
+    rng = np.random.default_rng(rows + 10 * len(hidden))
+    net = MlpCritic.init(6, hidden, rng)
+    x = rng.standard_normal((rows, 6))
+    values, feats = forward_keeping_every_layer(net, x)
+    cached_values, acts, _ = net._forward_cached(x)
+    assert values.tobytes() == cached_values.tobytes() == net.forward_batch(x).tobytes()
+    assert feats.tobytes() == acts[-1].tobytes() == net.penultimate_features_batch(x).tobytes()
+    stack = rng.standard_normal((3, rows, 6))
+    stacked_values = net.forward_batch(stack)
+    assert stacked_values.shape == (3, rows)
+    for e in range(3):
+        one_values, _ = forward_keeping_every_layer(net, stack[e].copy())
+        assert stacked_values[e].tobytes() == one_values.tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(16, 16), (8, 8, 8)])
+@pytest.mark.parametrize("rows", [1, 37, 256])
+def test_stacked_backprop_rows_equal_their_solo_calls(hidden, rows):
+    # the identity check runs its three backward passes as one stack
+    rng = np.random.default_rng(rows + len(hidden))
+    net = MlpCritic.init(4, hidden, rng)
+    _, acts, pres = net._forward_cached(rng.standard_normal((rows, 4)))
+    upstream = rng.standard_normal((3, rows))
+    shared = rng.standard_normal((rows, hidden[-1]))
+    per_row = rng.standard_normal((3, rows, hidden[-1]))
+    for features, row_features in ((None, [None] * 3), (shared, [shared] * 3),
+                                   (per_row, list(per_row))):
+        stacked = net.backprop_cached(acts, pres, upstream, features)
+        assert stacked.shape == (3, net.flat.size)
+        for s, f in enumerate(row_features):
+            solo = net.backprop_cached(acts, pres, upstream[s].copy(), f)
+            assert stacked[s].tobytes() == solo.tobytes()
+
+
+def test_inference_forwards_hold_two_hidden_activations_at_most(traced_peak):
+    # Hidden (16, 16): the product of a layer is made while the activation
+    # it reads is alive, so at most two (N, 16) arrays coexist (2), plus the
+    # (N, 1) values (1/16) in forward_batch: 2.06 in units of N x 16
+    # doubles. Keeping every activation and pre-activation for a backward
+    # pass, as _forward_cached does, holds four (4.13). 2.2 admits no third.
+    n = 10_000
+    rng = np.random.default_rng(6)
+    net = MlpCritic.init(6, (16, 16), rng)
+    x = rng.standard_normal((n, 6))
+    for forward in (net.penultimate_features_batch, net.forward_batch):
+        assert traced_peak(lambda: forward(x)) <= 2.2 * n * 16 * 8
 
 
 def test_stacked_matmul_runs_each_slice_as_its_own_blas_call():
@@ -185,8 +238,11 @@ def test_from_json_turns_python_json_limits_into_format_errors(text):
     (("layers", 0, "w", 2), "NaN", "layer 0: w and b must be finite"),
     (("layers", 1, "w", 0), "Infinity", "layer 1: w and b must be finite"),
     (("layers", 0, "b", 1), "1e400", "layer 0: w and b must be finite"),
+    (("layers", 0, "w", 1), '"1.5"', "layer 0: w and b must be lists of numbers (w); found '1.5'"),
+    (("layers", 1, "b", 0), "true", "layer 1: w and b must be lists of numbers (b); found True"),
 ], ids=["w_number", "b_null", "b_true", "arch_true", "string_weight", "nested_weight",
-        "int_too_large_for_a_float", "nan_weight", "infinite_weight", "overflowing_bias"])
+        "int_too_large_for_a_float", "nan_weight", "infinite_weight", "overflowing_bias",
+        "numeric_string_weight", "bool_bias"])
 def test_from_json_rejects_malformed_layers_with_format_errors(where, literal, match):
     payload = json.loads(MlpCritic.init(3, (2,), np.random.default_rng(0)).to_json())
     *path, last = where
