@@ -23,6 +23,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import FormatError, InputError, ParseError
+from .gmm import GaussianMixture
 
 STEP_GAIN = 0.1
 ACTION_COST = 0.1
@@ -115,13 +116,11 @@ class EnvSpec:
         if len(self.mode_means) != len(self.mode_covs) or not self.mode_means:
             raise InputError("need one covariance per behavior mode")
         for mu, cov in zip(self.mode_means, self.mode_covs):
-            c = np.asarray(cov, dtype=float)
-            if len(mu) != self.da or c.shape != (self.da, self.da):
+            if len(mu) != self.da or np.shape(cov) != (self.da, self.da):
                 raise InputError("behavior mode shapes must match da")
-            try:
-                np.linalg.cholesky(c)
-            except np.linalg.LinAlgError as exc:
-                raise InputError("behavior mode covariance must be PD") from exc
+        n = self.n_modes  # not a field, so fields(EnvSpec) stays the config
+        object.__setattr__(self, "_behavior", GaussianMixture(
+            np.full(n, 1.0 / n), self.mode_means, self.mode_covs))
 
     @property
     def n_modes(self) -> int:
@@ -154,9 +153,9 @@ class EnvSpec:
                           self.box_radius)
 
     def sample_action(self, mode: int, rng: np.random.Generator) -> np.ndarray:
-        mu = np.asarray(self.mode_means[mode], dtype=float)
-        chol = np.linalg.cholesky(np.asarray(self.mode_covs[mode], dtype=float))
-        a = mu + self.noise_scale * (chol @ rng.standard_normal(self.da))
+        behavior = self._behavior
+        a = behavior.means[mode] + self.noise_scale * (
+            behavior.chols[mode] @ rng.standard_normal(self.da))
         return _clip_norm(a, self.action_bound)
 
     def sample_initial_state(self, rng: np.random.Generator) -> np.ndarray:

@@ -25,8 +25,10 @@ from .gmm import GaussianMixture, gaussian_logpdf, log_density
 class GaussianDist:
     """Multivariate Gaussian with a strictly positive definite covariance.
 
-    Like ``gmm.GaussianMixture``, it copies its inputs and is read-only, so
-    the Cholesky factor taken when it is built never goes stale.
+    It is the one component of a ``gmm.GaussianMixture``, which validates,
+    copies and factors the inputs; ``mean``, ``cov`` and the Cholesky factor
+    are read-only views of that mixture's arrays, so the factor never goes
+    stale.
     """
 
     mean: np.ndarray
@@ -34,22 +36,9 @@ class GaussianDist:
     _chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.array(self.mean, dtype=float))
-        cov = np.atleast_2d(np.array(self.cov, dtype=float))
-        d = mean.shape[0]
-        if mean.ndim != 1 or cov.shape != (d, d):
-            raise InputError(f"mean/cov shapes {mean.shape}/{cov.shape}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise InputError("mean and covariance must be finite")
-        if (np.abs(cov - cov.T) > 1e-12).any():
-            raise InputError("covariance must be symmetric")
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise InputError("covariance must be positive definite") from exc
-        for name, arr in (("mean", mean), ("cov", cov), ("_chol", chol)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        mix = GaussianMixture([1.0], [np.atleast_1d(self.mean)], [np.atleast_2d(self.cov)])
+        for name, arr in (("mean", mix.means), ("cov", mix.covariances), ("_chol", mix.chols)):
+            object.__setattr__(self, name, arr[0])
 
     @property
     def dim(self) -> int:
@@ -204,38 +193,28 @@ def kappa_star(r_curvature: float, coeffs: PenaltyCoeffs) -> float:
     # Newton runs on the log of the product form, which stays finite and
     # nearly linear where e^(kappa^2 R) dwarfs everything else; the raw
     # residual would overflow there and its Newton steps crawl.
-    def log_residual(k: float) -> float:
+    def equation(k: float) -> tuple[float, float, float]:
+        """(residual, log residual, the exponential term's share of the sum) at k."""
         expo = k * k * r
         if expo > 700.0:
-            return math.log(2.0 * alpha * rho) + expo + math.log(k)
-        return math.log(2.0 * alpha * rho * math.exp(expo) + beta * rho) + math.log(k)
-
-    def residual(k: float) -> float:
-        expo = k * k * r
-        if expo > 700.0:
-            return math.inf
-        return (2.0 * alpha * rho * math.exp(expo) + beta * rho) * k - 1.0
+            return math.inf, math.log(2.0 * alpha * rho) + expo + math.log(k), 1.0
+        exp_term = 2.0 * alpha * rho * math.exp(expo)
+        total = exp_term + beta * rho
+        return total * k - 1.0, math.log(total) + math.log(k), exp_term / total
 
     k = 0.5 * hi
     for _ in range(300):
-        f = residual(k)
+        f, g, share = equation(k)
         if abs(f) < 1e-13:
             return k
-        g = log_residual(k)
         if g > 0.0:
             hi = k
         else:
             lo = k
-        expo = k * k * r
-        if expo > 700.0:
-            share = 1.0
-        else:
-            exp_term = 2.0 * alpha * rho * math.exp(expo)
-            share = exp_term / (exp_term + beta * rho)
         slope = 1.0 / k + 2.0 * k * r * share
         k_newton = k - g / slope
         k = k_newton if lo < k_newton < hi else 0.5 * (lo + hi)
-    if abs(residual(k)) < 1e-12:
+    if abs(equation(k)[0]) < 1e-12:
         return k
     raise NumericalError("kappa_star iteration did not reach residual 1e-12")
 

@@ -89,11 +89,18 @@ class TrainConfig:
                              f"probe_size ({self.probe_size})")
 
 
+def _finite_float(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):  # train stops before it would log one
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
+
+
 # How a metric field of each annotated type is written to, and read from, a CSV
 # cell: floats by repr so the round trip is exact, a missing value as ''.
-_CELLS = {"int": (lambda v: v, int), "float": (repr, float),
+_CELLS = {"int": (lambda v: v, int), "float": (repr, _finite_float),
           "float | None": (lambda v: "" if v is None else repr(v),
-                           lambda cell: None if cell == "" else float(cell))}
+                           lambda cell: None if cell == "" else _finite_float(cell))}
 
 
 @dataclass
@@ -258,14 +265,21 @@ def refresh_clusters(online: MlpCritic, target: MlpCritic, x: np.ndarray, x_prim
     cfg.probe_size is set; the sampler covers every row so batches can reach
     every transition. ``rng`` is the EM stream. The previous ``mixture``,
     when given, warm-starts the fit for cfg.em_warm_iters; the first fit runs
-    cfg.em_max_iters. EM's ridge is derived from the rows it fits.
+    cfg.em_max_iters. EM's ridge is derived from the rows it fits. Pairs that
+    are not finite, or whose ridge is not, raise NumericalError.
     """
-    # target-side block first; the pair is not kept alive through EM
-    y = np.concatenate(gradient_pairs(online, target, x, x_prime, cfg.feature_mode), axis=1)
-    fit_rows = y
-    if cfg.probe_size is not None and cfg.probe_size < y.shape[0]:
-        pick = rng.choice(y.shape[0], size=cfg.probe_size, replace=False)
-        fit_rows = y[np.sort(pick)]
+    # a diverged critic is reported once, below, not by a RuntimeWarning
+    # from every operation that overflows on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        # target-side block first; the pair is not kept alive through EM
+        y = np.concatenate(gradient_pairs(online, target, x, x_prime, cfg.feature_mode), axis=1)
+        fit_rows = y
+        if cfg.probe_size is not None and cfg.probe_size < y.shape[0]:
+            pick = rng.choice(y.shape[0], size=cfg.probe_size, replace=False)
+            fit_rows = y[np.sort(pick)]
+        if not (np.isfinite(y).all() and math.isfinite(gmm.default_ridge(fit_rows))):
+            raise NumericalError("training diverged: gradient pairs not finite "
+                                 "or too large for EM")
     fitted = gmm.fit(fit_rows, cfg.n_clusters,
                      max_iters=cfg.em_max_iters if mixture is None else cfg.em_warm_iters,
                      tol=cfg.em_tol, seed=int(rng.integers(2 ** 63)), init=mixture).mixture
@@ -463,8 +477,9 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
     random streams. Outside baseline_mode the clusters are refit before
     every step that is a multiple of cfg.refresh_period, step 0 (even of a
     zero-step run) included, and ``on_refresh(step, mixture)`` is invoked
-    after each refit. A non-finite objective, gradient or greedy return
-    raises NumericalError naming the step.
+    after each refit. A non-finite objective, gradient or greedy return, or
+    gradient pairs that are not finite or overflow EM, raise NumericalError
+    naming the step.
     """
     if len(dataset) == 0:
         raise InputError("dataset must be nonempty")
@@ -490,8 +505,11 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
 
     for step in range(cfg.steps + 1):
         if not cfg.baseline_mode and step % cfg.refresh_period == 0:
-            mixture, sampler = refresh_clusters(online, target.net, x_all, x_prime_all, cfg,
-                                                rngs.em, mixture)
+            try:
+                mixture, sampler = refresh_clusters(online, target.net, x_all, x_prime_all,
+                                                    cfg, rngs.em, mixture)
+            except NumericalError as exc:
+                raise NumericalError(f"{exc} at step {step}") from None
             visits = np.zeros(cfg.n_clusters)
             if on_refresh is not None:
                 on_refresh(step, mixture)
@@ -546,7 +564,7 @@ def metrics_from_csv(path) -> list[dict]:
     """Rows as dicts with floats parsed; empty eval cells become None.
 
     Raises ParseError carrying the 1-based line number of the first
-    malformed row (header is line 1).
+    malformed row (header is line 1); a non-finite number is malformed.
     """
     rows = []
     try:

@@ -6,12 +6,13 @@ the package is meaningful.
 """
 
 import json
+import math
 
 import numpy as np
 from scipy import stats
 
 from c4td.data import _HEADER_KEYS, _ROW_KEYS, OfflineDataset
-from c4td.errors import FormatError, ParseError
+from c4td.errors import FormatError, NumericalError, ParseError
 
 
 def central_diff(f, x, eps=1e-6):
@@ -375,3 +376,59 @@ def m_step_moments(y, resp, ridge):
         cov = (weighted.T @ diff) / counts[z]
         covs[z] = 0.5 * (cov + cov.T) + eye
     return counts / n, means, covs
+
+
+def kappa_star_two_pass(r_curvature, coeffs, hits=None):
+    """``policy.kappa_star`` as it was: residual, log residual and slope share
+    each evaluate the equation on their own.
+
+    ``hits``, when given, collects the branches taken: "closed" (alpha = 0),
+    "overflow" (an iterate with kappa^2 R > 700) and "bisect" (a Newton step
+    that left the bracket).
+    """
+    hits = set() if hits is None else hits
+    r = float(r_curvature)
+    rho = coeffs.rho_bar
+    alpha, beta = coeffs.alpha, coeffs.beta_kl
+    if alpha == 0.0:
+        hits.add("closed")
+        return (1.0 - coeffs.gamma) / beta
+    lo, hi = 0.0, 1.0 / ((2.0 * alpha + beta) * rho)
+
+    def log_residual(k):
+        expo = k * k * r
+        if expo > 700.0:
+            hits.add("overflow")
+            return math.log(2.0 * alpha * rho) + expo + math.log(k)
+        return math.log(2.0 * alpha * rho * math.exp(expo) + beta * rho) + math.log(k)
+
+    def residual(k):
+        expo = k * k * r
+        if expo > 700.0:
+            return math.inf
+        return (2.0 * alpha * rho * math.exp(expo) + beta * rho) * k - 1.0
+
+    k = 0.5 * hi
+    for _ in range(300):
+        f = residual(k)
+        if abs(f) < 1e-13:
+            return k
+        g = log_residual(k)
+        if g > 0.0:
+            hi = k
+        else:
+            lo = k
+        expo = k * k * r
+        if expo > 700.0:
+            share = 1.0
+        else:
+            exp_term = 2.0 * alpha * rho * math.exp(expo)
+            share = exp_term / (exp_term + beta * rho)
+        slope = 1.0 / k + 2.0 * k * r * share
+        k_newton = k - g / slope
+        if not lo < k_newton < hi:
+            hits.add("bisect")
+        k = k_newton if lo < k_newton < hi else 0.5 * (lo + hi)
+    if abs(residual(k)) < 1e-12:
+        return k
+    raise NumericalError("kappa_star iteration did not reach residual 1e-12")

@@ -419,6 +419,26 @@ def test_diverging_run_exits_2_naming_the_step_without_numpy_warnings(tmp_path):
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
+def test_a_refresh_on_diverged_pairs_exits_2_naming_the_step(tmp_path):
+    # overflowing pairs once reached EM, which printed numpy warnings and then
+    # rejected its data or its mixture without naming the step
+    config, _ = _write_config(tmp_path, data={"n_trajectories": 10, "seed": 0},
+                              train={"steps": 20, "optimizer": "sgd"})
+    _gen(tmp_path, config)
+    env = dict(os.environ, PYTHONPATH=str(Path(c4td.__file__).parents[1]))
+    sets = ["train.refresh_period=1", "train.evaluate=false", "train.check_identities=false",
+            "train.n_clusters=2"]
+    for rate in ("1e6", "1e20"):
+        args = [arg for value in (*sets, f"train.learning_rate={rate}")
+                for arg in ("--set", value)]
+        out = subprocess.run([sys.executable, "-m", "c4td.cli", "train", "--config",
+                              str(config), *args], env=env, capture_output=True, text=True)
+        assert out.returncode == 2
+        assert re.fullmatch(r"error: training diverged: gradient pairs not finite or too "
+                            r"large for EM at step \d+", out.stderr.strip()), out.stderr
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 def test_sizes_memory_cannot_hold_exit_2_naming_the_size_fields(tmp_path, capsys):
     config, _ = _write_config(tmp_path)
     _gen(tmp_path, config)
@@ -557,13 +577,16 @@ def test_report_deduplicates_run_labels(tmp_path, capsys):
 
 
 def test_report_rejects_malformed_csv_with_file_and_line(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text(",".join(METRIC_COLUMNS) + "\n"
-                   + "1,0.5,0.1,0.6,0.01,0,0.0,\n"
-                   + "2,x,0.1,0.6,0.01,0,0.0,\n")
-    assert main(["report", str(bad), "--out", str(tmp_path / "rep")]) == 2
-    err = capsys.readouterr().err
-    assert "bad.csv" in err and "line 3" in err
+    # a non-finite cell once reached summary.json as Infinity or NaN
+    for row in ("2,x,0.1,0.6,0.01,0,0.0,", "2,inf,0.1,0.6,0.01,0,0.0,",
+                "2,0.5,0.1,0.6,nan,0,0.0,"):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(METRIC_COLUMNS) + "\n"
+                       + "1,0.5,0.1,0.6,0.01,0,0.0,\n" + row + "\n")
+        assert main(["report", str(bad), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert "bad.csv" in err and "line 3" in err
+        assert not (tmp_path / "rep" / "summary.json").exists()
 
 
 def test_svg_renderer_handles_empty_and_constant_series():

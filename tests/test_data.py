@@ -22,6 +22,31 @@ def test_spec_rejects_bad_shapes():
                 mode_covs=(((0.01, 0.0), (0.0, 0.01)),))
     with pytest.raises(InputError):
         EnvSpec(mode_covs=(((1.0, 2.0), (2.0, 1.0)),))  # not PD
+    # asymmetric with a positive definite lower triangle, once accepted
+    with pytest.raises(InputError, match="covariance 1 is not symmetric"):
+        EnvSpec(mode_means=((0.0, 0.0), (0.1, 0.1)),
+                mode_covs=(((0.01, 0.0), (0.0, 0.01)), ((0.01, 5.0), (0.0, 0.01))))
+
+
+def test_sample_action_draws_match_a_fresh_factor_per_draw():
+    a, b = 0.04, 0.01
+    spec = EnvSpec(ds=3, da=3, noise_scale=1.7, action_bound=0.9,
+                   mode_means=((0.3, -0.2, 0.1), (-0.5, 0.4, 0.0), (0.0, 0.0, 0.7)),
+                   mode_covs=(((a, b, 0.0), (b, a, b), (0.0, b, a)),
+                              ((0.09, 0.0, 0.0), (0.0, 0.01, 0.0), (0.0, 0.0, 0.25)),
+                              ((a, -b, b), (-b, a, 0.0), (b, 0.0, a))))
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(40):
+            mode = int(ref_rng.integers(spec.n_modes))
+            assert int(rng.integers(spec.n_modes)) == mode
+            # the formula before the behavior mixture kept the factors
+            mu = np.asarray(spec.mode_means[mode], dtype=float)
+            chol = np.linalg.cholesky(np.asarray(spec.mode_covs[mode], dtype=float))
+            ref = data_module._clip_norm(
+                mu + spec.noise_scale * (chol @ ref_rng.standard_normal(spec.da)),
+                spec.action_bound)
+            assert spec.sample_action(mode, rng).tobytes() == ref.tobytes()
 
 
 def test_circular_modes_layout():

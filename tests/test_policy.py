@@ -14,7 +14,7 @@ from c4td.policy import (GaussianDist, PenaltyCoeffs,
                          mixture_bound_check, per_cluster_objective,
                          policy_update_mean, unbiased_cluster_gradient_check)
 from c4td.policy import _adaptive_simpson, _integration_range
-from oracles import adaptive_simpson_recursive, bisection_root
+from oracles import adaptive_simpson_recursive, bisection_root, kappa_star_two_pass
 
 
 def _random_gaussian(rng, dim, spread=1.0):
@@ -174,6 +174,38 @@ def test_kappa_star_kl_only_closed_form_is_exact():
         gamma = rng.uniform(0.0, 0.999)
         coeffs = PenaltyCoeffs(alpha=0.0, beta_kl=beta, gamma=gamma)
         assert kappa_star(rng.uniform(0.1, 10.0), coeffs) == (1.0 - gamma) / beta
+
+
+def _outcome(fn, *args):
+    """The hex of each float a call returns, or the type of what it raises."""
+    try:
+        out = fn(*args)
+    except (InputError, NumericalError) as exc:
+        return type(exc).__name__
+    return [float(v).hex() for v in (out if isinstance(out, tuple) else (out,))]
+
+
+def test_kappa_star_matches_its_two_pass_form_bit_for_bit():
+    grid = [(r, alpha, beta, gamma) for r in 10.0 ** np.arange(-3.0, 7.0)
+            for alpha in (0.0, 1e-3, 0.1, 1.0, 10.0)
+            for beta in (0.0, 1e-14, 1e-3, 1.0, 10.0)
+            for gamma in (0.0, 0.5, 0.99) if alpha + beta > 0.0]
+    # wide random draws reach Newton steps that leave the bracket
+    rng = np.random.default_rng(17)
+    grid += [(*(10.0 ** rng.uniform(-8, 8, 3)), gamma) for gamma in (0.0, 0.99)
+             for _ in range(2000)]
+    hits = set()
+    for r, alpha, beta, gamma in grid:
+        coeffs = PenaltyCoeffs(alpha=alpha, beta_kl=beta, gamma=gamma)
+        ref = _outcome(kappa_star_two_pass, r, coeffs, hits)
+        assert _outcome(kappa_star, r, coeffs) == ref, (r, coeffs)
+        if alpha > 0.0:
+            if isinstance(ref, list):
+                k = float.fromhex(ref[0])
+                ref = [float(np.expm1(k * k * r)).hex(), (beta / (2.0 * alpha) - 1.0).hex()]
+            assert _outcome(chi2_inflation_at_optimum, r, coeffs) == ref, (r, coeffs)
+    # the grid reaches the KL closed form, the overflow branch and the bracket fallback
+    assert hits == {"closed", "overflow", "bisect"}
 
 
 def test_kappa_star_pearson_matches_bisection_oracle():

@@ -528,6 +528,22 @@ def test_metrics_csv_parse_errors_carry_line_numbers(tmp_path):
     assert err.value.line_number == 3
 
 
+def test_metrics_csv_rejects_non_finite_cells(tmp_path):
+    header = ",".join(METRIC_COLUMNS)
+    good = ["1", "0.5", "0.1", "0.6", "0.01", "0", "0.0", "-3.0"]
+    path = tmp_path / "metrics.csv"
+    for column, name in enumerate(METRIC_COLUMNS):
+        if name in ("step", "active_cluster"):
+            continue
+        for cell in ("inf", "-inf", "nan"):
+            bad = list(good)
+            bad[column] = cell
+            path.write_text("\n".join([header, ",".join(good), ",".join(bad)]) + "\n")
+            with pytest.raises(ParseError, match="non-finite") as err:
+                metrics_from_csv(path)
+            assert err.value.line_number == 3
+
+
 def test_occupancy_entropy_bounds():
     assert _occupancy_entropy(np.array([10.0, 10.0])) == pytest.approx(math.log(2))
     assert _occupancy_entropy(np.array([7.0, 0.0, 0.0])) == 0.0
