@@ -21,12 +21,14 @@ and diagnostics) load on the first ``run_suite`` call, ``statistics`` in
 ``report``, so ``gen-data`` and ``train`` pay for neither at start-up.
 The CSV stays the source of truth for plots; SVGs are rendered by hand so
 no plotting stack is needed. C4_THREADS caps BLAS worker pools; the package
-exports it to the BLAS variables on import, before numpy loads.
+exports it to the BLAS variables on import, before numpy loads. ``main`` also
+tells glibc's allocator to keep freed heap pages (``_keep_freed_heap``).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -58,6 +60,10 @@ def _encodable_path(path: str) -> bool:
 
 _PATH = ("str", _encodable_path, "must be a path the file system can encode, without NUL")
 _TOP = {"out_dir": _PATH, "dataset": _PATH, **dict.fromkeys(_SECTIONS, ("object",))}
+
+# glibc's mallopt parameters and the environment settings that override them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
 
 _REPORT_METRICS = ("td_loss", "tr_n_sample_convention", "eval_return")
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
@@ -341,6 +347,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_heap() -> None:
+    """Have glibc serve large arrays from the heap and keep freed heap pages.
+
+    By default glibc maps each allocation above its dynamic threshold
+    afresh and unmaps it when freed, and trims the heap's free top, so
+    every cluster refresh faults its N-row temporaries in again. Up to the
+    32 MB that glibc accepts, arrays now come from the heap, and up to 64 MB
+    of free heap top is kept. A ``MALLOC_*_`` variable or a
+    ``glibc.malloc.`` tunable in the environment wins; without glibc's
+    ``mallopt`` this does nothing. No computed value depends on it.
+    """
+    if (any(var in os.environ for var in _MALLOC_ENV)
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # a trim threshold alone would also freeze the mmap threshold at 128 KB
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1:
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -348,6 +378,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _apply_thread_cap()
+        _keep_freed_heap()
         return args.func(args)
     except (C4Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -81,8 +81,12 @@ class FitResult(NamedTuple):
 
 
 def default_ridge(y: np.ndarray) -> float:
-    """1e-6 of the mean global variance, floored so degenerate data stays PD."""
-    mean_var = float(np.mean(np.var(y, axis=0)))
+    """1e-6 of the mean global variance, floored so degenerate data stays PD.
+
+    Data whose variance overflows get ``inf``, with no numpy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_var = float(np.mean(np.var(y, axis=0)))
     return max(1e-6 * mean_var, 1e-12)
 
 
@@ -242,7 +246,8 @@ def fit(y: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-7,
     as convergence and the pre-dip mixture is returned, so the recorded
     trace stays non-decreasing. Reseeding a starved cluster restarts EM from
     the modified mixture, and the trace documents that final run. ``init``
-    warm-starts from a previous mixture.
+    warm-starts from a previous mixture. Data whose variance overflows raise
+    InputError.
     """
     y = _check_data(y)
     n = y.shape[0]
@@ -251,6 +256,8 @@ def fit(y: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-7,
     if max_iters < 1:
         raise InputError("max_iters must be positive")
     eps = default_ridge(y)
+    if not np.isfinite(eps):
+        raise InputError("data too large for EM: their variance overflows")
     rng = np.random.default_rng(seed)
     if init is not None:
         if init.n_components != k or init.dim != y.shape[1]:

@@ -1,14 +1,18 @@
 """End-to-end tests for the c4 command-line interface."""
 
 import contextlib
+import ctypes
 import inspect
 import io
 import json
 import os
+import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
+import types
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import c4td
-from c4td import BLAS_THREAD_VARS
+from c4td import BLAS_THREAD_VARS, cli
 from c4td.cli import _SECTIONS, main, render_metric_svg
 from c4td.data import DATA_SCHEMA, ENV_SCHEMA, EnvSpec, generate
 from c4td.train import (FEATURE_MODES, METRIC_COLUMNS, OPTIMIZERS, TRAIN_SCHEMA, TrainConfig,
@@ -498,6 +502,96 @@ def test_c4_threads_alone_caps_blas_before_numpy_loads():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("setting", [*cli._MALLOC_ENV, "GLIBC_TUNABLES", "no mallopt",
+                                     "no libc", "refused", None])
+def test_heap_setting_yields_to_explicit_settings(monkeypatch, setting):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 0 if setting == "refused" else 1  # glibc returns 0 on a value it refuses
+
+    def cdll(name):
+        if setting == "no libc":
+            raise OSError(f"{name}: cannot open shared object file")
+        return object() if setting == "no mallopt" else types.SimpleNamespace(mallopt=mallopt)
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    for var in (*cli._MALLOC_ENV, "GLIBC_TUNABLES"):
+        monkeypatch.delenv(var, raising=False)
+    if setting == "GLIBC_TUNABLES":
+        monkeypatch.setenv(setting, "glibc.cpu.x86_rep_movsb_threshold=4096")
+        cli._keep_freed_heap()
+        assert len(calls) == 2  # a tunable of another namespace leaves malloc to c4
+        calls.clear()
+        monkeypatch.setenv(setting, "glibc.cpu.x86_rep_movsb_threshold=4096:"
+                                    "glibc.malloc.trim_threshold=0")
+    elif setting in cli._MALLOC_ENV:
+        monkeypatch.setenv(setting, "0")
+    cli._keep_freed_heap()
+    if setting == "refused":  # a trim threshold alone would freeze the mmap threshold
+        assert calls == [(-3, 32 << 20)]
+    else:
+        assert calls == ([(-3, 32 << 20), (-1, 64 << 20)] if setting is None else [])
+
+
+@pytest.fixture(scope="module")
+def em_shape(tmp_path_factory):
+    """em_refresh's shape (N = 10000, hidden (16, 16), K = 8, probe 2048) for 100 steps.
+
+    Returns the config and a function that trains it in a child process with
+    extra environment settings and returns the child's minor page faults.
+    """
+    root = tmp_path_factory.mktemp("em_shape")
+    cfg = {"out_dir": str(root / "out"), "dataset": str(root / "data.jsonl"),
+           "env": {"n_modes": 3}, "data": {"n_trajectories": 250, "seed": 5},
+           "train": {"steps": 100, "hidden": [16, 16], "batch_size": 256, "n_clusters": 8,
+                     "probe_size": 2048, "penalty_weight": 0.1, "em_tol": 0.0,
+                     "em_max_iters": 10, "em_warm_iters": 3, "evaluate": False,
+                     "check_identities": False}}
+    config = root / "run.json"
+    config.write_text(json.dumps(cfg))
+    base = {k: v for k, v in os.environ.items()
+            if k not in (*cli._MALLOC_ENV, "GLIBC_TUNABLES", "C4_THREADS")}
+    base.update(dict.fromkeys(BLAS_THREAD_VARS, "1"),
+                PYTHONPATH=str(Path(c4td.__file__).parents[1]))
+    subprocess.run([sys.executable, "-m", "c4td.cli", "gen-data", "--config", str(config),
+                    "--out", cfg["dataset"]], env=base, capture_output=True, check=True)
+
+    def train(out_dir, *sets, **env) -> int:
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        args = [arg for value in (f'out_dir="{out_dir}"', *sets) for arg in ("--set", value)]
+        subprocess.run([sys.executable, "-m", "c4td.cli", "train", "--config", str(config),
+                        *args], env={**base, **env}, capture_output=True, check=True)
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    return root, train
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap setting and the fault counts are glibc's")
+def test_a_refresh_faults_in_no_fresh_memory(em_shape):
+    # glibc's default mmaps every N-row array of a refresh and unmaps it when
+    # freed, so each refresh faulted about 1900 pages in again; c4 keeps them
+    root, train = em_shape
+    one = train(root / "one", "train.refresh_period=1000")
+    five = train(root / "five", "train.refresh_period=25")
+    assert (five - one) / 4 < 400, (one, five)
+
+
+def test_the_heap_setting_moves_no_bit(em_shape):
+    # a preset MALLOC_ variable makes c4 leave the allocator alone, so the two
+    # runs allocate differently
+    root, train = em_shape
+    train(root / "default", "train.refresh_period=25")
+    train(root / "preset", "train.refresh_period=25", MALLOC_TRIM_THRESHOLD_=str(128 << 10))
+    snapshots = sorted(p.name for p in (root / "default" / "mixtures").iterdir())
+    assert snapshots == [f"refresh_{step:06d}.json" for step in range(0, 101, 25)]
+    assert sorted(p.name for p in (root / "preset" / "mixtures").iterdir()) == snapshots
+    for name in ("metrics.csv", "critic.json", *(f"mixtures/{n}" for n in snapshots)):
+        assert (root / "default" / name).read_bytes() == (root / "preset" / name).read_bytes()
 
 
 def test_gen_data_and_train_import_only_the_modules_they_run(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,18 @@ def test_default_ridge_scales_with_variance():
     rng = np.random.default_rng(7)
     y = rng.standard_normal((50, 3))
     assert default_ridge(10.0 * y) == pytest.approx(100.0 * default_ridge(y), rel=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1e153, 5e153])
+def test_fit_rejects_data_whose_variance_overflows(scale):
+    # finite rows whose squares overflow once reached rng.choice with an
+    # infinite ridge: "Probabilities do not sum to 1" at 1e153, "contain NaN"
+    # at 5e153, each after numpy RuntimeWarnings
+    y = scale * np.random.default_rng(0).standard_normal((2048, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="data too large for EM"):
+            fit(y, 2, max_iters=3)
 
 
 def test_split_and_extract_blocks():
