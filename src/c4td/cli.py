@@ -9,16 +9,17 @@ One JSON config file describes a run. Top-level keys:
   train     ``train.TRAIN_SCHEMA`` but eval_env, plus ``evaluate`` (default true)
             to toggle greedy-rollout evaluation
 
-Unknown keys are rejected. The constructor taking a value checks its type and
-range, naming ``section.field``, and supplies its default. ``--set key=value``
+Unknown keys are rejected. The constructor taking a value checks it by the
+field kinds of ``errors.check_fields``, as every library entry point checks its
+arguments, naming ``section.field``, and supplies its default. ``--set key=value``
 overrides single entries with dotted paths (``--set train.steps=500``);
 values are parsed as JSON when possible, otherwise kept as strings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error,
 including a size the schema accepts that memory cannot hold.
 A command imports only the modules it runs: the verify suites (with policy
-and diagnostics) load on the first ``run_suite`` call, ``statistics`` in
-``report``, so ``gen-data`` and ``train`` pay for neither at start-up.
+and diagnostics) load on the first ``run_suite`` call, ``statistics`` and
+``html`` in ``report``, so ``gen-data`` and ``train`` pay for none at start-up.
 The CSV stays the source of truth for plots; SVGs are rendered by hand so
 no plotting stack is needed. C4_THREADS caps BLAS worker pools; the package
 exports it to the BLAS variables on import, before numpy loads. ``main`` also
@@ -35,9 +36,8 @@ import sys
 from pathlib import Path
 
 from . import apply_thread_cap as _apply_thread_cap
-from .data import (DATA_SCHEMA, ENV_SCHEMA, EnvSpec, check_fields, generate, load_jsonl,
-                   save_jsonl)
-from .errors import C4Error, InputError, ParseError
+from .data import DATA_SCHEMA, ENV_SCHEMA, EnvSpec, generate, load_jsonl, save_jsonl
+from .errors import C4Error, InputError, ParseError, check_fields
 from .gmm import mixture_to_json
 from .train import TRAIN_SCHEMA, TrainConfig, metrics_from_csv, metrics_to_csv, train
 
@@ -215,6 +215,8 @@ def _thin(points: list) -> list:
 
 def render_metric_svg(metric: str, runs: list[tuple[str, list[dict]]]) -> str:
     """Self-contained SVG overlaying one polyline per run for one metric."""
+    import html
+
     width, height = 720, 420
     left, right, top, bottom = 70, 160, 30, 45
     body = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -275,7 +277,7 @@ def render_metric_svg(metric: str, runs: list[tuple[str, list[dict]]]) -> str:
         body.append(f'<rect x="{width - right + 10}" y="{ly - 8}" width="10" '
                     f'height="10" fill="{color}"/>')
         body.append(f'<text x="{width - right + 25}" y="{ly + 1}" '
-                    f'font-family="sans-serif" font-size="11">{label}</text>')
+                    f'font-family="sans-serif" font-size="11">{html.escape(label)}</text>')
     body.append("</svg>")
     return "\n".join(body) + "\n"
 

@@ -14,63 +14,18 @@ consecutive rows of a trajectory form SARSA pairs.
 from __future__ import annotations
 
 import json
-import math
-import numbers
-import reprlib
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError, InputError, ParseError
+from .errors import (NONNEGATIVE, POSITIVE, FormatError, InputError, ParseError, at_least,
+                     check_fields, is_kind, is_number)
 from .gmm import GaussianMixture
 
 STEP_GAIN = 0.1
 ACTION_COST = 0.1
 
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-# What each kind accepts and how a message names it; a "X | None" kind also takes None.
-_KINDS = {
-    "int": (_is_int, "an integer"),
-    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
-              and math.isfinite(v), "a finite number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "widths": (lambda v: isinstance(v, tuple) and len(v) > 0
-               and all(_is_int(w) and w > 0 for w in v),
-               "a nonempty tuple of positive integers"),
-    "EnvSpec": (lambda v: isinstance(v, EnvSpec), "an EnvSpec"),
-    "object": (lambda v: isinstance(v, dict), "an object"),
-}
-
-
-def check_fields(values: dict, schema: dict[str, tuple], where: str = "") -> None:
-    """Raise InputError, naming ``where + name``, for the first value breaking its row.
-
-    A row is ``(kind,)`` or ``(kind, rule, wording)``; names that only one side
-    has are skipped.
-    """
-    for name, (kind, *rule) in schema.items():
-        value = values.get(name)
-        if name not in values or value is None and kind.endswith(" | None"):
-            continue
-        check, noun = _KINDS[kind.removesuffix(" | None")]
-        if not check(value):
-            raise InputError(f"{where}{name} must be {noun}, got {reprlib.repr(value)}")
-        if rule and not rule[0](value):
-            raise InputError(f"{where}{name} {rule[1]}, got {reprlib.repr(value)}")
-
-
-def at_least(low: int) -> tuple:
-    return ("int", lambda v: v >= low, f"must be at least {low}")
-
-
-POSITIVE = ("float", lambda v: v > 0, "must be positive")
-NONNEGATIVE = ("float", lambda v: v >= 0, "must be nonnegative")
 
 # The run config's env section: EnvSpec's numeric fields plus the circular-mode layout.
 ENV_SCHEMA = {
@@ -253,7 +208,8 @@ def generate(spec: EnvSpec, n_trajectories: int = 50, seed: int = 0) -> OfflineD
 
 def subsample(dataset: OfflineDataset, n: int, seed: int) -> OfflineDataset:
     """Uniform subsample without replacement, original row order kept."""
-    if not 1 <= n <= len(dataset):
+    check_fields(locals(), {"n": at_least(1), "seed": at_least(0)})
+    if n > len(dataset):
         raise InputError(f"cannot take {n} of {len(dataset)} transitions")
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(len(dataset), size=n, replace=False))
@@ -262,7 +218,7 @@ def subsample(dataset: OfflineDataset, n: int, seed: int) -> OfflineDataset:
 
 # ------------------------------------------------------------------- JSONL
 
-_HEADER_KEYS = {"ds": int, "da": int, "env": str, "modes": int, "seed": int}
+_HEADER_KEYS = {"ds": "int", "da": "int", "env": "str", "modes": "int", "seed": "int"}
 _ROW_KEYS = {"s", "a", "r", "sn", "an", "done"}
 # Lines per json.loads in load_jsonl: one parse per chunk, and a chunk's
 # transient Python objects are freed before the next is parsed.
@@ -300,8 +256,7 @@ def _json_line(text: str, line: int, prefix: str = ""):
 
 
 def _float_vector(value, length: int, line: int, key: str) -> list[float]:
-    if (not isinstance(value, list) or len(value) != length
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+    if not isinstance(value, list) or len(value) != length or not all(map(is_number, value)):
         raise ParseError(line, f"field {key!r} must be a list of {length} numbers")
     try:
         return [float(v) for v in value]
@@ -322,9 +277,9 @@ def _rows_line_by_line(lines: list[str], first: int, ds: int, da: int) -> dict[s
         cols["a"].append(_float_vector(row["a"], da, lineno, "a"))
         cols["sn"].append(_float_vector(row["sn"], ds, lineno, "sn"))
         cols["an"].append(_float_vector(row["an"], da, lineno, "an"))
-        if not isinstance(row["r"], (int, float)) or isinstance(row["r"], bool):
+        if not is_number(row["r"]):
             raise ParseError(lineno, "field 'r' must be a number")
-        if not isinstance(row["done"], bool):
+        if not is_kind("bool", row["done"]):
             raise ParseError(lineno, "field 'done' must be a boolean")
         cols["r"].extend(_float_vector([row["r"]], 1, lineno, "r"))
         cols["done"].append(row["done"])
@@ -381,9 +336,9 @@ def load_jsonl(path: str) -> OfflineDataset:
     header = _json_line(lines[0], 1, "header is ")
     if not isinstance(header, dict) or set(header) != set(_HEADER_KEYS):
         raise ParseError(1, f"header must have exactly the keys {sorted(_HEADER_KEYS)}")
-    for key, typ in _HEADER_KEYS.items():
-        if not isinstance(header[key], typ) or (typ is int and isinstance(header[key], bool)):
-            raise ParseError(1, f"header field {key!r} must be {typ.__name__}")
+    for key, kind in _HEADER_KEYS.items():
+        if not is_kind(kind, header[key]):
+            raise ParseError(1, f"header field {key!r} must be {kind}")
     ds, da = header["ds"], header["da"]
     if ds < 1 or da < 1:
         raise ParseError(1, "header dimensions must be positive")

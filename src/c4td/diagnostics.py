@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import NONNEGATIVE, InputError, at_least, check_fields
 from .nets import MlpCritic
 from .train import bootstrap_targets, second_moment_split
 
@@ -36,10 +36,8 @@ class PerturbSpec:
     n_directions: int
 
     def __post_init__(self):
-        if self.k < 0 or self.k_prime < 0:
-            raise InputError("displacement magnitudes must be nonnegative")
-        if self.n_directions < 2:
-            raise InputError("need at least 2 direction replicates")
+        check_fields(vars(self), {"k": NONNEGATIVE, "k_prime": NONNEGATIVE,
+                                  "n_directions": at_least(2)})
 
 
 def default_perturb_spec(features: np.ndarray, n_directions: int = 1000) -> PerturbSpec:

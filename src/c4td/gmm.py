@@ -14,11 +14,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, InputError, check_json_numbers
+from .errors import (NONNEGATIVE, FormatError, InputError, at_least, check_fields,
+                     check_json_numbers, is_kind)
 
 # A cluster whose soft count falls below this fraction of N is starved and
 # gets re-seeded at the least-explained point.
 STARVED_FRACTION = 1e-6
+_FIT_ARGS = {"k": at_least(1), "max_iters": at_least(1), "tol": NONNEGATIVE, "seed": at_least(0)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,12 +251,11 @@ def fit(y: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-7,
     warm-starts from a previous mixture. Data whose variance overflows raise
     InputError.
     """
+    check_fields(locals(), _FIT_ARGS)
     y = _check_data(y)
     n = y.shape[0]
-    if not 1 <= k <= n:
-        raise InputError(f"need 1 <= K <= N, got K={k}, N={n}")
-    if max_iters < 1:
-        raise InputError("max_iters must be positive")
+    if k > n:
+        raise InputError(f"need K <= N, got K={k}, N={n}")
     eps = default_ridge(y)
     if not np.isfinite(eps):
         raise InputError("data too large for EM: their variance overflows")
@@ -315,8 +316,8 @@ def sample_cluster(mixture: GaussianMixture, rng: np.random.Generator) -> int:
 
 def effective_clusters(mixture: GaussianMixture, occupancy_threshold: float = 0.01) -> int:
     """Number of components whose weight reaches the occupancy threshold."""
-    if not 0.0 < occupancy_threshold < 1.0:
-        raise InputError("occupancy_threshold must lie in (0, 1)")
+    check_fields(locals(), {"occupancy_threshold": (
+        "float", lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")})
     return int(np.sum(mixture.weights >= occupancy_threshold))
 
 
@@ -340,7 +341,7 @@ def mixture_from_json(text: str) -> GaussianMixture:
     if not isinstance(payload, dict) or set(payload) != expected:
         raise FormatError(f"mixture payload must have exactly the keys {sorted(expected)}")
     k = payload["K"]
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not is_kind("int", k) or k < 1:
         raise FormatError("K must be a positive integer")
     for key in ("weights", "means", "covariances"):
         check_json_numbers(payload[key], f"mixture arrays must be rectangular and numeric ({key})")

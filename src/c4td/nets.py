@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InputError, check_json_numbers
+from .errors import FormatError, InputError, at_least, check_fields, check_json_numbers, is_kind
 
 Params = list[tuple[np.ndarray, np.ndarray]]
+EMA_RATE = ("float", lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 
 
 class MlpCritic:
@@ -68,8 +69,7 @@ class MlpCritic:
     def init(cls, input_dim: int, hidden: tuple[int, ...] = (32, 32),
              rng: np.random.Generator | None = None) -> "MlpCritic":
         """He-style Gaussian init, zero biases. Deterministic given ``rng``."""
-        if input_dim < 1 or any(h < 1 for h in hidden) or len(hidden) < 1:
-            raise InputError(f"bad architecture: input {input_dim}, hidden {hidden}")
+        check_fields(locals(), {"input_dim": at_least(1), "hidden": ("widths",)})
         rng = rng if rng is not None else np.random.default_rng(0)
         dims = [input_dim, *hidden, 1]
         layers = []
@@ -239,8 +239,7 @@ class MlpCritic:
             raise FormatError("critic payload must have exactly the keys arch, layers")
         arch = payload["arch"]
         entries = payload["layers"]
-        if (not isinstance(arch, list) or len(arch) < 3
-                or not all(type(d) is int and d > 0 for d in arch)):  # bools are not widths
+        if not isinstance(arch, list) or len(arch) < 3 or not is_kind("widths", tuple(arch)):
             raise FormatError(f"bad arch {arch!r}")
         if not isinstance(entries, list) or len(entries) != len(arch) - 1:
             raise FormatError("layer count does not match arch")
@@ -286,8 +285,7 @@ class TargetCritic:
     ema_rate: float = 0.005
 
     def __post_init__(self):
-        if not 0.0 < self.ema_rate <= 1.0:
-            raise InputError(f"ema_rate must lie in (0, 1], got {self.ema_rate}")
+        check_fields(vars(self), {"ema_rate": EMA_RATE})
 
     @classmethod
     def of(cls, online: MlpCritic, ema_rate: float = 0.005) -> "TargetCritic":

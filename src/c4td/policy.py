@@ -17,7 +17,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import (DISCOUNT, NONNEGATIVE, POSITIVE, InputError, NumericalError, at_least,
+                     check_fields)
 from .gmm import GaussianMixture, gaussian_logpdf, log_density
 
 
@@ -67,12 +68,9 @@ class PenaltyCoeffs:
     gamma: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta_kl < 0:
-            raise InputError("alpha and beta_kl must be nonnegative")
+        check_fields(vars(self), {"alpha": NONNEGATIVE, "beta_kl": NONNEGATIVE, "gamma": DISCOUNT})
         if self.alpha + self.beta_kl <= 0:
             raise InputError("at least one of alpha, beta_kl must be positive")
-        if not 0.0 <= self.gamma < 1.0:
-            raise InputError("gamma must lie in [0, 1)")
 
     @property
     def rho_bar(self) -> float:
@@ -152,8 +150,7 @@ def lambert_w(z: float) -> float:
     The residual tolerance is relative to z, which is the rounding floor of
     evaluating w e^w; a step that no longer moves w also counts as converged.
     """
-    if not z > 0:
-        raise InputError(f"lambert_w requires z > 0, got {z}")
+    check_fields(locals(), {"z": POSITIVE})
     w = math.log1p(z)
     prev = None
     for _ in range(100):
@@ -181,9 +178,8 @@ def kappa_star(r_curvature: float, coeffs: PenaltyCoeffs) -> float:
     Otherwise a bracketed Newton iteration drives the defining residual below
     1e-13. The root is unique because the left side is strictly increasing.
     """
+    check_fields(locals(), {"r_curvature": POSITIVE})
     r = float(r_curvature)
-    if not r > 0:
-        raise InputError(f"curvature R must be positive, got {r}")
     rho = coeffs.rho_bar
     alpha, beta = coeffs.alpha, coeffs.beta_kl
     if alpha == 0.0:
@@ -221,11 +217,8 @@ def kappa_star(r_curvature: float, coeffs: PenaltyCoeffs) -> float:
 
 def kappa_star_pearson_closed_form(r_curvature: float, alpha: float, gamma: float) -> float:
     """Lambert-W form of the Pearson-only step: sqrt(W(R/(2 lam^2))/(2R))."""
+    check_fields(locals(), {"r_curvature": POSITIVE, "alpha": POSITIVE, "gamma": DISCOUNT})
     r = float(r_curvature)
-    if not r > 0:
-        raise InputError(f"curvature R must be positive, got {r}")
-    if alpha <= 0 or not 0.0 <= gamma < 1.0:
-        raise InputError("need alpha > 0 and gamma in [0, 1)")
     lam = alpha / (1.0 - gamma)
     return math.sqrt(lambert_w(r / (2.0 * lam * lam)) / (2.0 * r))
 
@@ -249,8 +242,7 @@ def chi2_inflation_at_optimum(r_curvature: float,
     range the inflation can exceed it, so callers should treat the pair as a
     report rather than an unconditional inequality.
     """
-    if coeffs.alpha <= 0:
-        raise InputError("the inflation cap needs alpha > 0")
+    check_fields(vars(coeffs), {"alpha": POSITIVE}, "coeffs.")  # the cap divides by it
     k = kappa_star(r_curvature, coeffs)
     chi2 = float(np.expm1(k * k * float(r_curvature)))
     cap = coeffs.beta_kl / (2.0 * coeffs.alpha) - 1.0
@@ -260,10 +252,8 @@ def chi2_inflation_at_optimum(r_curvature: float,
 def cql_global_lower_bound(expected_q: float, sup_chi2: float,
                            alpha: float, gamma: float) -> float:
     """expected_q - alpha * sup_chi2 / (1 - gamma)."""
-    if sup_chi2 < 0:
-        raise InputError("sup_chi2 must be nonnegative")
-    if alpha < 0 or not 0.0 <= gamma < 1.0:
-        raise InputError("need alpha >= 0 and gamma in [0, 1)")
+    check_fields(locals(), {"expected_q": ("float",), "sup_chi2": NONNEGATIVE,
+                            "alpha": NONNEGATIVE, "gamma": DISCOUNT})
     return float(expected_q) - alpha * float(sup_chi2) / (1.0 - gamma)
 
 
@@ -274,19 +264,13 @@ def per_cluster_objective(policy: GaussianDist, critic, states: np.ndarray,
                           n_mc: int, rng: np.random.Generator) -> float:
     """MC value estimate minus the discounted per-cluster divergence price.
 
-    ``critic`` is either an object exposing ``forward_batch`` over joint
-    (state, action) rows or a callable ``(states, actions) -> values``.
+    ``critic`` is a callable ``(states, actions) -> values`` over matching rows.
     """
-    if n_mc < 1:
-        raise InputError("n_mc must be at least 1")
+    check_fields(locals(), {"n_mc": at_least(1)})
     states = np.atleast_2d(np.asarray(states, dtype=float))
     idx = rng.integers(states.shape[0], size=n_mc)
     actions = policy.sample(n_mc, rng)
-    s_draw = states[idx]
-    if hasattr(critic, "forward_batch"):
-        q_values = critic.forward_batch(np.concatenate([s_draw, actions], axis=1))
-    else:
-        q_values = np.asarray(critic(s_draw, actions), dtype=float)
+    q_values = np.asarray(critic(states[idx], actions), dtype=float)
     price = coeffs.alpha * gaussian_chi2(policy, nu_z) \
         + coeffs.beta_kl * gaussian_kl(policy, nu_z)
     if not math.isfinite(price):
@@ -318,9 +302,10 @@ def mixture_bound_check(policy: GaussianDist, clusters: GaussianMixture,
     plain Gaussian, so lhs uses the same closed form as rhs. ``clusters`` is
     the behavior mixture over actions.
     """
+    check_fields(locals(), {
+        "divergence": ("str", lambda v: v.lower() in DIVERGENCES, f"must be one of {DIVERGENCES}"),
+        "n_mc": at_least(2), "quad_tol": POSITIVE})
     divergence = divergence.lower()
-    if divergence not in DIVERGENCES:
-        raise InputError(f"divergence must be one of {DIVERGENCES}")
     if policy.dim != clusters.dim:
         raise InputError("policy and behavior dimensions differ")
     keep = clusters.weights > 0
@@ -384,8 +369,7 @@ def unbiased_cluster_gradient_check(policy: GaussianDist, clusters: GaussianMixt
     mean-gradient is analytic. Returns (mean sampled gradient, full weighted
     gradient, worst componentwise deviation in standard-error units).
     """
-    if n_trials < 1000:
-        raise InputError("n_trials must be at least 1000")
+    check_fields(locals(), {"n_trials": at_least(1000)})
     q = np.zeros(policy.dim) if q_linear is None else np.asarray(q_linear, dtype=float)
     if q.shape != (policy.dim,):
         raise InputError(f"q_linear must have shape ({policy.dim},)")

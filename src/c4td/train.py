@@ -19,10 +19,11 @@ import numpy as np
 
 from . import gmm
 from .covstats import cross_cov, penalty
-from .data import NONNEGATIVE, POSITIVE, EnvSpec, OfflineDataset, at_least, check_fields
-from .errors import FormatError, InputError, NumericalError, ParseError
+from .data import EnvSpec, OfflineDataset
+from .errors import (DISCOUNT, NONNEGATIVE, POSITIVE, FormatError, InputError, NumericalError,
+                     ParseError, at_least, check_fields)
 from .gmm import GaussianMixture
-from .nets import MlpCritic, TargetCritic
+from .nets import EMA_RATE, MlpCritic, TargetCritic
 
 FEATURE_MODES = ("surrogate", "exact_input_grad")
 OPTIMIZERS = ("sgd", "adam")
@@ -31,13 +32,13 @@ OPTIMIZERS = ("sgd", "adam")
 # One row per TrainConfig field, in field order.
 TRAIN_SCHEMA = {
     "steps": at_least(0),
-    "gamma": ("float", lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    "gamma": DISCOUNT,
     "penalty_weight": NONNEGATIVE,
     "penalty_trace_weight": NONNEGATIVE,
     "n_clusters": at_least(1),
     "refresh_period": at_least(1),
     "batch_size": at_least(2),
-    "ema_rate": ("float", lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "ema_rate": EMA_RATE,
     "learning_rate": POSITIVE,
     "seed": at_least(0),
     "feature_mode": ("str", FEATURE_MODES.__contains__, f"must be one of {FEATURE_MODES}"),
@@ -48,7 +49,7 @@ TRAIN_SCHEMA = {
     "em_max_iters": at_least(1),
     "em_warm_iters": at_least(1),
     "em_tol": NONNEGATIVE,
-    "eval_env": ("EnvSpec | None",),
+    "eval_env": ("any | None", lambda v: isinstance(v, EnvSpec), "must be an EnvSpec"),
     "eval_every": at_least(1),
     "eval_episodes": at_least(1),
     "check_identities": ("bool",),

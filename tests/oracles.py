@@ -11,8 +11,10 @@ import math
 import numpy as np
 from scipy import stats
 
-from c4td.data import _HEADER_KEYS, _ROW_KEYS, OfflineDataset
+from c4td.data import _ROW_KEYS, OfflineDataset
 from c4td.errors import FormatError, NumericalError, ParseError
+
+_HEADER_KEYS = {"ds": int, "da": int, "env": str, "modes": int, "seed": int}
 
 
 def central_diff(f, x, eps=1e-6):

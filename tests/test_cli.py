@@ -15,6 +15,7 @@ import sys
 import types
 from dataclasses import fields
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +192,7 @@ def test_missing_steps_is_a_config_error(tmp_path, capsys):
     ("train.eval_episodes=0", "eval_episodes must be at least 1"),
     ('train.steps="20"', "steps must be an integer, got '20'"),
     ("train.learning_rate=NaN", "learning_rate must be a finite number"),
+    (f"train.gamma=1{'0' * 400}", "gamma must be a finite number"),  # once an OverflowError
     ('train.hidden=["a"]', "hidden must be a nonempty tuple of positive integers"),
     ("train.check_identities=1", "check_identities must be true or false"),
     ("train.probe_size=3", "n_clusters (5) must not exceed probe_size (3)"),
@@ -596,7 +598,7 @@ def test_the_heap_setting_moves_no_bit(em_shape):
 
 def test_gen_data_and_train_import_only_the_modules_they_run(tmp_path):
     config, _ = _write_config(tmp_path)
-    unused = ["c4td.verify", "c4td.policy", "c4td.diagnostics", "statistics"]
+    unused = ["c4td.verify", "c4td.policy", "c4td.diagnostics", "statistics", "html"]
     code = ("import json, sys\n"
             "from c4td.cli import main\n"
             "code = main(sys.argv[1:])\n"
@@ -668,6 +670,19 @@ def test_report_deduplicates_run_labels(tmp_path, capsys):
     summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
     assert set(summary) == {"metrics", "metrics-2"}
     capsys.readouterr()
+
+
+def test_report_escapes_run_labels_so_every_svg_parses(tmp_path, capsys):
+    # an unescaped '&' or '<' in a file name once made td_loss.svg malformed XML
+    path = tmp_path / "a&b<c.csv"
+    path.write_text(",".join(METRIC_COLUMNS) + "\n1,0.5,0.1,0.6,0.01,0,0.0,-3.0\n"
+                    "2,0.4,0.1,0.5,0.02,1,0.1,\n")
+    assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == 0
+    capsys.readouterr()
+    for svg in sorted((tmp_path / "rep").glob("*.svg")):
+        root = ElementTree.parse(svg).getroot()
+        texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "a&b<c" in texts, svg.name
 
 
 def test_report_rejects_malformed_csv_with_file_and_line(tmp_path, capsys):

@@ -204,6 +204,35 @@ def test_relu_gradient_uses_zero_at_kink():
     assert net.input_gradient_batch(np.ones((1, 1)))[0, 0] == 1.0
 
 
+def test_far_along_a_ray_a_critic_is_its_bias_free_twin_plus_a_constant():
+    # The paper's ray statement: along x + k w, a hidden unit with u^T w > 0 ends
+    # up active with value k u^T w + O(1). So once every unit's sign is settled,
+    # f(x + k w) = k f0(w) + c, where f0 is the same critic with every bias zeroed.
+    rng = np.random.default_rng(2026)
+    ks = np.array([1e3, 1e4, 2e4, 1e5])
+    skipped = 0
+    for _ in range(64):
+        net = MlpCritic.init(4, (16, 16), rng)
+        net.layers = [(w, rng.standard_normal(b.shape)) for w, b in net.layers]
+        bias_free = MlpCritic([(w, np.zeros_like(b)) for w, b in net.layers])
+        x = rng.standard_normal(4)
+        w = rng.standard_normal(4)
+        w /= np.linalg.norm(w)
+        f0_w = bias_free.forward(w)
+        pattern = [z[0] > 0.0 for z in bias_free._forward_cached(w[None])[2]]
+        values, _, pres = net._forward_cached(x + ks[:, None] * w)
+        if not all(np.array_equal(z[i] > 0.0, p) for z, p in zip(pres, pattern)
+                   for i in range(len(ks))):
+            skipped += 1  # some unit still crosses its kink past k = 1e3
+            continue
+        k = ks[1]
+        assert abs(values[2] - values[1] - k * f0_w) <= 1e-12 * k  # relative to the ray's scale
+        constant = [t * abs(v / t - f0_w) for t, v in zip(ks[[0, 1, 3]], values[[0, 1, 3]])]
+        assert constant[1] == pytest.approx(constant[0], rel=1e-6)
+        assert constant[2] == pytest.approx(constant[0], rel=1e-6)
+    assert skipped <= 8  # at most an eighth of the rays
+
+
 def test_json_round_trip_and_schema_errors(tmp_path):
     rng = np.random.default_rng(2)
     net = MlpCritic.init(3, (5,), rng)
