@@ -32,9 +32,13 @@ def _paired(g_prime: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return g_prime, g
 
 
-def cross_cov(g_prime: np.ndarray, g: np.ndarray,
-              convention: str = "sample") -> np.ndarray:
-    """Cov(g', g) between paired rows; rows of g' index the first factor."""
+def cross_cov(g_prime: np.ndarray, g: np.ndarray, convention: str = "sample", *,
+              return_centered: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Cov(g', g) between paired rows; rows of g' index the first factor.
+
+    With ``return_centered``, the pair (Cov(g', g), g' minus its column
+    means), for a caller that differentiates the product.
+    """
     g_prime, g = _paired(g_prime, g)
     n = g.shape[0]
     if convention not in CONVENTIONS:
@@ -44,7 +48,8 @@ def cross_cov(g_prime: np.ndarray, g: np.ndarray,
         raise InputError(f"need at least 2 rows for the sample convention, got {n}")
     gp_c = g_prime - g_prime.mean(axis=0)
     g_c = g - g.mean(axis=0)
-    return gp_c.T @ g_c / divisor
+    c = gp_c.T @ g_c / divisor
+    return (c, gp_c) if return_centered else c
 
 
 def penalty(c: np.ndarray, trace_weight: float = 0.0) -> float:

@@ -15,12 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NONNEGATIVE, InputError, at_least, check_fields
+from .errors import DISCOUNT, NONNEGATIVE, InputError, at_least, check_fields
 from .nets import MlpCritic
 from .train import bootstrap_targets, second_moment_split
 
 # Keeps the (replicates x batch) perturbation tensor within a few MB.
 _REPLICATE_CHUNK = 512
+_GAMMA = {"gamma": DISCOUNT}
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,7 @@ def estimate_abc(critic: MlpCritic, target: MlpCritic, batch, spec: PerturbSpec,
     Q(x_i)> are pooled over samples and replicates jointly; A, B, C are the
     population moments of that pooled cloud.
     """
+    check_fields(locals(), _GAMMA)
     if len(batch) < 2:
         raise InputError("need at least 2 transitions")
     x, x_prime, _ = _batch_inputs(batch)
@@ -119,6 +121,7 @@ def direct_var_delta(critic: MlpCritic, target: MlpCritic, batch,
     cloud. Rewards cancel in the differencing, so the result is invariant to
     constant reward shifts.
     """
+    check_fields(locals(), _GAMMA)
     if len(batch) < 2:
         raise InputError("need at least 2 transitions")
     x, x_prime, _ = _batch_inputs(batch)
@@ -143,6 +146,7 @@ def quadratic_form_variance(s1: np.ndarray, s2: np.ndarray, n_cross: np.ndarray,
                             g: np.ndarray, g_prime: np.ndarray,
                             gamma: float) -> float:
     """gamma^2 g'^T S2 g' + g^T S1 g - 2 gamma g'^T N g for block second moments."""
+    check_fields(locals(), _GAMMA)
     s1 = np.atleast_2d(np.asarray(s1, dtype=float))
     s2 = np.atleast_2d(np.asarray(s2, dtype=float))
     n_cross = np.atleast_2d(np.asarray(n_cross, dtype=float))
@@ -182,6 +186,7 @@ def grad_cosine_report(critic: MlpCritic, target: MlpCritic, batch,
     of delta flips all three gradients together, so the cosines do not
     depend on the convention.
     """
+    check_fields(locals(), _GAMMA)
     if len(batch) < 2:
         raise InputError("need at least 2 transitions")
     x, x_prime, r = _batch_inputs(batch)

@@ -226,6 +226,7 @@ def kappa_star_pearson_closed_form(r_curvature: float, alpha: float, gamma: floa
 def policy_update_mean(mu_beta: np.ndarray, sigma_beta: np.ndarray,
                        g: np.ndarray, kappa: float) -> np.ndarray:
     """Penalized-improvement mean mu_beta + kappa * Sigma_beta g."""
+    check_fields(locals(), {"kappa": ("float",)})
     beta = GaussianDist(mu_beta, sigma_beta)
     g = np.atleast_1d(np.asarray(g, dtype=float))
     if g.shape != (beta.dim,):

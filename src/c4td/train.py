@@ -194,7 +194,7 @@ def _objective_report(critic: MlpCritic, tnet: MlpCritic, x: np.ndarray,
     td = float(np.mean(delta * delta))
 
     g_prime = target_acts[-1]
-    c_hat = cross_cov(g_prime, feats, convention="sample")
+    c_hat, g_prime_c = cross_cov(g_prime, feats, convention="sample", return_centered=True)
     m = c_hat.shape[0]
     trace_c = float(np.trace(c_hat))
     pen_raw = penalty(c_hat, cfg.penalty_trace_weight)
@@ -208,7 +208,6 @@ def _objective_report(critic: MlpCritic, tnet: MlpCritic, x: np.ndarray,
     if lam != 0.0:
         # d penalty / d G = 2a Gp_c (C + beta tr(C) I); the centering of G
         # contributes nothing because Gp_c's columns sum to zero.
-        g_prime_c = g_prime - g_prime.mean(axis=0)
         a = 1.0 / (n - 1)
         grad_features = lam * 2.0 * a * (
             g_prime_c @ (c_hat + cfg.penalty_trace_weight * trace_c * np.eye(m)))

@@ -16,7 +16,7 @@ from .covstats import (jacobi_svd, spectral_norm, svd_alignment_bound,
                        total_cov_decomposition, within_bound_check)
 from .data import EnvSpec, generate
 from .diagnostics import PerturbSpec, direct_var_delta, estimate_abc, grad_cosine_report
-from .errors import InputError
+from .errors import InputError, at_least, check_fields
 from .nets import MlpCritic
 from .policy import (GaussianDist, PenaltyCoeffs, chi2_inflation_at_optimum, kappa_star,
                      kappa_star_pearson_closed_form, mixture_bound_check)
@@ -214,6 +214,7 @@ _SUITE_FNS = {"covariance": suite_covariance, "gmm": suite_gmm,
 
 def run_suite(name: str, seed: int = 0) -> dict:
     """One named suite, or all of them under {"suites": [...]}."""
+    check_fields(locals(), {"seed": at_least(0)})
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; choose from {SUITES}")
     if name != "all":

@@ -380,6 +380,17 @@ def m_step_moments(y, resp, ridge):
     return counts / n, means, covs
 
 
+def mixture_json_dumps(mixture):
+    """``gmm.mixture_to_json`` as it was: a dict of Python floats through ``json.dumps``."""
+    return json.dumps({
+        "K": mixture.n_components,
+        "weights": [float(v) for v in mixture.weights],
+        "means": [[float(v) for v in row] for row in mixture.means],
+        "covariances": [[float(v) for v in cov.ravel(order="C")]
+                        for cov in mixture.covariances],
+    })
+
+
 def kappa_star_two_pass(r_curvature, coeffs, hits=None):
     """``policy.kappa_star`` as it was: residual, log residual and slope share
     each evaluate the equation on their own.

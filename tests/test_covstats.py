@@ -18,6 +18,8 @@ def test_cross_cov_conventions():
     pop = cross_cov(gp, g, "population")
     assert np.allclose(sample, gp_c.T @ g_c / 39)
     assert np.allclose(pop, gp_c.T @ g_c / 40)
+    with_centered, centered = cross_cov(gp, g, "sample", return_centered=True)
+    assert with_centered.tobytes() == sample.tobytes() and centered.tobytes() == gp_c.tobytes()
     with pytest.raises(InputError):
         cross_cov(gp, g, "bessel")
     with pytest.raises(InputError):

@@ -8,17 +8,21 @@ import pytest
 
 from c4td import gmm
 from c4td.data import EnvSpec, generate, subsample
-from c4td.diagnostics import PerturbSpec
+from c4td.diagnostics import (PerturbSpec, direct_var_delta, estimate_abc, grad_cosine_report,
+                              quadratic_form_variance)
 from c4td.errors import InputError, check_fields, is_kind, is_number
 from c4td.nets import MlpCritic, TargetCritic
 from c4td.policy import (GaussianDist, PenaltyCoeffs, chi2_inflation_at_optimum,
                          cql_global_lower_bound, kappa_star, kappa_star_pearson_closed_form,
                          lambert_w, mixture_bound_check, per_cluster_objective,
-                         unbiased_cluster_gradient_check)
+                         policy_update_mean, unbiased_cluster_gradient_check)
 
 NAN, INF = math.nan, math.inf
 _Y = np.random.default_rng(0).standard_normal((40, 2))
 _COEFFS = PenaltyCoeffs(0.1, 0.2, 0.5)
+_NET = MlpCritic.init(4, (4,), np.random.default_rng(0))
+_BATCH = generate(EnvSpec(), 1).take(np.arange(8))
+_SPEC = PerturbSpec(0.01, 0.01, 4)
 
 
 # Each of these was accepted, returned nan, or raised TypeError or NumericalError.
@@ -36,9 +40,17 @@ _COEFFS = PenaltyCoeffs(0.1, 0.2, 0.5)
     (lambda: cql_global_lower_bound(1.0, NAN, 0.1, 0.5), "sup_chi2"),
     (lambda: kappa_star(INF, _COEFFS), "r_curvature"),
     (lambda: lambert_w(INF), "z"),
+    (lambda: policy_update_mean(np.zeros(2), np.eye(2), np.ones(2), NAN), "kappa"),
+    (lambda: quadratic_form_variance(np.eye(2), np.eye(2), np.eye(2), np.ones(2), np.ones(2),
+                                     NAN), "gamma"),
+    (lambda: estimate_abc(_NET, _NET, _BATCH, _SPEC, NAN, np.random.default_rng(0)), "gamma"),
+    (lambda: direct_var_delta(_NET, _NET, _BATCH, _SPEC, NAN, np.random.default_rng(0)),
+     "gamma"),
+    (lambda: grad_cosine_report(_NET, _NET, _BATCH, NAN), "gamma"),
 ], ids=["coeffs-nan", "coeffs-inf", "coeffs-bool", "perturb-nan", "perturb-fraction",
         "fit-iters-nan", "fit-iters-fraction", "fit-tol-nan", "fit-k-fraction",
-        "init-width-fraction", "cql-nan", "kappa-inf", "lambert-inf"])
+        "init-width-fraction", "cql-nan", "kappa-inf", "lambert-inf", "update-kappa-nan",
+        "quadratic-gamma-nan", "abc-gamma-nan", "direct-gamma-nan", "cosine-gamma-nan"])
 def test_values_once_let_through_raise_input_error_naming_the_argument(call, name):
     with pytest.raises(InputError, match=rf"^{name} must be "):
         call()
@@ -77,6 +89,9 @@ def _mixture_1d():
                                              _COEFFS, 10, np.random.default_rng(0)),
      "n_trials must be at least 1000, got 10"),
     (lambda: PerturbSpec(0.1, -0.1, 10), "k_prime must be nonnegative, got -0.1"),
+    (lambda: grad_cosine_report(_NET, _NET, _BATCH, 1.0), "gamma must lie in [0, 1), got 1.0"),
+    (lambda: policy_update_mean(np.zeros(2), np.eye(2), np.ones(2), True),
+     "kappa must be a finite number, got True"),
     (lambda: MlpCritic.init(0), "input_dim must be at least 1, got 0"),
     (lambda: MlpCritic.init(3, ()), "hidden must be a nonempty tuple of positive integers"),
     (lambda: TargetCritic(MlpCritic.init(3, (4,)), 0.0), "ema_rate must lie in (0, 1], got 0.0"),

@@ -10,7 +10,7 @@ from c4td.gmm import (GaussianMixture, default_ridge, e_step,
                       m_step, mixture_from_json, mixture_to_json,
                       sample_cluster, split_blocks)
 from oracles import (adjusted_rand_index, gaussian_logpdf_per_component, m_step_moments,
-                     mixture_logpdf, posterior_out_of_place)
+                     mixture_json_dumps, mixture_logpdf, posterior_out_of_place)
 
 
 def _random_mixture(rng, k, dim):
@@ -107,18 +107,47 @@ def test_em_kernels_match_their_unbuffered_forms_byte_for_byte(n, d, k):
         assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("d", [8, 32, 64, 128])
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2047, 2048, 2049, 10_000])
+def test_e_step_row_blocks_move_no_bit(n, d):
+    # Blocks hold 4096, 1024, 512 and 256 rows at these D: n sits one row
+    # below, at and above a single block, two blocks, and many blocks with a
+    # remainder joined to the last one.
+    rng = np.random.default_rng(n + d)
+    mix = _random_mixture(rng, 5, d)
+    y = rng.standard_normal((n, d)) * rng.uniform(0.1, 4.0, d) + mix.means[0]
+    logs = gmm.gaussian_logpdf(y, mix.means, mix.chols)
+    assert logs.tobytes() == gaussian_logpdf_per_component(y, mix.means, mix.chols).tobytes()
+    resp, row_ll = gmm._posterior(mix, y)
+    ref_resp, ref_ll = posterior_out_of_place(mix, y)
+    assert resp.tobytes() == ref_resp.tobytes() and row_ll.tobytes() == ref_ll.tobytes()
+
+
 def test_e_step_holds_two_row_buffers_whatever_k_is(traced_peak):
-    # The largest (N, D) arrays live in gaussian_logpdf: diff and u, reused
-    # for every component (2). Beside them: the (N, K) table that becomes the
-    # responsibilities (K/D = 0.25), the (N,) Mahalanobis row (1/D = 0.03)
-    # and the K stacked inverses (K D / N = 0.03): 2.31 in units of N D
-    # doubles. Fresh diff and u per component keep a third (N, D) array alive
-    # while the next one is made (3.31); 2.6 lies between the two counts.
+    # In units of N D doubles: the (N, K) table that becomes the
+    # responsibilities and logsumexp_rows's shifted copy of it (2 K/D = 0.5)
+    # with a few (N,) vectors (1/D = 0.03 each) set the peak, 0.67 here.
+    # gaussian_logpdf's diff and u hold one row block each, at most 2047
+    # rows whatever N is (1808 rows here: 0.36). A single (N, D) array would
+    # reach the bound of 1.0 on its own; two of them, as the E-step once
+    # kept, read 2.31.
     n, d, k = 10_000, 32, 8
     rng = np.random.default_rng(5)
     mix = _random_mixture(rng, k, d)
     y = rng.standard_normal((n, d))
-    assert traced_peak(lambda: e_step(mix, y)) <= 2.6 * n * d * 8
+    assert traced_peak(lambda: e_step(mix, y)) <= 1.0 * n * d * 8
+
+
+def test_e_step_scratch_grows_with_n_only_by_its_k_wide_table_and_vectors(traced_peak):
+    # From N = 10 000 to 40 000 rows, the peak may grow by the (N, K) table,
+    # logsumexp_rows's shifted copy of it and six (N,) vectors: 22 doubles a
+    # row at K = 8. One (N, D) array would add 32 on its own.
+    d, k = 32, 8
+    rng = np.random.default_rng(6)
+    mix = _random_mixture(rng, k, d)
+    small, large = (rng.standard_normal((n, d)) for n in (10_000, 40_000))
+    growth = traced_peak(lambda: e_step(mix, large)) - traced_peak(lambda: e_step(mix, small))
+    assert growth <= 30_000 * (2 * k + 6) * 8
 
 
 def test_fit_log_likelihood_is_monotone_on_generic_data():
@@ -336,6 +365,22 @@ def test_effective_clusters_counts_live_weights():
                           np.stack([np.eye(2)] * 3))
     assert effective_clusters(mix) == 2
     assert effective_clusters(mix, occupancy_threshold=0.001) == 3
+
+
+def test_mixture_json_is_the_json_dumps_payload_byte_for_byte():
+    rng = np.random.default_rng(11)
+    fitted = fit(rng.standard_normal((300, 6)) @ rng.standard_normal((6, 6)), 4,
+                 max_iters=5, seed=1).mixture
+    # EM's covariances are symmetric byte for byte, so they take the mirrored path
+    assert all(c.tobytes() == c.T.tobytes() for c in fitted.covariances)
+    tiny = 5e-324  # the smallest subnormal
+    edge = GaussianMixture(
+        [1.0, tiny],
+        [[1e308, -0.0, tiny], [-1e308, 2.5e-320, 0.0]],
+        [[[1e308, 0.0, tiny], [-0.0, 1.0, -2.5e-320], [tiny, -2.5e-320, 1.0]],  # signed zeros
+         [[2.0, 0.5, 0.0], [0.5 + 1e-12, 2.0, 0.1], [0.0, 0.1, 2.0]]])  # not symmetric
+    for mix in (_random_mixture(rng, 3, 4), fitted, edge):
+        assert mixture_to_json(mix) == mixture_json_dumps(mix)
 
 
 def test_mixture_json_round_trip():

@@ -28,3 +28,9 @@ def test_all_suite_aggregates_the_rest():
 def test_unknown_suite_is_rejected():
     with pytest.raises(InputError):
         run_suite("entropy")
+
+
+@pytest.mark.parametrize("seed", [-1, 0.5, True])
+def test_a_seed_that_is_not_a_nonnegative_integer_is_rejected(seed):
+    with pytest.raises(InputError, match="^seed must be "):
+        run_suite("gmm", seed=seed)
