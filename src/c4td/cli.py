@@ -37,7 +37,7 @@ from pathlib import Path
 
 from . import apply_thread_cap as _apply_thread_cap
 from .data import DATA_SCHEMA, ENV_SCHEMA, EnvSpec, generate, load_jsonl, save_jsonl
-from .errors import C4Error, InputError, ParseError, check_fields
+from .errors import C4Error, InputError, ParseError, at_least, check_fields
 from .gmm import mixture_to_json
 from .train import TRAIN_SCHEMA, TrainConfig, metrics_from_csv, metrics_to_csv, train
 
@@ -181,6 +181,7 @@ def run_suite(name: str, seed: int = 0) -> dict:
 
 
 def cmd_verify(args) -> int:
+    check_fields(vars(args), {"seed": at_least(0)}, "--")  # run_suite's row, named as the flag
     report = run_suite(args.suite, seed=args.seed)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["passed"] else 1

@@ -339,34 +339,14 @@ def effective_clusters(mixture: GaussianMixture, occupancy_threshold: float = 0.
     return int(np.sum(mixture.weights >= occupancy_threshold))
 
 
-def _list_text(values) -> str:
-    return "[" + ", ".join(values) + "]"
-
-
-def _covariance_text(cov: np.ndarray) -> str:
-    """The row-major entries of one covariance as ``json.dumps`` writes them.
-
-    A matrix equal to its transpose byte for byte, as every one EM builds
-    is, writes each off-diagonal ``repr`` once and mirrors it.
-    """
-    rows = cov.tolist()
-    if cov.tobytes() != cov.T.tobytes():
-        return _list_text([repr(v) for row in rows for v in row])
-    upper = [[repr(v) for v in row[i:]] for i, row in enumerate(rows)]
-    return _list_text([text for i in range(len(rows))
-                       for text in [upper[j][i - j] for j in range(i)] + upper[i]])
-
-
 def mixture_to_json(mixture: GaussianMixture) -> str:
-    """``json.dumps`` of {"K", "weights", "means", "covariances" (row-major)}, byte for byte.
-
-    Every value is finite (the mixture checked it), so each one is its float ``repr``.
-    """
-    weights = _list_text(map(repr, mixture.weights.tolist()))
-    means = _list_text([_list_text(map(repr, row)) for row in mixture.means.tolist()])
-    covs = _list_text([_covariance_text(cov) for cov in mixture.covariances])
-    return (f'{{"K": {mixture.n_components}, "weights": {weights}, "means": {means}, '
-            f'"covariances": {covs}}}')
+    payload = {
+        "K": mixture.n_components,
+        "weights": mixture.weights.tolist(),
+        "means": mixture.means.tolist(),
+        "covariances": [cov.ravel(order="C").tolist() for cov in mixture.covariances],
+    }
+    return json.dumps(payload)
 
 
 def mixture_from_json(text: str) -> GaussianMixture:

@@ -462,7 +462,7 @@ def test_verify_rejects_a_negative_seed(capsys):
     assert main(["verify", "--suite", "gmm", "--seed", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: seed must be at least 0, got -1\n"
+    assert captured.err == "error: --seed must be at least 0, got -1\n"
 
 
 def test_usage_errors_exit_2(capsys):
