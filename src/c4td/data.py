@@ -237,12 +237,9 @@ def save_jsonl(dataset: OfflineDataset, path: str) -> None:
                   "modes": dataset.n_modes, "seed": dataset.seed}
         fh.write(json.dumps(header) + "\n")
         for i in range(len(dataset)):
-            row = {"s": [float(v) for v in dataset.s[i]],
-                   "a": [float(v) for v in dataset.a[i]],
-                   "r": float(dataset.r[i]),
-                   "sn": [float(v) for v in dataset.s_next[i]],
-                   "an": [float(v) for v in dataset.a_next[i]],
-                   "done": bool(dataset.done[i])}
+            row = {"s": dataset.s[i].tolist(), "a": dataset.a[i].tolist(),
+                   "r": float(dataset.r[i]), "sn": dataset.s_next[i].tolist(),
+                   "an": dataset.a_next[i].tolist(), "done": bool(dataset.done[i])}
             fh.write(json.dumps(row) + "\n")
 
 

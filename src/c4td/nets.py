@@ -224,8 +224,7 @@ class MlpCritic:
     def to_json(self) -> str:
         payload = {
             "arch": self.arch,
-            "layers": [{"w": [float(v) for v in w.ravel(order="C")],
-                        "b": [float(v) for v in b]} for w, b in self.layers],
+            "layers": [{"w": w.ravel().tolist(), "b": b.tolist()} for w, b in self.layers],
         }
         return json.dumps(payload)
 
@@ -297,8 +296,7 @@ class TargetCritic:
 
 def ema_update(target: MlpCritic, online: MlpCritic, rate: float) -> None:
     """In place: target <- rate * online + (1 - rate) * target."""
-    if not 0.0 < rate <= 1.0:
-        raise InputError(f"rate must lie in (0, 1], got {rate}")
+    check_fields(locals(), {"rate": EMA_RATE})
     if target.arch != online.arch:
         raise InputError(f"arch mismatch: {target.arch} vs {online.arch}")
     step = online.flat - target.flat

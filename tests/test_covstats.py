@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -133,7 +135,7 @@ def test_within_bound_rejects_non_psd_marginals():
 
 def test_svd_alignment_bound_holds_and_is_tight_at_top_pair():
     rng = np.random.default_rng(9)
-    # random small shapes, then two wider than 64 that the Jacobi SVD also serves
+    # random small shapes, then two wider than 64
     shapes = [(int(rng.integers(2, 6)), int(rng.integers(2, 6))) for _ in range(100)]
     for shape in shapes + [(70, 66), (3, 80)]:
         c = rng.standard_normal(shape)
@@ -158,3 +160,35 @@ def test_svd_alignment_zero_matrix():
 def test_directions_must_be_unit():
     with pytest.raises(InputError):
         svd_alignment_bound(np.eye(2), np.ones(2), np.array([1.0, 0.0]))
+
+
+_E = np.array([1.0, 0.0])
+_BAD_MATRICES = [
+    (np.array([[1.0, math.nan], [0.0, 1.0]]), "must be finite"),
+    (np.array([[1.0, 0.0], [-math.inf, 1.0]]), "must be finite"),
+    (np.ones(2), r"must be 2-D, got shape \(2,\)"),
+    (np.ones((2, 2, 1)), r"must be 2-D, got shape \(2, 2, 1\)"),
+]
+
+
+@pytest.mark.parametrize("bad, message", _BAD_MATRICES, ids=["nan", "inf", "1-d", "3-d"])
+def test_non_finite_or_non_matrix_input_is_rejected_naming_the_argument(bad, message):
+    with pytest.raises(InputError, match=f"^matrix {message}"):
+        spectral_norm(bad)
+    with pytest.raises(InputError, match=f"^matrix {message}"):
+        jacobi_svd(bad)
+    with pytest.raises(InputError, match=f"^c {message}"):
+        svd_alignment_bound(bad, _E, _E)
+    with pytest.raises(InputError, match=f"^c_z {message}"):
+        within_bound_check(np.eye(2), np.eye(2), bad, _E, _E)
+    with pytest.raises(InputError, match=f"^sigma {message}"):
+        within_bound_check(np.eye(2), bad, np.eye(2), _E, _E)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_directions_are_rejected(bad):
+    w = np.array([bad, 0.0])
+    with pytest.raises(InputError, match="^w must be finite"):
+        svd_alignment_bound(np.eye(2), _E, w)
+    with pytest.raises(InputError, match="^w_prime must be finite"):
+        within_bound_check(np.eye(2), np.eye(2), np.eye(2), w, _E)

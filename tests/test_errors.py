@@ -10,8 +10,9 @@ from c4td import gmm
 from c4td.data import EnvSpec, generate, subsample
 from c4td.diagnostics import (PerturbSpec, direct_var_delta, estimate_abc, grad_cosine_report,
                               quadratic_form_variance)
+from c4td.covstats import penalty
 from c4td.errors import InputError, check_fields, is_kind, is_number
-from c4td.nets import MlpCritic, TargetCritic
+from c4td.nets import MlpCritic, TargetCritic, ema_update
 from c4td.policy import (GaussianDist, PenaltyCoeffs, chi2_inflation_at_optimum,
                          cql_global_lower_bound, kappa_star, kappa_star_pearson_closed_form,
                          lambert_w, mixture_bound_check, per_cluster_objective,
@@ -47,10 +48,15 @@ _SPEC = PerturbSpec(0.01, 0.01, 4)
     (lambda: direct_var_delta(_NET, _NET, _BATCH, _SPEC, NAN, np.random.default_rng(0)),
      "gamma"),
     (lambda: grad_cosine_report(_NET, _NET, _BATCH, NAN), "gamma"),
+    (lambda: penalty(np.eye(2), NAN), "trace_weight"),
+    (lambda: penalty(np.eye(2), INF), "trace_weight"),
+    (lambda: ema_update(_NET.copy(), _NET, NAN), "rate"),
+    (lambda: ema_update(_NET.copy(), _NET, True), "rate"),
 ], ids=["coeffs-nan", "coeffs-inf", "coeffs-bool", "perturb-nan", "perturb-fraction",
         "fit-iters-nan", "fit-iters-fraction", "fit-tol-nan", "fit-k-fraction",
         "init-width-fraction", "cql-nan", "kappa-inf", "lambert-inf", "update-kappa-nan",
-        "quadratic-gamma-nan", "abc-gamma-nan", "direct-gamma-nan", "cosine-gamma-nan"])
+        "quadratic-gamma-nan", "abc-gamma-nan", "direct-gamma-nan", "cosine-gamma-nan",
+        "penalty-weight-nan", "penalty-weight-inf", "ema-rate-nan", "ema-rate-bool"])
 def test_values_once_let_through_raise_input_error_naming_the_argument(call, name):
     with pytest.raises(InputError, match=rf"^{name} must be "):
         call()
@@ -96,6 +102,8 @@ def _mixture_1d():
     (lambda: MlpCritic.init(3, ()), "hidden must be a nonempty tuple of positive integers"),
     (lambda: TargetCritic(MlpCritic.init(3, (4,)), 0.0), "ema_rate must lie in (0, 1], got 0.0"),
     (lambda: TargetCritic(MlpCritic.init(3, (4,)), NAN), "ema_rate must be a finite number"),
+    (lambda: ema_update(_NET.copy(), _NET, True), "rate must be a finite number, got True"),
+    (lambda: penalty(np.eye(2), -0.1), "trace_weight must be nonnegative, got -0.1"),
     (lambda: gmm.fit(_Y, 0), "k must be at least 1, got 0"),
     (lambda: gmm.fit(_Y, 41), "need K <= N, got K=41, N=40"),
     (lambda: gmm.fit(_Y, 2, tol=-1.0), "tol must be nonnegative, got -1.0"),

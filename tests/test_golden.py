@@ -4,15 +4,19 @@ The hashes gate any refactor that claims to compute the same thing. They
 cover the metric log and the saved critic weights of three ``c4 train``
 configs, the mixture snapshots the c4 runs write at every cluster refresh,
 the report of ``c4 verify --suite all --seed 0`` (the only command that
-reaches the policy module and the verify suites), the values the policy
-module's mixture checks return on fixed cases (verify never reaches their
-Monte Carlo path), and one ``grad_cosine_report`` on a fixed batch. Float
+reaches the policy module and the verify suites) and, apart, each of its
+suites but the covariance one, so a change shows which suite moved; the
+values the policy module's mixture checks return on fixed cases (verify
+never reaches their Monte Carlo path), and one ``grad_cosine_report`` on a
+fixed batch. Float
 results depend on the numpy build and its BLAS kernels, so the values are
 keyed by numpy version and the tests are skipped on a build they were not
 recorded on.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -78,7 +82,14 @@ GOLDEN_MIXTURES = {
     "c4_k1_exact_trace_sgd": "8cd0c3eaac7603dbb917e67fd76e8629232e9818e3e1486e7c72cf29c8e2b35d",
 }
 
-GOLDEN_VERIFY_ALL_SEED0 = "82752cb72323b912d4f828cc9271ae32112d9d7ead8ec941ac0eb69d9c165d89"
+GOLDEN_VERIFY_ALL_SEED0 = "420e2ef8b2889a5f580b4cc8659515be459e308a79dce284fa67f349b8a46dec"
+
+# the suites of that report that do not reach covstats' SVD, each dumped as the report is
+GOLDEN_VERIFY_SUITES_SEED0 = {
+    "gmm": "30d170947d027f96dadf6ea2dc8fddd04e6aeff1debe9f3e1eef7e14a7ebf5ff",
+    "theorem1": "f88eedd932b575c47e992a1dbe7c22e689081111a3e85f3ae26bef0f60635aef",
+    "policy": "cee253bd64f59eb6dbfb151713190416450632f711812028431ef97135c2f36f",
+}
 
 GOLDEN_POLICY_CHECKS = "1073cc4c908a98a1770bf38ccee87025f4c30b1ec804e378fec235a31641fc15"
 
@@ -131,11 +142,27 @@ def test_mixture_snapshots_match_golden_hash(case, trained):
     assert _mixtures_hash(trained[case]) == GOLDEN_MIXTURES[case]
 
 
-def test_verify_all_report_matches_golden_hash(capsys):
-    capsys.readouterr()
-    assert main(["verify", "--suite", "all", "--seed", "0"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_ALL_SEED0
+@pytest.fixture(scope="module")
+def verify_all_seed0():
+    """What ``c4 verify --suite all --seed 0`` prints, run once per module."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--suite", "all", "--seed", "0"]) == 0
+    return out.getvalue()
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_verify_all_report_matches_golden_hash(verify_all_seed0):
+    assert _sha256(verify_all_seed0) == GOLDEN_VERIFY_ALL_SEED0
+
+
+def test_verify_suites_match_their_golden_hashes(verify_all_seed0):
+    suites = {r["suite"]: r for r in json.loads(verify_all_seed0)["suites"]}
+    assert {name: _sha256(json.dumps(suites[name], indent=2, sort_keys=True))
+            for name in GOLDEN_VERIFY_SUITES_SEED0} == GOLDEN_VERIFY_SUITES_SEED0
 
 
 def test_grad_cosine_report_matches_golden_repr():
