@@ -15,6 +15,11 @@ arguments, naming ``section.field``, and supplies its default. ``--set key=value
 overrides single entries with dotted paths (``--set train.steps=500``);
 values are parsed as JSON when possible, otherwise kept as strings.
 
+``train`` writes ``metrics.csv``, ``critic.json`` and, above one cluster, one
+``mixtures/refresh_<step>.json`` per refresh. ``train --baseline`` checks the
+train section as ``train`` does, runs ``train.baseline_of`` of it (one cluster,
+no penalty) and writes ``metrics_baseline.csv`` and ``critic_baseline.json``.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or config error,
 including a size the schema accepts that memory cannot hold.
 A command imports only the modules it runs: the verify suites (with policy
@@ -39,7 +44,7 @@ from . import apply_thread_cap as _apply_thread_cap
 from .data import DATA_SCHEMA, ENV_SCHEMA, EnvSpec, generate, load_jsonl, save_jsonl
 from .errors import C4Error, InputError, ParseError, at_least, check_fields
 from .gmm import mixture_to_json
-from .train import TRAIN_SCHEMA, TrainConfig, metrics_from_csv, metrics_to_csv, train
+from .train import TRAIN_SCHEMA, TrainConfig, baseline_of, metrics_from_csv, metrics_to_csv, train
 
 # train.evaluate stands in for eval_env, which a JSON document cannot hold
 _SECTIONS = {"env": ENV_SCHEMA, "data": DATA_SCHEMA,
@@ -120,11 +125,10 @@ def build_train_config(cfg: dict, env: EnvSpec, baseline: bool) -> TrainConfig:
     section = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.get("train", {}).items()}
     if "steps" not in section:
         raise InputError("config must set train.steps")
-    if baseline:
-        section["baseline_mode"] = True
     evaluate = section.pop("evaluate", True)
     check_fields({"evaluate": evaluate}, _SECTIONS["train"], "train.")
-    return TrainConfig(eval_env=env if evaluate else None, **section)
+    train_cfg = TrainConfig(eval_env=env if evaluate else None, **section)
+    return baseline_of(train_cfg) if baseline else train_cfg
 
 
 def cmd_gen_data(args) -> int:
@@ -154,7 +158,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     on_refresh = None
-    if not train_cfg.baseline_mode:
+    if train_cfg.n_clusters > 1:
         mixture_dir = out_dir / "mixtures"
         mixture_dir.mkdir(exist_ok=True)
 
@@ -163,7 +167,7 @@ def cmd_train(args) -> int:
             path.write_text(mixture_to_json(mixture), encoding="utf-8")
 
     critic, metrics = train(dataset, train_cfg, on_refresh=on_refresh)
-    suffix = "_baseline" if train_cfg.baseline_mode else ""
+    suffix = "_baseline" if args.baseline else ""
     metrics_path = out_dir / f"metrics{suffix}.csv"
     critic_path = out_dir / f"critic{suffix}.json"
     metrics_to_csv(metrics, str(metrics_path))
@@ -331,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("train", help="train a critic and write artifacts")
     tr.add_argument("--config", required=True)
     tr.add_argument("--baseline", action="store_true",
-                    help="run the ablation twin with the shared seed")
+                    help="run the paired baseline: train.n_clusters=1 and "
+                         "train.penalty_weight=0, same seed")
     tr.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     tr.set_defaults(func=cmd_train)
 

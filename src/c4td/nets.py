@@ -85,13 +85,6 @@ class MlpCritic:
     def input_dim(self) -> int:
         return self.arch[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MlpCritic):
-            return NotImplemented
-        return self.arch == other.arch and all(
-            np.array_equal(w, w2) and np.array_equal(b, b2)
-            for (w, b), (w2, b2) in zip(self.layers, other.layers))
-
     # -------------------------------------------------------------- forward
 
     def _check_batch(self, x: np.ndarray, stacked: bool = False) -> np.ndarray:

@@ -4,15 +4,16 @@ Each step draws one cluster from the current mixture, samples a minibatch
 with that cluster's responsibilities as weights, and descends the TD loss
 plus a penalty on the batch cross-covariance between target-side and
 online-side feature rows. Clusters are refit periodically from stacked
-gradient pairs. A baseline mode with uniform batches and no penalty shares
-every other code path, so ablations are paired step for step.
+gradient pairs. The baseline, ``baseline_of(cfg)``, is the run with one
+cluster (uniform batches, no mixture fit) and no penalty; it takes the same
+loop and random streams, so ablations are paired step for step.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +43,6 @@ TRAIN_SCHEMA = {
     "learning_rate": POSITIVE,
     "seed": at_least(0),
     "feature_mode": ("str", FEATURE_MODES.__contains__, f"must be one of {FEATURE_MODES}"),
-    "baseline_mode": ("bool",),
     "optimizer": ("str", OPTIMIZERS.__contains__, f"must be one of {OPTIMIZERS}"),
     "hidden": ("widths",),
     "probe_size": ("int | None", *at_least(2)[1:]),
@@ -71,7 +71,6 @@ class TrainConfig:
     learning_rate: float = 3e-4
     seed: int = 0
     feature_mode: str = "surrogate"
-    baseline_mode: bool = False
     optimizer: str = "sgd"
     hidden: tuple[int, ...] = (32, 32)
     probe_size: int | None = None
@@ -88,6 +87,11 @@ class TrainConfig:
         if self.probe_size is not None and self.n_clusters > self.probe_size:
             raise InputError(f"train.n_clusters ({self.n_clusters}) must not exceed "
                              f"probe_size ({self.probe_size})")
+
+
+def baseline_of(cfg: TrainConfig) -> TrainConfig:
+    """The paired baseline of ``cfg``: one cluster, so uniform batches, and no penalty."""
+    return replace(cfg, n_clusters=1, penalty_weight=0.0)
 
 
 def _finite_float(cell: str) -> float:
@@ -197,9 +201,8 @@ def _objective_report(critic: MlpCritic, tnet: MlpCritic, x: np.ndarray,
     c_hat, g_prime_c = cross_cov(g_prime, feats, convention="sample", return_centered=True)
     m = c_hat.shape[0]
     trace_c = float(np.trace(c_hat))
-    pen_raw = penalty(c_hat, cfg.penalty_trace_weight)
-    lam = 0.0 if cfg.baseline_mode else cfg.penalty_weight
-    pen_part = lam * pen_raw
+    lam = cfg.penalty_weight
+    pen_part = lam * penalty(c_hat, cfg.penalty_trace_weight)
     objective = td + pen_part
     tr_n = trace_c / m
 
@@ -471,15 +474,15 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
     """Run the training loop and return the online critic with its metric log.
 
     Identical (dataset, cfg) pairs reproduce bit-identical logs. With
-    penalty_weight=0 and n_clusters=1 the run is bit-identical to
-    baseline_mode because both draw batches through the same ClusterSampler
-    with an all-uniform weight column, and clustering consumes only its own
-    random streams. Outside baseline_mode the clusters are refit before
-    every step that is a multiple of cfg.refresh_period, step 0 (even of a
-    zero-step run) included, and ``on_refresh(step, mixture)`` is invoked
-    after each refit. A non-finite objective, gradient or greedy return, or
-    gradient pairs that are not finite or overflow EM, raise NumericalError
-    naming the step.
+    n_clusters=1 batches are drawn uniformly from every row and no mixture
+    is fit; with n_clusters > 1 the clusters are refit before every step
+    that is a multiple of cfg.refresh_period, step 0 (even of a zero-step
+    run) included, and ``on_refresh(step, mixture)`` is invoked after each
+    refit. EM and cluster draws consume only their own random streams, so
+    the (n_clusters, penalty_weight) arms of one seed share the initial
+    critic, the batch stream and the evaluation starts. A non-finite
+    objective, gradient or greedy return, or gradient pairs that are not
+    finite or overflow EM, raise NumericalError naming the step.
     """
     if len(dataset) == 0:
         raise InputError("dataset must be nonempty")
@@ -503,8 +506,9 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
     zero_mass_redraws = 0
     identity_residual_max = 0.0
 
+    clustered = cfg.n_clusters > 1
     for step in range(cfg.steps + 1):
-        if not cfg.baseline_mode and step % cfg.refresh_period == 0:
+        if clustered and step % cfg.refresh_period == 0:
             try:
                 mixture, sampler = refresh_clusters(online, target.net, x_all, x_prime_all,
                                                     cfg, rngs.em, mixture)
@@ -516,7 +520,7 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
         if step == 0:  # step 0 is the first refresh alone
             continue
         z = 0
-        if not cfg.baseline_mode:
+        if clustered:
             z = gmm.sample_cluster(mixture, rngs.cluster)
             while sampler.mass[z] <= 0.0:
                 zero_mass_redraws += 1

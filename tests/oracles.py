@@ -287,9 +287,10 @@ def load_jsonl_line_by_line(path: str) -> OfflineDataset:
     for key, typ in _HEADER_KEYS.items():
         if not isinstance(header[key], typ) or (typ is int and isinstance(header[key], bool)):
             raise ParseError(1, f"header field {key!r} must be {typ.__name__}")
+    for key in ("ds", "da"):
+        if header[key] < 1:
+            raise ParseError(1, f"header field {key!r} must be at least 1, got {header[key]}")
     ds, da = header["ds"], header["da"]
-    if ds < 1 or da < 1:
-        raise ParseError(1, "header dimensions must be positive")
 
     cols: dict[str, list] = {k: [] for k in _ROW_KEYS}
     for lineno, text in enumerate(lines[1:], start=2):

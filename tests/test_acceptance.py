@@ -7,7 +7,6 @@ Every check is seeded, so a green run stays green.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,7 +45,7 @@ from c4td.policy import (
     mixture_bound_check,
     unbiased_cluster_gradient_check,
 )
-from c4td.train import TrainConfig, single_cluster_batch, train
+from c4td.train import TrainConfig, baseline_of, single_cluster_batch, train
 
 ENV3 = EnvSpec.with_circular_modes(3)
 
@@ -186,7 +185,7 @@ def test_criterion_05_second_moment_identity_on_training_batches():
                       batch_size=64, n_clusters=3, em_max_iters=10,
                       em_warm_iters=3, seed=5, check_identities=True)
     train(data, cfg)
-    train(data, replace(cfg, baseline_mode=True))
+    train(data, baseline_of(cfg))
 
     # route 2: explicit per-batch recomputation with its own residuals
     rng = np.random.default_rng(52)
@@ -422,7 +421,7 @@ def test_criterion_11_desk_scale_efficacy():
                           eval_env=ENV3, eval_every=5000, eval_episodes=8,
                           seed=seed, check_identities=False)
         _, m_c4 = train(data, cfg)
-        _, m_base = train(data, replace(cfg, baseline_mode=True))
+        _, m_base = train(data, baseline_of(cfg))
         ret_c4 = [r.eval_return for r in m_c4 if r.eval_return is not None][-1]
         ret_base = [r.eval_return for r in m_base if r.eval_return is not None][-1]
         rows.append((m_c4[-1].tr_n_sample_convention,

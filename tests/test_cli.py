@@ -98,6 +98,22 @@ def test_train_baseline_suffixes_artifacts(tmp_path, capsys):
     assert not (out_dir / "mixtures").exists()
 
 
+def test_baseline_is_the_one_cluster_zero_penalty_run(tmp_path):
+    config, _ = _write_config(tmp_path, train={
+        "steps": 60, "hidden": [8, 8], "refresh_period": 25, "batch_size": 16,
+        "n_clusters": 3, "penalty_weight": 0.4, "penalty_trace_weight": 0.5,
+        "eval_every": 30, "eval_episodes": 1, "seed": 4})
+    _gen(tmp_path, config)
+    assert main(["train", "--config", str(config), "--baseline"]) == 0
+    assert main(["train", "--config", str(config), "--set", "train.n_clusters=1",
+                 "--set", "train.penalty_weight=0"]) == 0
+    out_dir = tmp_path / "out"
+    for name in ("metrics.csv", "critic.json"):
+        baseline = name.replace(".", "_baseline.")
+        assert (out_dir / baseline).read_bytes() == (out_dir / name).read_bytes()
+    assert not (out_dir / "mixtures").exists()
+
+
 def test_train_set_override_reaches_the_trainer(tmp_path):
     config, _ = _write_config(tmp_path)
     _gen(tmp_path, config)
@@ -115,7 +131,8 @@ def test_unknown_keys_are_rejected_at_every_level(tmp_path, capsys):
                                  ("data.rate=3", "'data.rate'"),
                                  ("train.moment=4", "'train.moment'"),
                                  ("train.full_refit=true", "'train.full_refit'"),
-                                 ("train.ridge=0.1", "'train.ridge'")):
+                                 ("train.ridge=0.1", "'train.ridge'"),
+                                 ("train.baseline_mode=true", "'train.baseline_mode'")):
         assert main(["train", "--config", str(config),
                      "--set", assignment]) == 2
         err = capsys.readouterr().err
@@ -153,6 +170,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["train", "--config", str(missing)]) == 2
     assert "error:" in capsys.readouterr().err
 
+    assert main(["train", "--config", str(config), "--set", "out_dir.x=1"]) == 2
+    assert "--set path 'out_dir.x' crosses a non-object value" in capsys.readouterr().err
+
+    _, cfg = _write_config(tmp_path)
+    del cfg["dataset"]
+    config.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(config)]) == 2
+    assert "error: config must set 'dataset'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("lineno, edit, message", [
     (5, lambda text: json.dumps({**json.loads(text), "r": float("nan")}),
@@ -165,7 +191,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
     (1, lambda text: text.replace('"seed": 0', '"seed": ' + "9" * 5000),
      "line 1: header is not valid JSON: Exceeds the limit (4300 digits)"),
     (1, lambda text: "[" * 100000, "line 1: header is not valid JSON: maximum recursion depth"),
-], ids=["nan", "int-overflow", "int-digits", "nesting", "header-int-digits", "header-nesting"])
+    (1, lambda text: text.replace('"ds": 2', '"ds": 2.5'), "line 1: header field 'ds' must be int"),
+    (1, lambda text: text.replace('"ds": 2', '"ds": 0'),
+     "line 1: header field 'ds' must be at least 1, got 0"),
+], ids=["nan", "int-overflow", "int-digits", "nesting", "header-int-digits", "header-nesting",
+        "header-fractional-ds", "header-zero-ds"])
 def test_bad_dataset_value_exits_2_with_its_line(tmp_path, capsys, lineno, edit, message):
     config, _ = _write_config(tmp_path)
     _gen(tmp_path, config)

@@ -315,6 +315,9 @@ _CASES = {
     "header only": (lambda ls: ls[:1], FormatError),
     "empty file": (lambda ls: [], FormatError),
     "bad header": (lambda ls: _put(ls, 1, '{"ds": 2}'), 1),
+    "fractional header dimension": (lambda ls: _put(ls, 1, ls[0].replace('"ds": 2', '"ds": 2.5')),
+                                    1),
+    "zero header dimension": (lambda ls: _put(ls, 1, ls[0].replace('"da": 2', '"da": 0')), 1),
     "header dimension beyond memory": (
         lambda ls: _put(ls, 1, ls[0].replace('"ds": 2', '"ds": 1' + "0" * 12)), 2),
     "header dimension beyond any array": (

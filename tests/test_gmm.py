@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -406,15 +407,20 @@ def test_mixture_json_round_trip():
         mixture_from_json('{"K":true,"weights":[1.0],"means":[[0.0]],"covariances":[[1.0]]}')
 
 
-@pytest.mark.parametrize("text, field", [
-    ('{"K":1,"weights":["1"],"means":[[true]],"covariances":[["2.0"]]}', "weights"),
-    ('{"K":1,"weights":[1.0],"means":[[true]],"covariances":[[2.0]]}', "means"),
-    ('{"K":1,"weights":[1.0],"means":[[0.0]],"covariances":[["2.0"]]}', "covariances"),
-    ('{"K":1,"weights":[1],"means":[[0]],"covariances":[[false]]}', "covariances"),
-], ids=["reported_payload", "bool_mean", "string_covariance", "bool_covariance"])
-def test_mixture_from_json_takes_only_json_numbers(text, field):
-    # numpy would read "1", true and "2.0" as 1.0, 1.0 and 2.0
-    with pytest.raises(FormatError, match=rf"numeric \({field}\)"):
+@pytest.mark.parametrize("text, match", [
+    ('{"K":1,"weights":["1"],"means":[[true]],"covariances":[["2.0"]]}', "numeric (weights)"),
+    ('{"K":1,"weights":[1.0],"means":[[true]],"covariances":[[2.0]]}', "numeric (means)"),
+    ('{"K":1,"weights":[1.0],"means":[[0.0]],"covariances":[["2.0"]]}', "numeric (covariances)"),
+    ('{"K":1,"weights":[1],"means":[[0]],"covariances":[[false]]}', "numeric (covariances)"),
+    ('{"K":2,"weights":[1.0],"means":[[0.0],[1.0]],"covariances":[[1.0],[1.0]]}',
+     "weights/means shapes do not match K"),
+    ('{"K":1,"weights":[1.0],"means":[[0.0, 1.0]],"covariances":[[1.0, 0.0, 0.0]]}',
+     "covariances must hold K row-major D*D blocks"),
+], ids=["reported_payload", "bool_mean", "string_covariance", "bool_covariance",
+        "weights_not_k", "covariance_not_d_squared"])
+def test_mixture_from_json_rejects_malformed_arrays(text, match):
+    # numpy would read "1", true and "2.0" as 1.0, 1.0 and 2.0; shapes must fit K and D
+    with pytest.raises(FormatError, match=re.escape(match)):
         mixture_from_json(text)
 
 

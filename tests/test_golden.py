@@ -2,7 +2,8 @@
 
 The hashes gate any refactor that claims to compute the same thing. They
 cover the metric log and the saved critic weights of three ``c4 train``
-configs, the mixture snapshots the c4 runs write at every cluster refresh,
+configs, the mixture snapshots the clustered run writes at every refresh (a
+one-cluster run fits no mixture and writes none),
 the report of ``c4 verify --suite all --seed 0`` (the only command that
 reaches the policy module and the verify suites) and, apart, each of its
 suites but the covariance one, so a change shows which suite moved; the
@@ -50,7 +51,7 @@ CASES = {
         [],
         "",
     ),
-    # the paired baseline: uniform batches, no penalty, SGD, hidden (32, 32)
+    # the paired baseline (one cluster, no penalty): SGD, hidden (32, 32)
     "baseline_sgd_32": (
         {"steps": 150, "hidden": [32, 32], "optimizer": "sgd", "learning_rate": 0.05,
          "batch_size": 24, "check_identities": False, "evaluate": True,
@@ -58,7 +59,8 @@ CASES = {
         ["--baseline"],
         "_baseline",
     ),
-    # one cluster, exact input-gradient pairs, a trace penalty, SGD and evaluation
+    # one cluster, a trace penalty, SGD and evaluation; the EM and feature-mode
+    # settings apply only above one cluster
     "c4_k1_exact_trace_sgd": (
         {"steps": 120, "hidden": [16, 16], "optimizer": "sgd", "learning_rate": 0.05,
          "ema_rate": 0.05, "penalty_weight": 0.2, "penalty_trace_weight": 0.5,
@@ -79,7 +81,6 @@ GOLDEN = {
 
 GOLDEN_MIXTURES = {
     "c4_adam_checked_eval": "37f2216504119248cf528d3511b834e77c3074381a6efbec03c08fb3840df37a",
-    "c4_k1_exact_trace_sgd": "8cd0c3eaac7603dbb917e67fd76e8629232e9818e3e1486e7c72cf29c8e2b35d",
 }
 
 GOLDEN_VERIFY_ALL_SEED0 = "420e2ef8b2889a5f580b4cc8659515be459e308a79dce284fa67f349b8a46dec"
@@ -140,6 +141,11 @@ def test_training_artifacts_match_golden_hashes(case, trained):
 def test_mixture_snapshots_match_golden_hash(case, trained):
     assert len(list((trained[case] / "mixtures").glob("refresh_*.json"))) == 3
     assert _mixtures_hash(trained[case]) == GOLDEN_MIXTURES[case]
+
+
+@pytest.mark.parametrize("case", sorted(set(CASES) - set(GOLDEN_MIXTURES)))
+def test_one_cluster_runs_write_no_mixture_snapshots(case, trained):
+    assert not (trained[case] / "mixtures").exists()
 
 
 @pytest.fixture(scope="module")

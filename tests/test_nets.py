@@ -269,9 +269,12 @@ def test_from_json_turns_python_json_limits_into_format_errors(text):
     (("layers", 0, "b", 1), "1e400", "layer 0: w and b must be finite"),
     (("layers", 0, "w", 1), '"1.5"', "layer 0: w and b must be lists of numbers (w); found '1.5'"),
     (("layers", 1, "b", 0), "true", "layer 1: w and b must be lists of numbers (b); found True"),
+    (("layers",), "[]", "layer count does not match arch"),
+    (("layers", 1), '{"w": [1.0, 2.0], "b": [0.0], "bias": [0.0]}',
+     "layer 1 must have exactly the keys w, b"),
 ], ids=["w_number", "b_null", "b_true", "arch_true", "string_weight", "nested_weight",
         "int_too_large_for_a_float", "nan_weight", "infinite_weight", "overflowing_bias",
-        "numeric_string_weight", "bool_bias"])
+        "numeric_string_weight", "bool_bias", "no_layers", "extra_layer_key"])
 def test_from_json_rejects_malformed_layers_with_format_errors(where, literal, match):
     payload = json.loads(MlpCritic.init(3, (2,), np.random.default_rng(0)).to_json())
     *path, last = where

@@ -13,6 +13,7 @@ from c4td.errors import InputError, NumericalError, ParseError
 from c4td.gmm import GaussianMixture
 from c4td.nets import MlpCritic
 from c4td.train import (
+    FEATURE_MODES,
     METRIC_COLUMNS,
     MetricRecord,
     ClusterSampler,
@@ -23,6 +24,7 @@ from c4td.train import (
     _greedy_action,
     _objective_report,
     _occupancy_entropy,
+    baseline_of,
     bootstrap_targets,
     gradient_pairs,
     metrics_from_csv,
@@ -61,7 +63,7 @@ def test_config_validation():
                 dict(steps=1, penalty_weight=float("nan")),
                 dict(steps=1, learning_rate=float("inf")),
                 dict(steps=1, hidden=()), dict(steps=1, hidden=(8, 0)),
-                dict(steps=1, hidden=[8, 8]), dict(steps=1, baseline_mode="yes"),
+                dict(steps=1, hidden=[8, 8]), dict(steps=1, check_identities="yes"),
                 dict(steps=1, eval_env="pointmass")):
         with pytest.raises(InputError):
             TrainConfig(**bad)
@@ -100,13 +102,15 @@ def test_objective_td_is_the_mean_squared_residual():
     x, x_prime = data.joint_inputs()
     targets = data.r + 0.9 * (1.0 - data.done) * tnet.forward_batch(x_prime)
     delta = critic.forward_batch(x) - targets
-    for baseline_mode in (False, True):
-        cfg = TrainConfig(steps=1, gamma=0.9, baseline_mode=baseline_mode)
+    for baseline in (False, True):
+        cfg = TrainConfig(steps=1, gamma=0.9)
+        if baseline:
+            cfg = baseline_of(cfg)
         rep = _objective_report(critic, tnet, x, x_prime, data.r, data.done, cfg)
         assert np.allclose(rep.delta, delta, rtol=1e-14, atol=1e-14)
         assert rep.td == pytest.approx(np.mean(delta ** 2), rel=1e-14)
         assert rep.objective == rep.td + rep.penalty_part
-        assert (rep.penalty_part == 0.0) == baseline_mode
+        assert (rep.penalty_part == 0.0) == baseline
         c = cross_cov(tnet.penultimate_features_batch(x_prime),
                       critic.penultimate_features_batch(x), convention="sample")
         assert rep.tr_n == pytest.approx(np.trace(c) / 6, rel=1e-14)
@@ -164,7 +168,7 @@ def _responsibility_matrices():
         resp[rng.random(n) < 0.2] = 0.0  # rows that no cluster claims
         resp[:, rng.random(k) < 0.15] = 0.0  # clusters with no mass at all
         yield trial, resp
-    yield 99, np.ones((257, 1))  # the uniform column of baseline mode
+    yield 99, np.ones((257, 1))  # the uniform column of a one-cluster run
 
 
 def test_cluster_sampler_draws_exactly_what_weighted_choice_draws():
@@ -205,32 +209,61 @@ def test_cluster_sampler_rejects_bad_weights_when_built():
         ClusterSampler(resp).draw(2, 4, np.random.default_rng(0))
 
 
-def test_training_is_deterministic():
+@pytest.mark.parametrize("feature_mode", FEATURE_MODES)
+def test_training_is_deterministic(feature_mode):
     data = _dataset(seed=6, n_trajectories=5)
-    cfg = _small_cfg(steps=80, seed=11)
+    cfg = _small_cfg(steps=80, seed=11, feature_mode=feature_mode)
     critic_a, metrics_a = train(data, cfg)
     critic_b, metrics_b = train(data, cfg)
     assert np.array_equal(critic_a.flat, critic_b.flat)
     assert metrics_a == metrics_b
 
 
-def test_unit_cluster_run_is_bit_identical_to_baseline_mode():
-    # with one cluster and zero penalty the clustered path must reproduce the
-    # uniform-batch baseline exactly, draw for draw
+@pytest.mark.parametrize("penalty_weight", [0.0, 0.3])
+def test_a_one_cluster_run_fits_no_mixture(monkeypatch, penalty_weight):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a one-cluster run fit a mixture")
+
+    monkeypatch.setattr(gmm, "fit", no_fit)
     data = _dataset(seed=8, n_trajectories=5)
-    cfg = _small_cfg(steps=100, n_clusters=1, penalty_weight=0.0, seed=3,
+    cfg = _small_cfg(steps=100, n_clusters=1, penalty_weight=penalty_weight, seed=3,
                      eval_env=ENV, eval_every=40, eval_episodes=2)
-    critic_c, metrics_c = train(data, cfg)
-    critic_b, metrics_b = train(data, replace(cfg, baseline_mode=True))
-    assert np.array_equal(critic_c.flat, critic_b.flat)
-    assert metrics_c == metrics_b
+    refreshed = []
+    _, metrics = train(data, cfg, on_refresh=lambda step, mix: refreshed.append(step))
+    assert refreshed == []
+    assert len(metrics) == 100 and {rec.active_cluster for rec in metrics} == {0}
+    assert all((rec.penalty > 0.0) == (penalty_weight > 0.0) for rec in metrics)
+
+
+def test_a_cluster_without_sampler_mass_is_drawn_again(monkeypatch):
+    # cluster 0 keeps its mixture weight but no row carries its responsibility,
+    # so every draw of it is redrawn from the cluster stream
+    real_e_step, real_sample = gmm.e_step, gmm.sample_cluster
+    drawn = []
+
+    def e_step_without_cluster_0(mixture, y):
+        resp = real_e_step(mixture, y)
+        resp[:, 0] = 0.0
+        return resp
+
+    def recording_sample(mixture, rng):
+        assert mixture.weights[0] > 0.0
+        drawn.append(real_sample(mixture, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(gmm, "e_step", e_step_without_cluster_0)
+    monkeypatch.setattr(gmm, "sample_cluster", recording_sample)
+    _, metrics = train(_dataset(seed=8, n_trajectories=5), _small_cfg(steps=60, seed=3))
+    assert len(metrics) == 60
+    assert all(rec.active_cluster != 0 for rec in metrics)
+    assert drawn.count(0) > 0 and len(drawn) == 60 + drawn.count(0)
 
 
 def test_penalty_changes_the_trajectory():
     data = _dataset(seed=9, n_trajectories=5)
     cfg = _small_cfg(steps=60, penalty_weight=0.5, seed=2)
     critic_c, metrics_c = train(data, cfg)
-    critic_b, _ = train(data, replace(cfg, baseline_mode=True))
+    critic_b, _ = train(data, baseline_of(cfg))
     assert not np.array_equal(critic_c.flat, critic_b.flat)
     assert all(rec.penalty >= 0.0 for rec in metrics_c)
     assert any(rec.penalty > 0.0 for rec in metrics_c)
@@ -288,8 +321,7 @@ def test_refresh_callback_fires_on_schedule():
         assert all(isinstance(mix, GaussianMixture) for _, mix in seen)
 
         seen.clear()
-        train(data, replace(cfg, baseline_mode=True),
-              on_refresh=lambda step, mix: seen.append(step))
+        train(data, baseline_of(cfg), on_refresh=lambda step, mix: seen.append(step))
         assert seen == []
 
 
@@ -439,8 +471,8 @@ def test_checked_training_holds_at_every_data_scale(k, part, baseline):
     cfg = TrainConfig(steps=300, hidden=(16, 16), optimizer="adam", learning_rate=0.01,
                       ema_rate=0.05, penalty_weight=0.1, n_clusters=3, refresh_period=50,
                       batch_size=32, probe_size=96, em_max_iters=10, em_warm_iters=3,
-                      check_identities=True, baseline_mode=baseline, seed=7)
-    _, metrics = train(data, cfg)
+                      check_identities=True, seed=7)
+    _, metrics = train(data, baseline_of(cfg) if baseline else cfg)
     assert len(metrics) == 300
     assert all(math.isfinite(v) for rec in metrics
                for v in (rec.td_loss, rec.penalty, rec.objective, rec.tr_n_sample_convention))
