@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -309,19 +309,36 @@ def _rows_in_one_parse(lines: list[str], widths: dict[str, int]) -> dict[str, li
 def load_jsonl(path: str) -> OfflineDataset:
     """Read a dataset written by ``save_jsonl``; errors name the line, as ParseError.
 
-    Rows are parsed ``_CHUNK_LINES`` at a time with one ``json.loads``; a chunk
-    that is not all clean rows is parsed again line by line, so the first
-    error reported is the first in line order. Non-finite values are looked
-    for once every row has parsed.
+    The file is streamed: lines are decoded and split as read, and rows are
+    parsed ``_CHUNK_LINES`` at a time with one ``json.loads``, so beyond the
+    arrays it returns a load holds one chunk's text and objects, never the
+    whole file. Each piece read ends at a newline byte, so a ``\\r\\n`` stays
+    whole, no UTF-8 character is cut, and the lines are those of
+    ``str.splitlines()`` over the whole text. A chunk that is not all clean
+    rows is parsed again line by line, so the first error reported is the
+    first in line order. Non-finite values are looked for once every row has
+    parsed. A file that is not UTF-8 is reported ahead of any other error,
+    with the position of the bad byte in the file.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"dataset {path} is not UTF-8 text: {exc}") from exc
-    if not lines:
+    with open(path, "rb") as fh:
+        try:
+            return _dataset_of_lines(
+                chain.from_iterable(raw.decode("utf-8").splitlines() for raw in fh))
+        except (ParseError, UnicodeDecodeError):  # a FormatError needs all lines decoded
+            fh.seek(0)
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"dataset {path} is not UTF-8 text: {exc}") from exc
+            raise
+
+
+def _dataset_of_lines(lines) -> OfflineDataset:
+    """``load_jsonl``'s parse of an iterator over the file's lines."""
+    text = next(lines, None)
+    if text is None:
         raise FormatError("empty dataset file")
-    header = _json_line(lines[0], 1, "header is ")
+    header = _json_line(text, 1, "header is ")
     if not isinstance(header, dict) or set(header) != set(_HEADER_KEYS):
         raise ParseError(1, f"header must have exactly the keys {sorted(_HEADER_KEYS)}")
     for key, kind in _HEADER_KEYS.items():
@@ -332,20 +349,20 @@ def load_jsonl(path: str) -> OfflineDataset:
             raise ParseError(1, f"header field {key!r} must be at least 1, got {header[key]}")
     ds, da = header["ds"], header["da"]
 
-    n = len(lines) - 1
-    if not n:
-        raise FormatError("dataset has a header but no transitions")
     widths = {"s": ds, "a": da, "sn": ds, "an": da}
     parts = []  # per chunk, so nothing is sized from the header before its rows parse
-    for start in range(0, n, _CHUNK_LINES):
-        chunk = lines[1 + start:1 + start + _CHUNK_LINES]
+    n = 0
+    while chunk := list(islice(lines, _CHUNK_LINES)):
         cols = (_rows_in_one_parse(chunk, widths)
-                or _rows_line_by_line(chunk, start + 2, ds, da))
+                or _rows_line_by_line(chunk, n + 2, ds, da))
+        n += len(chunk)
         parts.append({**{key: np.fromiter(chain.from_iterable(cols[key]), float,
                                           len(chunk) * width).reshape(len(chunk), width)
                          for key, width in widths.items()},
                       "r": np.array(cols["r"], dtype=float),
                       "done": np.array(cols["done"], dtype=bool)})
+    if not n:
+        raise FormatError("dataset has a header but no transitions")
     arrays = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
     bad = [key for key in ("s", "a", "r", "sn", "an") if not np.isfinite(arrays[key]).all()]
     if bad:

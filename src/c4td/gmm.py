@@ -55,12 +55,15 @@ class GaussianMixture:
         asymmetric = (np.abs(covs - covs.transpose(0, 2, 1)) > 1e-10).any(axis=(1, 2))
         if asymmetric.any():
             raise InputError(f"covariance {np.flatnonzero(asymmetric)[0]} is not symmetric")
-        chols = np.empty_like(covs)
-        for z in range(k):
-            try:
-                chols[z] = np.linalg.cholesky(covs[z])
-            except np.linalg.LinAlgError as exc:
-                raise InputError(f"covariance {z} is not positive definite") from exc
+        try:  # LAPACK factors each slice on its own, with the bits of a call per slice
+            chols = np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError:
+            for z in range(k):  # name the first covariance that fails
+                try:
+                    np.linalg.cholesky(covs[z])
+                except np.linalg.LinAlgError as exc:
+                    raise InputError(f"covariance {z} is not positive definite") from exc
+            raise
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
         for name, arr in (("weights", weights), ("means", means),
@@ -121,7 +124,7 @@ def gaussian_logpdf(y: np.ndarray, means, chols) -> np.ndarray:
     n, d = y.shape
     out = np.empty((n, len(means)))
     inv_t = np.linalg.inv(chols).swapaxes(1, 2)  # triangular back-substitution; D is small
-    log_dets = [2.0 * np.sum(np.log(np.diag(chol))) for chol in chols]
+    log_dets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
     log_2pi = d * np.log(2.0 * np.pi)
     rows = max(64, (_BLOCK_ELEMS // d) // 64 * 64)
     last = max(n // rows - 1, 0) * rows  # the last block is the longest
@@ -149,10 +152,27 @@ def _log_components(y: np.ndarray, mixture: GaussianMixture) -> np.ndarray:
 
 
 def logsumexp_rows(logs: np.ndarray) -> np.ndarray:
+    """log sum_z exp(logs[i, z]) for every row i, shifted by the row's finite peak.
+
+    The shift and ``exp`` run in blocks of ``_BLOCK_ELEMS // K`` rows through
+    one buffer, so no (N, K) copy of ``logs`` is made. Each row sums its own
+    K entries, so the bits do not depend on the blocking.
+    """
+    n, k = logs.shape
     peak = logs.max(axis=1)
     safe = np.where(np.isfinite(peak), peak, 0.0)
-    shifted = logs - safe[:, None]
-    return safe + np.log(np.exp(shifted, out=shifted).sum(axis=1))
+    sums = np.empty(n)
+    rows = max(1, _BLOCK_ELEMS // k)
+    block = np.empty((min(rows, n), k))
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        shifted = block[:e - s]
+        np.subtract(logs[s:e], safe[s:e, None], out=shifted)
+        np.exp(shifted, out=shifted)
+        shifted.sum(axis=1, out=sums[s:e])
+    np.log(sums, out=sums)
+    sums += safe
+    return sums
 
 
 def log_density(mixture: GaussianMixture, y: np.ndarray) -> np.ndarray:
@@ -190,15 +210,14 @@ def m_step(y: np.ndarray, resp: np.ndarray, ridge: float) -> GaussianMixture:
     weights = counts / n
     means = (resp.T @ y) / counts[:, None]
     covs = np.empty((k, d, d))
-    eye = ridge * np.eye(d)
     diff = np.empty_like(y)
     weighted = np.empty_like(y)
     for z in range(k):
         np.subtract(y, means[z], out=diff)
         np.multiply(diff, resp[:, z, None], out=weighted)
-        cov = (weighted.T @ diff) / counts[z]
-        covs[z] = 0.5 * (cov + cov.T) + eye
-    return GaussianMixture(weights, means, covs)
+        covs[z] = (weighted.T @ diff) / counts[z]
+    return GaussianMixture(weights, means,
+                           0.5 * (covs + covs.swapaxes(1, 2)) + ridge * np.eye(d))
 
 
 def _check_data(y: np.ndarray, dim: int | None = None) -> np.ndarray:

@@ -153,14 +153,26 @@ def bootstrap_targets(r: np.ndarray, done: np.ndarray, q_prime: np.ndarray,
 
 
 def gradient_pairs(critic: MlpCritic, target: MlpCritic, x: np.ndarray, x_prime: np.ndarray,
-                   feature_mode: str = "surrogate") -> tuple[np.ndarray, np.ndarray]:
-    """Stacked feature rows: Gp from the target at joint inputs x', G from the online at x."""
+                   feature_mode: str = "surrogate") -> np.ndarray:
+    """Stacked feature rows y = [G' | G], shape (N, 2w): G' from the target at joint
+    inputs x', then G from the online at x.
+
+    Each side is written into its half of the one (N, 2w) array: in surrogate
+    mode the last hidden layer's product lands there directly, so no side is
+    held as an array of its own; an input gradient is assigned into its half.
+    """
     check_fields({"feature_mode": feature_mode}, TRAIN_SCHEMA, "train.")
     if len(x) == 0:
         raise InputError("batch must be nonempty")
-    if feature_mode == "surrogate":
-        return target.penultimate_features_batch(x_prime), critic.penultimate_features_batch(x)
-    return target.input_gradient_batch(x_prime), critic.input_gradient_batch(x)
+    surrogate = feature_mode == "surrogate"
+    w = critic.arch[-2] if surrogate else critic.input_dim
+    y = np.empty((len(x), 2 * w))
+    for half, net, rows in ((y[:, :w], target, x_prime), (y[:, w:], critic, x)):
+        if surrogate:
+            net._hidden(net._check_batch(rows), out=half)
+        else:
+            half[...] = net.input_gradient_batch(rows)
+    return y
 
 
 class _StepReport(NamedTuple):
@@ -269,13 +281,15 @@ def refresh_clusters(online: MlpCritic, target: MlpCritic, x: np.ndarray, x_prim
     every transition. ``rng`` is the EM stream. The previous ``mixture``,
     when given, warm-starts the fit for cfg.em_warm_iters; the first fit runs
     cfg.em_max_iters. EM's ridge is derived from the rows it fits. Pairs that
-    are not finite, or whose ridge is not, raise NumericalError.
+    are not finite, or whose ridge is not, raise NumericalError. The pairs
+    are ``gradient_pairs``' one (N, 2w) array, used as it is: the fit reads
+    its probe rows and the E-step all of it, and no second (N, 2w) array is
+    made.
     """
     # a diverged critic is reported once, below, not by a RuntimeWarning
     # from every operation that overflows on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        # target-side block first; the pair is not kept alive through EM
-        y = np.concatenate(gradient_pairs(online, target, x, x_prime, cfg.feature_mode), axis=1)
+        y = gradient_pairs(online, target, x, x_prime, cfg.feature_mode)
         fit_rows = y
         if cfg.probe_size is not None and cfg.probe_size < y.shape[0]:
             pick = rng.choice(y.shape[0], size=cfg.probe_size, replace=False)
@@ -509,6 +523,9 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
     clustered = cfg.n_clusters > 1
     for step in range(cfg.steps + 1):
         if clustered and step % cfg.refresh_period == 0:
+            # the old sampler's K x N CDFs need not sit beside the new ones;
+            # the old mixture stays, as EM's warm start
+            sampler = None
             try:
                 mixture, sampler = refresh_clusters(online, target.net, x_all, x_prime_all,
                                                     cfg, rngs.em, mixture)

@@ -353,13 +353,18 @@ def gaussian_logpdf_per_component(y, means, chols):
     return out
 
 
+def logsumexp_rows_one_pass(logs):
+    """``gmm.logsumexp_rows`` as it was: one shifted (N, K) copy of the whole table."""
+    peak = logs.max(axis=1)
+    safe = np.where(np.isfinite(peak), peak, 0.0)
+    return safe + np.log(np.exp(logs - safe[:, None]).sum(axis=1))
+
+
 def posterior_out_of_place(mixture, y):
     """``gmm._posterior`` as it was: (responsibilities, log p(y_i)), exp into new arrays."""
     logs = gaussian_logpdf_per_component(y, mixture.means, mixture.chols)
     logs += [np.log(w) if w > 0 else -np.inf for w in mixture.weights]
-    peak = logs.max(axis=1)
-    safe = np.where(np.isfinite(peak), peak, 0.0)
-    row_ll = safe + np.log(np.exp(logs - safe[:, None]).sum(axis=1))
+    row_ll = logsumexp_rows_one_pass(logs)
     logs -= row_ll[:, None]
     resp = np.exp(logs)
     resp /= resp.sum(axis=1, keepdims=True)

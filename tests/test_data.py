@@ -196,6 +196,24 @@ def test_loader_rejects_non_finite_numbers_with_their_line(tmp_path):
         assert err.value.line_number == lineno
 
 
+def test_loader_scratch_does_not_grow_with_the_file(tmp_path, traced_peak):
+    # From N to 4N rows, the traced peak may grow by the output arrays twice
+    # over (the per-chunk parts and their concatenation), not by the file:
+    # one chunk's text and objects are a constant. It grows by 1.04 times
+    # the arrays' growth here; holding the whole text and a list of its
+    # lines, as the loader once did, grew it by 5.0 times.
+    lines = _saved_lines(tmp_path, 25)  # 1000 rows
+    peaks, sizes = [], []
+    for copies in (2, 8):
+        path = tmp_path / f"x{copies}.jsonl"
+        _write(path, lines[:1] + lines[1:] * copies)
+        peaks.append(traced_peak(lambda: load_jsonl(str(path))))
+        data = load_jsonl(str(path))
+        sizes.append(sum(getattr(data, f).nbytes for f in _FIELDS))
+    assert sizes[1] - sizes[0] == 6000 * 73  # four (N, 2) columns, r and done
+    assert peaks[1] - peaks[0] <= 3 * (sizes[1] - sizes[0])
+
+
 def test_loader_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -368,6 +386,22 @@ def test_chunked_loader_keeps_crlf_files_and_reports_across_a_chunk_boundary(tmp
             got = _outcome(load_jsonl, path)
             assert got == _outcome(load_jsonl_line_by_line, path)
             assert got[:2] == (ParseError, line) if line else isinstance(got[0], tuple)
+
+
+@pytest.mark.parametrize("chunk", [1, data_module._CHUNK_LINES])
+def test_a_file_that_is_not_utf8_is_reported_first_with_the_bytes_file_position(
+        tmp_path, monkeypatch, chunk):
+    # the bad byte sits on the last line, after a malformed row; lines are
+    # decoded as read, so the file is decoded again whole for the message
+    monkeypatch.setattr(data_module, "_CHUNK_LINES", chunk)
+    path = tmp_path / "d.jsonl"
+    _write(path, _put(_saved_lines(tmp_path, 1), 3, "{not json"))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-5] + b"\xff" + raw[-5:])
+    with pytest.raises(FormatError) as err:
+        load_jsonl(str(path))
+    assert str(err.value) == (f"dataset {path} is not UTF-8 text: 'utf-8' codec can't decode "
+                              f"byte 0xff in position {len(raw) - 5}: invalid start byte")
 
 
 def test_clean_rows_take_one_json_parse_per_chunk(tmp_path, monkeypatch):

@@ -133,6 +133,21 @@ def test_inference_forwards_hold_two_hidden_activations_at_most(traced_peak):
         assert traced_peak(lambda: forward(x)) <= 2.2 * n * 16 * 8
 
 
+@pytest.mark.parametrize("width", [1, 8, 16, 32])
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 10_000, 40_000])
+def test_hidden_written_into_a_column_half_keeps_its_bits(width, rows):
+    # gradient_pairs writes each side's last layer into one half of an
+    # (N, 2w) array: BLAS writes through the row stride 2w, same bits
+    rng = np.random.default_rng(rows + width)
+    net = MlpCritic.init(4, (16, width), rng)
+    x = rng.standard_normal((rows, 4))
+    alone = net._hidden(x)
+    y = np.full((rows, 2 * width), np.nan)
+    for half in (y[:, :width], y[:, width:]):
+        assert net._hidden(x, out=half) is half
+        assert np.ascontiguousarray(half).tobytes() == alone.tobytes()
+
+
 def test_stacked_matmul_runs_each_slice_as_its_own_blas_call():
     # Not skipped on other numpy versions: a numpy that fuses the slices of a
     # stack into one BLAS call gives rows other bits (a 1-row gemv and the

@@ -125,20 +125,36 @@ def test_gradient_pairs_select_the_feature_mode():
     target = MlpCritic.init(4, (8, 6), rng)
     x, x_prime = data.joint_inputs()
 
-    gp, g = gradient_pairs(critic, target, x, x_prime, "surrogate")
-    assert gp.shape == (30, 6) and g.shape == (30, 6)
-    assert np.array_equal(gp, target.penultimate_features_batch(x_prime))
-    assert np.array_equal(g, critic.penultimate_features_batch(x))
+    # the target block first, each side byte-equal to its own array
+    y = gradient_pairs(critic, target, x, x_prime, "surrogate")
+    assert y.shape == (30, 12)
+    assert y[:, :6].tobytes() == target.penultimate_features_batch(x_prime).tobytes()
+    assert y[:, 6:].tobytes() == critic.penultimate_features_batch(x).tobytes()
 
-    gp, g = gradient_pairs(critic, target, x, x_prime, "exact_input_grad")
-    assert gp.shape == (30, 4) and g.shape == (30, 4)
-    assert np.array_equal(gp, target.input_gradient_batch(x_prime))
-    assert np.array_equal(g, critic.input_gradient_batch(x))
+    y = gradient_pairs(critic, target, x, x_prime, "exact_input_grad")
+    assert y.shape == (30, 8)
+    assert y[:, :4].tobytes() == target.input_gradient_batch(x_prime).tobytes()
+    assert y[:, 4:].tobytes() == critic.input_gradient_batch(x).tobytes()
 
     with pytest.raises(InputError):
         gradient_pairs(critic, target, x, x_prime, "spectral")
     with pytest.raises(InputError, match="nonempty"):
         gradient_pairs(critic, target, x[:0], x_prime[:0])
+
+
+def test_gradient_pairs_build_the_stacked_rows_in_place(traced_peak):
+    # Hidden (16, 16), as em_refresh: each side's last layer is written into
+    # its half of y, so beside y only the first layer's (N, 16) activations
+    # live, half of y. Two sides made apart and then joined, as the refresh
+    # once did, hold them and y at once: 2.0 y. The constant admits numpy's
+    # 64 KB ufunc buffer for the bias add on a strided half.
+    n = 10_000
+    rng = np.random.default_rng(8)
+    critic, target = MlpCritic.init(4, (16, 16), rng), MlpCritic.init(4, (16, 16), rng)
+    x, x_prime = rng.standard_normal((n, 4)), rng.standard_normal((n, 4))
+    y_bytes = n * 32 * 8
+    assert traced_peak(lambda: gradient_pairs(critic, target, x, x_prime)) \
+        <= 1.5 * y_bytes + 128 * 1024
 
 
 def test_single_cluster_batch_respects_responsibility_weights():
