@@ -5,8 +5,8 @@ steering minibatch composition and feature geometry: an EM-fitted Gaussian
 mixture over stacked gradient pairs supplies single-cluster minibatches, and a
 Frobenius penalty on the within-cluster cross-covariance suppresses the
 harmful coupling between target-side and online-side gradients. Policy-side
-helpers implement divergence-penalized Gaussian improvement with closed-form
-step sizes and the bounds that justify per-cluster training.
+helpers give the closed-form step sizes of divergence-penalized Gaussian
+improvement and check the bounds that justify per-cluster training.
 """
 
 import os

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain, islice
+from operator import methodcaller
 
 import numpy as np
 
@@ -312,25 +313,24 @@ def load_jsonl(path: str) -> OfflineDataset:
     The file is streamed: lines are decoded and split as read, and rows are
     parsed ``_CHUNK_LINES`` at a time with one ``json.loads``, so beyond the
     arrays it returns a load holds one chunk's text and objects, never the
-    whole file. Each piece read ends at a newline byte, so a ``\\r\\n`` stays
-    whole, no UTF-8 character is cut, and the lines are those of
-    ``str.splitlines()`` over the whole text. A chunk that is not all clean
-    rows is parsed again line by line, so the first error reported is the
-    first in line order. Non-finite values are looked for once every row has
+    whole file. Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r`` (Python's
+    universal newlines) and nowhere else, unlike ``str.splitlines()``, which
+    also breaks a JSON string at U+2028 or ``\\x85``. A chunk that is not all
+    clean rows is parsed again line by line, so the first error reported is
+    the first in line order. Non-finite values are looked for once every row has
     parsed. A file that is not UTF-8 is reported ahead of any other error,
     with the position of the bad byte in the file.
     """
-    with open(path, "rb") as fh:
-        try:
-            return _dataset_of_lines(
-                chain.from_iterable(raw.decode("utf-8").splitlines() for raw in fh))
-        except (ParseError, UnicodeDecodeError):  # a FormatError needs all lines decoded
-            fh.seek(0)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _dataset_of_lines(map(methodcaller("removesuffix", "\n"), fh))
+    except (ParseError, UnicodeDecodeError):  # a FormatError needs all lines decoded
+        with open(path, "rb") as fh:
             try:
                 fh.read().decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"dataset {path} is not UTF-8 text: {exc}") from exc
-            raise
+        raise
 
 
 def _dataset_of_lines(lines) -> OfflineDataset:

@@ -142,24 +142,6 @@ def direct_var_delta(critic: MlpCritic, target: MlpCritic, batch,
     return float(np.var(shifts))
 
 
-def quadratic_form_variance(s1: np.ndarray, s2: np.ndarray, n_cross: np.ndarray,
-                            g: np.ndarray, g_prime: np.ndarray,
-                            gamma: float) -> float:
-    """gamma^2 g'^T S2 g' + g^T S1 g - 2 gamma g'^T N g for block second moments."""
-    check_fields(locals(), _GAMMA)
-    s1 = np.atleast_2d(np.asarray(s1, dtype=float))
-    s2 = np.atleast_2d(np.asarray(s2, dtype=float))
-    n_cross = np.atleast_2d(np.asarray(n_cross, dtype=float))
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    g_prime = np.atleast_1d(np.asarray(g_prime, dtype=float))
-    m = g.shape[0]
-    mp = g_prime.shape[0]
-    if s1.shape != (m, m) or s2.shape != (mp, mp) or n_cross.shape != (mp, m):
-        raise InputError("block shapes do not match the gradient dimensions")
-    return float(gamma * gamma * (g_prime @ s2 @ g_prime) + g @ s1 @ g
-                 - 2.0 * gamma * (g_prime @ n_cross @ g))
-
-
 class CosineReport(NamedTuple):
     """Cosines of the second-moment gradient against its two components.
 

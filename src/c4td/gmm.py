@@ -14,8 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (NONNEGATIVE, FormatError, InputError, at_least, check_fields,
-                     check_json_numbers, is_kind)
+from .errors import NONNEGATIVE, InputError, at_least, check_fields
 
 # A cluster whose soft count falls below this fraction of N is starved and
 # gets re-seeded at the least-explained point.
@@ -330,22 +329,6 @@ def fit(y: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-7,
     return FitResult(mixture, trace, iters, reseeds)
 
 
-def split_blocks(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Sigma', C, Sigma) blocks of one stacked 2m x 2m covariance matrix."""
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim != 2 or omega.shape[0] != omega.shape[1] or omega.shape[0] % 2:
-        raise InputError(f"expected a square even-dimensional matrix, got {omega.shape}")
-    m = omega.shape[0] // 2
-    return omega[:m, :m], omega[:m, m:], omega[m:, m:]
-
-
-def extract_blocks(mixture: GaussianMixture, z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Sigma'_z, C_z, Sigma_z) blocks of cluster z's stacked covariance."""
-    if not 0 <= z < mixture.n_components:
-        raise InputError(f"cluster index {z} out of range for K={mixture.n_components}")
-    return split_blocks(mixture.covariances[z])
-
-
 def sample_cluster(mixture: GaussianMixture, rng: np.random.Generator) -> int:
     """Draw z ~ Categorical(weights): ``rng.choice(K, p=weights)``'s draw, from the cached CDF."""
     return int(mixture.cdf.searchsorted(rng.random(), side="right"))
@@ -366,32 +349,3 @@ def mixture_to_json(mixture: GaussianMixture) -> str:
         "covariances": [cov.ravel(order="C").tolist() for cov in mixture.covariances],
     }
     return json.dumps(payload)
-
-
-def mixture_from_json(text: str) -> GaussianMixture:
-    try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also int-digit and nesting limits
-        raise FormatError(f"mixture payload is not valid JSON: {exc}") from exc
-    expected = {"K", "weights", "means", "covariances"}
-    if not isinstance(payload, dict) or set(payload) != expected:
-        raise FormatError(f"mixture payload must have exactly the keys {sorted(expected)}")
-    k = payload["K"]
-    if not is_kind("int", k) or k < 1:
-        raise FormatError("K must be a positive integer")
-    for key in ("weights", "means", "covariances"):
-        check_json_numbers(payload[key], f"mixture arrays must be rectangular and numeric ({key})")
-    try:
-        weights, means, covs = (np.array(payload[key], dtype=float)
-                                for key in ("weights", "means", "covariances"))
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric, huge
-        raise FormatError(f"mixture arrays must be rectangular and numeric: {exc}") from exc
-    if weights.shape != (k,) or means.ndim != 2 or means.shape[0] != k:
-        raise FormatError("weights/means shapes do not match K")
-    d = means.shape[1]
-    if covs.shape != (k, d * d):
-        raise FormatError("covariances must hold K row-major D*D blocks")
-    try:
-        return GaussianMixture(weights, means, covs.reshape(k, d, d))
-    except InputError as exc:
-        raise FormatError(str(exc)) from exc

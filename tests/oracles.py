@@ -7,6 +7,7 @@ the package is meaningful.
 
 import json
 import math
+import re
 
 import numpy as np
 from scipy import stats
@@ -273,9 +274,15 @@ def _float_vector(value, length: int, line: int, key: str) -> list[float]:
 
 
 def load_jsonl_line_by_line(path: str) -> OfflineDataset:
-    """The dataset loader as it was before chunked parsing: one json.loads per line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """The dataset loader as it was before chunked parsing: one json.loads per line.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; unlike ``str.splitlines()``, a
+    U+2028 or ``\\x85`` inside a JSON string ends no line.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = re.split(r"\r\n|\r|\n", fh.read())
+    if lines[-1] == "":  # after the last line end
+        lines.pop()
     if not lines:
         raise FormatError("empty dataset file")
     try:

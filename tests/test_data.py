@@ -278,6 +278,11 @@ def _put(lines, lineno, text):
     return out
 
 
+def _env(lines, env):
+    """``lines`` with the header's env string set to ``env``, its characters written raw."""
+    return _put(lines, 1, json.dumps({**json.loads(lines[0]), "env": env}, ensure_ascii=False))
+
+
 # name -> (edit of a 40-row file, expected: a ParseError's line, an error type, "ok", or
 # (line, the oracle's error type) where the loader names the line and the oracle does not)
 _CASES = {
@@ -332,6 +337,10 @@ _CASES = {
         lambda ls: _with(_with(ls, 2, "an", math.nan, index=1), 41, "done", "yes"), 41),
     "header only": (lambda ls: ls[:1], FormatError),
     "empty file": (lambda ls: [], FormatError),
+    # str.splitlines() breaks at each of these; no line ends there
+    "raw U+2028 in the header env": (lambda ls: _env(ls, "a\u2028b"), "ok"),
+    "raw U+2029 in the header env": (lambda ls: _env(ls, "a\u2029b"), "ok"),
+    "raw U+0085 in the header env": (lambda ls: _env(ls, "a\x85b"), "ok"),
     "bad header": (lambda ls: _put(ls, 1, '{"ds": 2}'), 1),
     "fractional header dimension": (lambda ls: _put(ls, 1, ls[0].replace('"ds": 2', '"ds": 2.5')),
                                     1),
@@ -381,7 +390,7 @@ def test_chunked_loader_keeps_crlf_files_and_reports_across_a_chunk_boundary(tmp
     ]
     path = tmp_path / "d.jsonl"
     for edited, line in cases:
-        for newline in ("\n", "\r\n"):
+        for newline in ("\n", "\r\n", "\r"):  # a lone \r at the end adds no line
             _write(path, edited, newline)
             got = _outcome(load_jsonl, path)
             assert got == _outcome(load_jsonl_line_by_line, path)

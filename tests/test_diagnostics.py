@@ -15,7 +15,6 @@ from c4td.diagnostics import (
     direct_var_delta,
     estimate_abc,
     grad_cosine_report,
-    quadratic_form_variance,
 )
 from c4td.errors import InputError
 from c4td.nets import MlpCritic
@@ -139,25 +138,6 @@ def test_probes_reject_tiny_batches():
         estimate_abc(critic, target, batch, spec, 0.99, np.random.default_rng(0))
     with pytest.raises(InputError):
         direct_var_delta(critic, target, batch, spec, 0.99, np.random.default_rng(0))
-
-
-def test_quadratic_form_matches_explicit_contraction():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        m, mp = rng.integers(1, 6, size=2)
-        s1 = rng.normal(size=(m, m))
-        s2 = rng.normal(size=(mp, mp))
-        ncr = rng.normal(size=(mp, m))
-        g = rng.normal(size=m)
-        gp = rng.normal(size=mp)
-        gamma = rng.uniform(0.5, 1.0)
-        want = gamma ** 2 * np.einsum("i,ij,j->", gp, s2, gp) \
-            + np.einsum("i,ij,j->", g, s1, g) \
-            - 2 * gamma * np.einsum("i,ij,j->", gp, ncr, g)
-        got = quadratic_form_variance(s1, s2, ncr, g, gp, gamma)
-        assert got == pytest.approx(want, rel=1e-12)
-    with pytest.raises(InputError):
-        quadratic_form_variance(np.eye(2), np.eye(3), np.eye(3), np.ones(2), np.ones(3), 0.9)
 
 
 def test_gradient_cosines_sit_in_range_and_split_cleanly():

@@ -8,15 +8,13 @@ import pytest
 
 from c4td import gmm
 from c4td.data import EnvSpec, generate, subsample
-from c4td.diagnostics import (PerturbSpec, direct_var_delta, estimate_abc, grad_cosine_report,
-                              quadratic_form_variance)
+from c4td.diagnostics import PerturbSpec, direct_var_delta, estimate_abc, grad_cosine_report
 from c4td.covstats import penalty
 from c4td.errors import InputError, check_fields, is_kind, is_number
 from c4td.nets import MlpCritic, TargetCritic, ema_update
 from c4td.policy import (GaussianDist, PenaltyCoeffs, chi2_inflation_at_optimum,
                          cql_global_lower_bound, kappa_star, kappa_star_pearson_closed_form,
-                         lambert_w, mixture_bound_check, per_cluster_objective,
-                         policy_update_mean, unbiased_cluster_gradient_check)
+                         lambert_w, mixture_bound_check, unbiased_cluster_gradient_check)
 
 NAN, INF = math.nan, math.inf
 _Y = np.random.default_rng(0).standard_normal((40, 2))
@@ -41,9 +39,6 @@ _SPEC = PerturbSpec(0.01, 0.01, 4)
     (lambda: cql_global_lower_bound(1.0, NAN, 0.1, 0.5), "sup_chi2"),
     (lambda: kappa_star(INF, _COEFFS), "r_curvature"),
     (lambda: lambert_w(INF), "z"),
-    (lambda: policy_update_mean(np.zeros(2), np.eye(2), np.ones(2), NAN), "kappa"),
-    (lambda: quadratic_form_variance(np.eye(2), np.eye(2), np.eye(2), np.ones(2), np.ones(2),
-                                     NAN), "gamma"),
     (lambda: estimate_abc(_NET, _NET, _BATCH, _SPEC, NAN, np.random.default_rng(0)), "gamma"),
     (lambda: direct_var_delta(_NET, _NET, _BATCH, _SPEC, NAN, np.random.default_rng(0)),
      "gamma"),
@@ -54,9 +49,8 @@ _SPEC = PerturbSpec(0.01, 0.01, 4)
     (lambda: ema_update(_NET.copy(), _NET, True), "rate"),
 ], ids=["coeffs-nan", "coeffs-inf", "coeffs-bool", "perturb-nan", "perturb-fraction",
         "fit-iters-nan", "fit-iters-fraction", "fit-tol-nan", "fit-k-fraction",
-        "init-width-fraction", "cql-nan", "kappa-inf", "lambert-inf", "update-kappa-nan",
-        "quadratic-gamma-nan", "abc-gamma-nan", "direct-gamma-nan", "cosine-gamma-nan",
-        "penalty-weight-nan", "penalty-weight-inf", "ema-rate-nan", "ema-rate-bool"])
+        "init-width-fraction", "cql-nan", "kappa-inf", "lambert-inf", "abc-gamma-nan",
+        "direct-gamma-nan", "cosine-gamma-nan", "penalty-weight-nan", "penalty-weight-inf", "ema-rate-nan", "ema-rate-bool"])
 def test_values_once_let_through_raise_input_error_naming_the_argument(call, name):
     with pytest.raises(InputError, match=rf"^{name} must be "):
         call()
@@ -78,10 +72,6 @@ def _mixture_1d():
      "coeffs.alpha must be positive, got 0.0"),
     (lambda: cql_global_lower_bound(INF, 0.5, 0.1, 0.5), "expected_q must be a finite number"),
     (lambda: cql_global_lower_bound(1.0, 0.5, -0.1, 0.5), "alpha must be nonnegative"),
-    (lambda: per_cluster_objective(GaussianDist([0.0], [[1.0]]), lambda s, a: a[:, 0],
-                                   np.zeros((3, 1)), GaussianDist([0.0], [[1.0]]), _COEFFS,
-                                   0, np.random.default_rng(0)),
-     "n_mc must be at least 1, got 0"),
     (lambda: mixture_bound_check(GaussianDist([0.0], [[1.0]]), _mixture_1d(), "hellinger"),
      "divergence must be one of ('kl', 'chi2', 'mse'), got 'hellinger'"),
     (lambda: mixture_bound_check(GaussianDist([0.0], [[1.0]]), _mixture_1d(), 3),
@@ -96,8 +86,6 @@ def _mixture_1d():
      "n_trials must be at least 1000, got 10"),
     (lambda: PerturbSpec(0.1, -0.1, 10), "k_prime must be nonnegative, got -0.1"),
     (lambda: grad_cosine_report(_NET, _NET, _BATCH, 1.0), "gamma must lie in [0, 1), got 1.0"),
-    (lambda: policy_update_mean(np.zeros(2), np.eye(2), np.ones(2), True),
-     "kappa must be a finite number, got True"),
     (lambda: MlpCritic.init(0), "input_dim must be at least 1, got 0"),
     (lambda: MlpCritic.init(3, ()), "hidden must be a nonempty tuple of positive integers"),
     (lambda: TargetCritic(MlpCritic.init(3, (4,)), 0.0), "ema_rate must lie in (0, 1], got 0.0"),

@@ -8,11 +8,9 @@ from c4td.errors import InputError, NumericalError
 from c4td.gmm import GaussianMixture, log_density
 from c4td.policy import (GaussianDist, PenaltyCoeffs,
                          chi2_inflation_at_optimum, cql_global_lower_bound,
-                         gaussian_chi2,
-                         gaussian_chi2_equal_cov, gaussian_kl, kappa_star,
+                         gaussian_chi2, gaussian_kl, kappa_star,
                          kappa_star_pearson_closed_form, lambert_w,
-                         mixture_bound_check, per_cluster_objective,
-                         policy_update_mean, unbiased_cluster_gradient_check)
+                         mixture_bound_check, unbiased_cluster_gradient_check)
 from c4td.policy import _adaptive_simpson, _integration_range
 from oracles import adaptive_simpson_recursive, bisection_root, kappa_star_two_pass
 
@@ -82,17 +80,6 @@ def test_gaussian_kl_closed_form():
     assert gaussian_kl(p, q) == pytest.approx(mc, abs=4 * abs(mc) / math.sqrt(200_000) + 0.02)
 
 
-def test_chi2_equal_cov_closed_form():
-    rng = np.random.default_rng(3)
-    sigma = np.array([[0.5, 0.1], [0.1, 0.4]])
-    mu1 = rng.standard_normal(2)
-    mu2 = rng.standard_normal(2)
-    d = mu1 - mu2
-    expected = math.expm1(d @ np.linalg.inv(sigma) @ d)
-    assert gaussian_chi2_equal_cov(mu1, mu2, sigma) == pytest.approx(expected, rel=1e-12)
-    assert gaussian_chi2_equal_cov(mu1, mu1, sigma) == 0.0
-
-
 def test_general_chi2_matches_quadrature_in_1d():
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -126,8 +113,9 @@ def test_chi2_equal_cov_agrees_with_general_form():
     mu2 = rng.standard_normal(2)
     a = GaussianDist(mu1, sigma)
     b = GaussianDist(mu2, sigma)
+    d = mu1 - mu2  # equal covariances: chi2 = e^(d^T S^-1 d) - 1
     assert gaussian_chi2(a, b) == pytest.approx(
-        gaussian_chi2_equal_cov(mu1, mu2, sigma), rel=1e-10)
+        math.expm1(d @ np.linalg.solve(sigma, d)), rel=1e-10)
 
 
 def test_penalty_coeffs_validation():
@@ -244,31 +232,6 @@ def test_chi2_inflation_capped_in_valid_regime():
         assert cap == pytest.approx(beta / (2.0 * alpha) - 1.0)
         assert inflation <= cap + 1e-12
         assert inflation >= 0.0
-
-
-def test_policy_update_mean():
-    mu = np.array([0.1, -0.2])
-    sigma = np.array([[0.5, 0.1], [0.1, 0.3]])
-    g = np.array([1.0, 2.0])
-    out = policy_update_mean(mu, sigma, g, kappa=0.25)
-    assert np.allclose(out, mu + 0.25 * sigma @ g)
-    with pytest.raises(InputError):
-        policy_update_mean(mu, np.array([[1.0, 2.0], [2.0, 1.0]]), g, 0.1)
-
-
-def test_equal_cov_helpers_reject_what_gaussian_dist_rejects():
-    mu, g = np.zeros(2), np.ones(2)
-    # asymmetric with a positive definite lower triangle, non-finite, the wrong size
-    for sigma in (np.array([[1.0, 5.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [0.0, np.inf]]),
-                  np.eye(3)):
-        with pytest.raises(InputError):
-            policy_update_mean(mu, sigma, g, 0.1)
-        with pytest.raises(InputError):
-            gaussian_chi2_equal_cov(mu, mu, sigma)
-    with pytest.raises(InputError):
-        policy_update_mean(mu, np.eye(2), np.ones(3), 0.1)
-    with pytest.raises(InputError):
-        gaussian_chi2_equal_cov(mu, np.zeros(3), np.eye(2))
 
 
 def test_cql_global_lower_bound_formula():
@@ -433,31 +396,3 @@ def test_unbiased_cluster_gradients():
     with pytest.raises(InputError):
         unbiased_cluster_gradient_check(policy, _mixture(weights, comps),
                                         coeffs, n_trials=10, rng=rng)
-
-
-def test_per_cluster_objective_accepts_callable_critics():
-    rng = np.random.default_rng(18)
-    policy = GaussianDist(np.zeros(2), 0.1 * np.eye(2))
-    nu = GaussianDist(np.zeros(2), np.eye(2))
-    coeffs = PenaltyCoeffs(alpha=0.1, beta_kl=0.2, gamma=0.5)
-    states = rng.standard_normal((30, 3))
-
-    def critic(s, a):
-        return -np.sum(a ** 2, axis=1)
-
-    val = per_cluster_objective(policy, critic, states, nu, coeffs,
-                                n_mc=5000, rng=np.random.default_rng(19))
-    price = coeffs.alpha * gaussian_chi2(policy, nu) \
-        + coeffs.beta_kl * gaussian_kl(policy, nu)
-    # E[-||a||^2] = -tr(cov) for the zero-mean policy
-    assert val == pytest.approx(-0.2 - coeffs.rho_bar * price, abs=0.02)
-
-
-def test_per_cluster_objective_rejects_infinite_price():
-    policy = GaussianDist(np.zeros(1), np.array([[5.0]]))
-    nu = GaussianDist(np.zeros(1), np.array([[1.0]]))
-    coeffs = PenaltyCoeffs(alpha=0.5, beta_kl=0.0, gamma=0.5)
-    with pytest.raises(NumericalError):
-        per_cluster_objective(policy, lambda s, a: np.zeros(len(a)),
-                              np.zeros((4, 1)), nu, coeffs, n_mc=10,
-                              rng=np.random.default_rng(0))
