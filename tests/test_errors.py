@@ -50,7 +50,8 @@ _SPEC = PerturbSpec(0.01, 0.01, 4)
 ], ids=["coeffs-nan", "coeffs-inf", "coeffs-bool", "perturb-nan", "perturb-fraction",
         "fit-iters-nan", "fit-iters-fraction", "fit-tol-nan", "fit-k-fraction",
         "init-width-fraction", "cql-nan", "kappa-inf", "lambert-inf", "abc-gamma-nan",
-        "direct-gamma-nan", "cosine-gamma-nan", "penalty-weight-nan", "penalty-weight-inf", "ema-rate-nan", "ema-rate-bool"])
+        "direct-gamma-nan", "cosine-gamma-nan", "penalty-weight-nan", "penalty-weight-inf",
+        "ema-rate-nan", "ema-rate-bool"])
 def test_values_once_let_through_raise_input_error_naming_the_argument(call, name):
     with pytest.raises(InputError, match=rf"^{name} must be "):
         call()
@@ -65,9 +66,12 @@ def _mixture_1d():
     (lambda: PenaltyCoeffs(0.1, 0.2, 1.0), "gamma must lie in [0, 1), got 1.0"),
     (lambda: PenaltyCoeffs(0.0, 0.0, 0.5), "at least one of alpha, beta_kl must be positive"),
     (lambda: lambert_w(0.0), "z must be positive, got 0.0"),
+    (lambda: lambert_w(True), "z must be a finite number, got True"),
     (lambda: kappa_star(-1.0, _COEFFS), "r_curvature must be positive, got -1.0"),
     (lambda: kappa_star_pearson_closed_form(1.0, 0.0, 0.5), "alpha must be positive, got 0.0"),
     (lambda: kappa_star_pearson_closed_form(1.0, 0.1, -0.1), "gamma must lie in [0, 1)"),
+    (lambda: kappa_star_pearson_closed_form(NAN, 0.1, 0.5),
+     "r_curvature must be a finite number, got nan"),
     (lambda: chi2_inflation_at_optimum(1.0, PenaltyCoeffs(0.0, 1.0, 0.5)),
      "coeffs.alpha must be positive, got 0.0"),
     (lambda: cql_global_lower_bound(INF, 0.5, 0.1, 0.5), "expected_q must be a finite number"),
@@ -78,12 +82,17 @@ def _mixture_1d():
      "divergence must be a string, got 3"),
     (lambda: mixture_bound_check(GaussianDist([0.0], [[1.0]]), _mixture_1d(), "kl", n_mc=1),
      "n_mc must be at least 2, got 1"),
+    (lambda: mixture_bound_check(GaussianDist([0.0], [[1.0]]), _mixture_1d(), "kl", n_mc=True),
+     "n_mc must be an integer, got True"),
     (lambda: mixture_bound_check(GaussianDist([0.0], [[1.0]]), _mixture_1d(), "kl",
                                  quad_tol=NAN),
      "quad_tol must be a finite number, got nan"),
     (lambda: unbiased_cluster_gradient_check(GaussianDist([0.0], [[1.0]]), _mixture_1d(),
                                              _COEFFS, 10, np.random.default_rng(0)),
      "n_trials must be at least 1000, got 10"),
+    (lambda: unbiased_cluster_gradient_check(GaussianDist([0.0], [[1.0]]), _mixture_1d(),
+                                             _COEFFS, 1000.5, np.random.default_rng(0)),
+     "n_trials must be an integer, got 1000.5"),
     (lambda: PerturbSpec(0.1, -0.1, 10), "k_prime must be nonnegative, got -0.1"),
     (lambda: grad_cosine_report(_NET, _NET, _BATCH, 1.0), "gamma must lie in [0, 1), got 1.0"),
     (lambda: MlpCritic.init(0), "input_dim must be at least 1, got 0"),
@@ -96,8 +105,11 @@ def _mixture_1d():
     (lambda: gmm.fit(_Y, 41), "need K <= N, got K=41, N=40"),
     (lambda: gmm.fit(_Y, 2, tol=-1.0), "tol must be nonnegative, got -1.0"),
     (lambda: gmm.fit(_Y, 2, seed=-1), "seed must be at least 0, got -1"),
+    (lambda: gmm.fit(_Y, 2, seed=True), "seed must be an integer, got True"),
     (lambda: gmm.effective_clusters(_mixture_1d(), 1.0),
      "occupancy_threshold must lie in (0, 1), got 1.0"),
+    (lambda: gmm.effective_clusters(_mixture_1d(), NAN),
+     "occupancy_threshold must be a finite number, got nan"),
     (lambda: subsample(generate(EnvSpec(), 1), 0, 0), "n must be at least 1, got 0"),
     (lambda: subsample(generate(EnvSpec(), 1), 41, 0), "cannot take 41 of 40 transitions"),
     (lambda: subsample(generate(EnvSpec(), 1), 4, 0.5), "seed must be an integer, got 0.5"),

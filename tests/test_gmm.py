@@ -389,6 +389,25 @@ def test_mixture_json_is_the_json_dumps_payload_byte_for_byte():
                                                              want.tobytes())
 
 
+_EYES = np.stack([np.eye(2), np.eye(2)])
+
+
+@pytest.mark.parametrize("weights, means, covs, match", [
+    ([0.5, 0.5], np.zeros((1, 2)), _EYES, r"means must be \(K, D\)"),
+    ([1.0], np.zeros(2), _EYES[:1], r"means must be \(K, D\)"),
+    ([0.5, 0.5], np.zeros((2, 2)), _EYES[:1], r"covariances must be \(K, D, D\)"),
+    ([1.0], np.zeros((1, 2)), np.eye(3)[None], r"covariances must be \(K, D, D\)"),
+    ([1.0], np.zeros((1, 2)), [[1.0, 0.0, 0.0, 1.0]], r"covariances must be \(K, D, D\)"),
+    ([1.5, -0.5], np.zeros((2, 2)), _EYES, "weights must be a probability vector"),
+    ([0.5, 0.6], np.zeros((2, 2)), _EYES, "weights must be a probability vector"),
+], ids=["means_not_k", "means_one_dimensional", "covariances_not_k", "covariances_not_d",
+        "covariances_as_written_in_a_snapshot", "negative_weight", "weights_not_summing_to_one"])
+def test_mixture_rejects_arrays_that_do_not_fit_k_and_d(weights, means, covs, match):
+    # a snapshot's covariances are K row-major D*D rows: read unreshaped, they are refused
+    with pytest.raises(InputError, match=match):
+        GaussianMixture(weights, means, covs)
+
+
 def test_mixture_validation():
     eyes = np.stack([np.eye(2), np.eye(2)])
     with pytest.raises(InputError):
