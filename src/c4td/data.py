@@ -13,7 +13,12 @@ consecutive rows of a trajectory form SARSA pairs.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import os
+import tempfile
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import methodcaller
@@ -216,6 +221,13 @@ _ROW_KEYS = {"s", "a", "r", "sn", "an", "done"}
 # transient Python objects are freed before the next is parsed.
 _CHUNK_LINES = 1024
 _MARKER = ',"",'  # load_jsonl's separator between the lines of a chunk
+# load_jsonl keeps each parse in <dataset>.c4cache. The file is the key (this
+# format version and the SHA-256 of the dataset's bytes) on one line, the
+# header fields and the row count n as one JSON line, then the raw columns s,
+# a, r, sn, an (little-endian float64) and done (one byte per row).
+_CACHE_SUFFIX = ".c4cache"
+_CACHE_FORMAT = b"c4td dataset cache, format 1, sha256 "
+_HASH_BYTES = 1 << 16  # bytes per read while hashing a dataset
 
 
 def save_jsonl(dataset: OfflineDataset, path: str) -> None:
@@ -225,14 +237,17 @@ def save_jsonl(dataset: OfflineDataset, path: str) -> None:
     every bit.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        header = {"ds": dataset.ds, "da": dataset.da, "env": dataset.env_name,
-                  "modes": dataset.n_modes, "seed": dataset.seed}
-        fh.write(json.dumps(header) + "\n")
+        fh.write(json.dumps(_header_of(dataset)) + "\n")
         for i in range(len(dataset)):
             row = {"s": dataset.s[i].tolist(), "a": dataset.a[i].tolist(),
                    "r": float(dataset.r[i]), "sn": dataset.s_next[i].tolist(),
                    "an": dataset.a_next[i].tolist(), "done": bool(dataset.done[i])}
             fh.write(json.dumps(row) + "\n")
+
+
+def _header_of(dataset: OfflineDataset) -> dict:
+    return {"ds": dataset.ds, "da": dataset.da, "env": dataset.env_name,
+            "modes": dataset.n_modes, "seed": dataset.seed}
 
 
 def _json_line(text: str, line: int, prefix: str = ""):
@@ -320,10 +335,30 @@ def load_jsonl(path: str) -> OfflineDataset:
     the first in line order. Non-finite values are looked for once every row has
     parsed. A file that is not UTF-8 is reported ahead of any other error,
     with the position of the bad byte in the file.
+
+    A clean parse is kept in ``<path>.c4cache``, keyed by a format version and
+    the SHA-256 of the bytes it parsed, and a later load of the same bytes
+    reads its arrays back instead of parsing. Any cache that does not fit
+    exactly is passed over and the file parsed. Deleting the cache is always
+    safe; an ``OSError`` while writing it, as in a read-only directory, only
+    leaves it unwritten.
     """
+    cache = os.fspath(path) + _CACHE_SUFFIX
     try:
-        with open(path, encoding="utf-8") as fh:
-            return _dataset_of_lines(map(methodcaller("removesuffix", "\n"), fh))
+        with _HashingFile(path) as raw:
+            buffer = bytearray(_HASH_BYTES)
+            while raw.readinto(buffer):
+                pass
+            key = raw.key()
+            dataset = _cached(cache, key)
+            if dataset is not None:
+                return dataset
+            # the cache is keyed by the bytes the parse reads, which differ
+            # from those hashed above if the file is rewritten in between
+            raw.seek(0)
+            raw.sha256 = hashlib.sha256()
+            text = io.TextIOWrapper(io.BufferedReader(raw, _HASH_BYTES), encoding="utf-8")
+            dataset = _dataset_of_lines(map(methodcaller("removesuffix", "\n"), text))
     except (ParseError, UnicodeDecodeError):  # a FormatError needs all lines decoded
         with open(path, "rb") as fh:
             try:
@@ -331,14 +366,84 @@ def load_jsonl(path: str) -> OfflineDataset:
             except UnicodeDecodeError as exc:
                 raise FormatError(f"dataset {path} is not UTF-8 text: {exc}") from exc
         raise
+    if raw.key() == key:
+        _write_cache(cache, key, dataset)
+    return dataset
 
 
-def _dataset_of_lines(lines) -> OfflineDataset:
-    """``load_jsonl``'s parse of an iterator over the file's lines."""
-    text = next(lines, None)
-    if text is None:
-        raise FormatError("empty dataset file")
-    header = _json_line(text, 1, "header is ")
+class _HashingFile(io.FileIO):
+    """A file open for binary reads that keeps the SHA-256 of the bytes it reads."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.sha256 = hashlib.sha256()
+
+    def readinto(self, buffer) -> int:
+        n = super().readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+    def key(self) -> bytes:
+        """The cache key of the bytes read: the format, then the digest, one line."""
+        return _CACHE_FORMAT + self.sha256.hexdigest().encode() + b"\n"
+
+
+def _cached(cache: str, key: bytes) -> OfflineDataset | None:
+    """The dataset kept in ``cache`` under ``key``, or None if the cache does not fit it.
+
+    No cache, another key, a header that is not a dataset's, a size that is
+    not its arrays', a ``done`` byte other than 0 or 1, a non-finite value
+    and any ``OSError`` all give None.
+    """
+    try:
+        with open(cache, "rb") as fh:
+            if fh.read(len(key)) != key:
+                return None
+            header = json.loads(fh.readline())
+            n = header.pop("n", None) if isinstance(header, dict) else None
+            if not is_kind("int", n) or n < 1:
+                return None
+            ds, da = _checked_header(header)["ds"], header["da"]
+            if os.fstat(fh.fileno()).st_size - fh.tell() != n * (8 * (2 * ds + 2 * da + 1) + 1):
+                return None
+            arrays = {"s": np.empty((n, ds), "<f8"), "a": np.empty((n, da), "<f8"),
+                      "r": np.empty(n, "<f8"), "sn": np.empty((n, ds), "<f8"),
+                      "an": np.empty((n, da), "<f8"), "done": np.empty(n, np.uint8)}
+            if any(fh.readinto(array) != array.nbytes for array in arrays.values()):
+                return None
+    except (OSError, ValueError, RecursionError):  # ParseError is a ValueError
+        return None
+    done = arrays.pop("done")
+    if not ((done <= 1).all() and all(np.isfinite(a).all() for a in arrays.values())):
+        return None
+    return OfflineDataset(ds, da, header["env"], header["modes"], header["seed"],
+                          arrays["s"], arrays["a"], arrays["r"], arrays["sn"], arrays["an"],
+                          done.view(bool))
+
+
+def _write_cache(cache: str, key: bytes, dataset: OfflineDataset) -> None:
+    """Writes ``dataset`` to ``cache`` under ``key`` through a temp file and
+    ``os.replace``, so no reader meets half a cache; an ``OSError`` skips it."""
+    directory, name = os.path.split(cache)
+    try:
+        fd, temp = tempfile.mkstemp(suffix=".tmp", prefix=name + ".", dir=directory or ".")
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(key + json.dumps({**_header_of(dataset), "n": len(dataset)}).encode()
+                     + b"\n")
+            for column in (dataset.s, dataset.a, dataset.r, dataset.s_next, dataset.a_next):
+                fh.write(np.ascontiguousarray(column, "<f8"))
+            fh.write(np.ascontiguousarray(dataset.done))
+        os.replace(temp, cache)
+    except OSError:
+        with suppress(OSError):
+            os.unlink(temp)
+
+
+def _checked_header(header) -> dict:
+    """``header`` if it holds a dataset header's fields, else a ParseError naming line 1."""
     if not isinstance(header, dict) or set(header) != set(_HEADER_KEYS):
         raise ParseError(1, f"header must have exactly the keys {sorted(_HEADER_KEYS)}")
     for key, kind in _HEADER_KEYS.items():
@@ -347,6 +452,15 @@ def _dataset_of_lines(lines) -> OfflineDataset:
     for key in ("ds", "da"):
         if header[key] < 1:
             raise ParseError(1, f"header field {key!r} must be at least 1, got {header[key]}")
+    return header
+
+
+def _dataset_of_lines(lines) -> OfflineDataset:
+    """``load_jsonl``'s parse of an iterator over the file's lines."""
+    text = next(lines, None)
+    if text is None:
+        raise FormatError("empty dataset file")
+    header = _checked_header(_json_line(text, 1, "header is "))
     ds, da = header["ds"], header["da"]
 
     widths = {"s": ds, "a": da, "sn": ds, "an": da}

@@ -12,6 +12,7 @@ loop and random streams, so ablations are paired step for step.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
@@ -186,6 +187,14 @@ class _StepReport(NamedTuple):
     pres: list[np.ndarray]
 
 
+@functools.cache
+def _identity(m: int) -> np.ndarray:
+    """``np.eye(m)``, built once per width and read-only, as every step shares it."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
+
+
 def _objective_report(critic: MlpCritic, tnet: MlpCritic, x: np.ndarray,
                       x_prime: np.ndarray, r: np.ndarray, done: np.ndarray,
                       cfg: TrainConfig) -> _StepReport:
@@ -225,7 +234,7 @@ def _objective_report(critic: MlpCritic, tnet: MlpCritic, x: np.ndarray,
         # contributes nothing because Gp_c's columns sum to zero.
         a = 1.0 / (n - 1)
         grad_features = lam * 2.0 * a * (
-            g_prime_c @ (c_hat + cfg.penalty_trace_weight * trace_c * np.eye(m)))
+            g_prime_c @ (c_hat + cfg.penalty_trace_weight * trace_c * _identity(m)))
     grads = critic.backprop_cached(acts, pres, grad_values, grad_features)
     return _StepReport(objective, td, pen_part, tr_n, grads, delta, acts, pres)
 

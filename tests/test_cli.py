@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import c4td
 from c4td import BLAS_THREAD_VARS, cli
+from c4td import data as data_module
 from c4td.cli import _SECTIONS, main, render_metric_svg
 from c4td.data import DATA_SCHEMA, ENV_SCHEMA, EnvSpec, generate
 from c4td.train import (FEATURE_MODES, METRIC_COLUMNS, OPTIMIZERS, TRAIN_SCHEMA, TrainConfig,
@@ -68,7 +69,7 @@ def test_gen_data_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_train_writes_artifacts_and_reruns_identically(tmp_path, capsys):
+def test_train_writes_artifacts_and_reruns_identically(tmp_path, capsys, monkeypatch):
     config, cfg = _write_config(tmp_path)
     _gen(tmp_path, config)
     assert main(["train", "--config", str(config)]) == 0
@@ -81,11 +82,14 @@ def test_train_writes_artifacts_and_reruns_identically(tmp_path, capsys):
     refreshes = sorted(p.name for p in (out_dir / "mixtures").iterdir())
     assert refreshes == ["refresh_000000.json", "refresh_000025.json",
                          "refresh_000050.json"]
-    first = metrics.read_bytes()
 
+    # the second run reads the dataset's parse back from the cache beside it
+    assert (tmp_path / "data.jsonl.c4cache").is_file()
+    monkeypatch.setattr(data_module, "_dataset_of_lines", lambda lines: pytest.fail("parsed"))
     other = _write_config(tmp_path, out_dir=str(tmp_path / "out2"))[0]
     assert main(["train", "--config", str(other)]) == 0
-    assert (tmp_path / "out2" / "metrics.csv").read_bytes() == first
+    for name in ("metrics.csv", "critic.json", *(f"mixtures/{r}" for r in refreshes)):
+        assert (tmp_path / "out2" / name).read_bytes() == (out_dir / name).read_bytes()
 
 
 def test_train_baseline_suffixes_artifacts(tmp_path, capsys):
@@ -591,6 +595,7 @@ def em_shape(tmp_path_factory):
                 PYTHONPATH=str(Path(c4td.__file__).parents[1]))
     subprocess.run([sys.executable, "-m", "c4td.cli", "gen-data", "--config", str(config),
                     "--out", cfg["dataset"]], env=base, capture_output=True, check=True)
+    data_module.load_jsonl(cfg["dataset"])  # writes the parse cache, so every run below loads alike
 
     def train(out_dir, *sets, **env) -> int:
         before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import shutil
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,21 +201,27 @@ def test_loader_rejects_non_finite_numbers_with_their_line(tmp_path):
 
 
 def test_loader_scratch_does_not_grow_with_the_file(tmp_path, traced_peak):
-    # From N to 4N rows, the traced peak may grow by the output arrays twice
-    # over (the per-chunk parts and their concatenation), not by the file:
-    # one chunk's text and objects are a constant. It grows by 1.04 times
-    # the arrays' growth here; holding the whole text and a list of its
-    # lines, as the loader once did, grew it by 5.0 times.
+    # From N to 4N rows, the traced peak of a parse may grow by the output
+    # arrays twice over (the per-chunk parts and their concatenation), not by
+    # the file: one chunk's text and objects are a constant. It grows by 1.04
+    # times the arrays' growth here; holding the whole text and a list of its
+    # lines, as the loader once did, grew it by 5.0 times. A cache hit holds
+    # the arrays and one hashing buffer, and grows by 1.03 times the arrays'
+    # growth: reading the file whole to hash it would add the file's growth,
+    # 3.3 times the arrays'.
     lines = _saved_lines(tmp_path, 25)  # 1000 rows
-    peaks, sizes = [], []
+    misses, hits, sizes = [], [], []
     for copies in (2, 8):
         path = tmp_path / f"x{copies}.jsonl"
         _write(path, lines[:1] + lines[1:] * copies)
-        peaks.append(traced_peak(lambda: load_jsonl(str(path))))
+        misses.append(traced_peak(lambda: (_cache_of(path).unlink(missing_ok=True),
+                                           load_jsonl(str(path)))))
+        hits.append(traced_peak(lambda: _without_parse(lambda: load_jsonl(str(path)))))
         data = load_jsonl(str(path))
         sizes.append(sum(getattr(data, f).nbytes for f in _FIELDS))
     assert sizes[1] - sizes[0] == 6000 * 73  # four (N, 2) columns, r and done
-    assert peaks[1] - peaks[0] <= 3 * (sizes[1] - sizes[0])
+    assert misses[1] - misses[0] <= 3 * (sizes[1] - sizes[0])
+    assert hits[1] - hits[0] <= 1.5 * (sizes[1] - sizes[0])
 
 
 def test_loader_rejects_empty_file(tmp_path):
@@ -364,6 +374,7 @@ def test_chunked_loader_matches_the_line_by_line_oracle(tmp_path, monkeypatch, n
     path = tmp_path / "d.jsonl"
     _write(path, edit(_saved_lines(tmp_path, 1)))
     got, oracle = _outcome(load_jsonl, path), _outcome(load_jsonl_line_by_line, path)
+    assert _hit(path) == (got if isinstance(got[0], tuple) else None)
     if isinstance(expected, tuple):
         assert got[:2] == (ParseError, expected[0]) and oracle[0] is expected[1]
         return
@@ -395,6 +406,8 @@ def test_chunked_loader_keeps_crlf_files_and_reports_across_a_chunk_boundary(tmp
             got = _outcome(load_jsonl, path)
             assert got == _outcome(load_jsonl_line_by_line, path)
             assert got[:2] == (ParseError, line) if line else isinstance(got[0], tuple)
+            if not line:
+                assert _hit(path) == got
 
 
 @pytest.mark.parametrize("chunk", [1, data_module._CHUNK_LINES])
@@ -426,9 +439,13 @@ def test_clean_rows_take_one_json_parse_per_chunk(tmp_path, monkeypatch):
     assert (len(parses), line_by_line) == (3, [])  # the header, then one per chunk
     _write(path, _with(lines, 1030, "r", -1))  # an integer r in the second chunk
     parses.clear()
-    assert load_jsonl(str(path)).r[1028] == -1.0
+    assert load_jsonl(str(path)).r[1028] == -1.0  # a miss: the cache holds the first file
     assert [args[1] for args in line_by_line] == [1026]
     assert len(parses) == 3 + 1080 - 1024
+    parses.clear()
+    assert load_jsonl(str(path)).r[1028] == -1.0  # a hit parses the cache's header alone
+    assert [args[1] for args in line_by_line] == [1026]
+    assert len(parses) == 1 and b'"n": 1080' in parses[0]
 
 
 _JUNK = ["", " ", "{", "}", "[", "]", ",", '""', ":", "1", "-0.5", "1e999", "NaN", "true",
@@ -454,3 +471,166 @@ def test_chunked_loader_matches_the_oracle_on_spliced_text(tmp_path_factory, edi
     finally:
         data_module._CHUNK_LINES = original
     assert got == _outcome(load_jsonl_line_by_line, path)
+    assert _hit(path) == (got if isinstance(got[0], tuple) else None)
+
+
+# ------------------------------------------------------------ parse cache
+
+def _cache_of(path) -> Path:
+    return Path(f"{path}{data_module._CACHE_SUFFIX}")
+
+
+def _without_parse(fn):
+    """fn() with load_jsonl's parse failing, so that only a cache hit loads."""
+    def parse(lines):
+        raise AssertionError("the dataset was parsed")
+    original, data_module._dataset_of_lines = data_module._dataset_of_lines, parse
+    try:
+        return fn()
+    finally:
+        data_module._dataset_of_lines = original
+
+
+def _hit(path):
+    """``_outcome`` of a load from ``path``'s cache alone, or None when it has no cache."""
+    if not _cache_of(path).exists():
+        return None
+    return _without_parse(lambda: _outcome(load_jsonl, path))
+
+
+def test_a_cache_hit_returns_what_the_parse_returns(tmp_path):
+    # several chunks, and a header whose strings and integers JSON must carry exactly
+    data = generate(EnvSpec.with_circular_modes(3), n_trajectories=60, seed=11)
+    odd = OfflineDataset(data.ds, data.da, 'env "\u2028\n\udc00 \u00e9', 10 ** 30,
+                         2 ** 70, data.s, data.a, data.r, data.s_next, data.a_next, data.done)
+    for i, dataset in enumerate((data, odd)):
+        path = tmp_path / f"d{i}.jsonl"
+        save_jsonl(dataset, str(path))
+        assert not _cache_of(path).exists()
+        parsed = _outcome(load_jsonl, path)
+        assert isinstance(parsed[0], tuple) and _cache_of(path).is_file()
+        assert _hit(path) == parsed == _outcome(load_jsonl_line_by_line, path)
+    assert parsed[0] == (2, 2, 'env "\u2028\n\udc00 \u00e9', 10 ** 30, 2 ** 70)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "d0.jsonl", "d0.jsonl.c4cache", "d1.jsonl", "d1.jsonl.c4cache"]
+
+
+def test_a_one_byte_edit_is_a_miss(tmp_path):
+    lines = _saved_lines(tmp_path, 1)
+    path = tmp_path / "d.jsonl"
+    _write(path, lines)
+    before = _outcome(load_jsonl, path)
+    start = sum(len(line) + 1 for line in lines[:6])  # line 7
+    raw = path.read_bytes()
+    digit = raw.index(b"1", start)  # a digit of a number on line 7
+    assert digit < start + len(lines[6])
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    for byte, line in ((b"2", None), (b"[", 7)):  # still valid, then not
+        path.write_bytes(raw[:digit] + byte + raw[digit + 1:])
+        (fresh / "d.jsonl").write_bytes(path.read_bytes())
+        got = _outcome(load_jsonl, path)
+        assert got == _outcome(load_jsonl, fresh / "d.jsonl") != before
+        assert got[:2] == (ParseError, line) if line else isinstance(got[0], tuple)
+
+
+def _payload_at(raw: bytes) -> int:
+    """Offset of the arrays in a cache: after the key line and the header line."""
+    return raw.index(b"\n", raw.index(b"\n") + 1) + 1
+
+
+def _put_float(raw: bytes, at: int, value: float) -> bytes:
+    return raw[:at] + np.float64(value).tobytes() + raw[at + 8:]
+
+
+# name -> edit of a valid cache's bytes; each result must be a miss
+_BAD_CACHES = {
+    "empty": lambda raw: b"",
+    "truncated in the key": lambda raw: raw[:30],
+    "truncated in the header": lambda raw: raw[:_payload_at(raw) - 5],
+    "truncated by one byte": lambda raw: raw[:-1],
+    "one byte longer": lambda raw: raw + b"\0",
+    "other version": lambda raw: raw.replace(b"format 1,", b"format 2,", 1),
+    "other digest": lambda raw: raw[:40] + (b"0" if raw[40:41] != b"0" else b"1") + raw[41:],
+    "garbled header": lambda raw: raw.replace(b'"env"', b'"e\xffv"', 1),
+    "header not JSON": lambda raw: raw.replace(b'{"ds"', b'{ds"', 1),
+    "header not an object": lambda raw: (raw[:raw.index(b"\n") + 1] + b"[2, 2]"
+                                         + raw[_payload_at(raw) - 1:]),
+    "header without n": lambda raw: raw.replace(b', "n": 40}', b"}", 1),
+    "n a bool": lambda raw: raw.replace(b'"n": 40', b'"n": true', 1),
+    "n zero": lambda raw: raw.replace(b'"n": 40', b'"n": 0', 1),
+    "n zero, no arrays": lambda raw: raw.replace(b'"n": 40', b'"n": 0', 1)[:_payload_at(raw) - 1],
+    "n a float": lambda raw: raw.replace(b'"n": 40', b'"n": 40.0', 1),
+    "n one short": lambda raw: raw.replace(b'"n": 40', b'"n": 39', 1),
+    "ds wrong": lambda raw: raw.replace(b'"ds": 2', b'"ds": 3', 1),
+    "da zero": lambda raw: raw.replace(b'"da": 2', b'"da": 0', 1),
+    "seed a float": lambda raw: raw.replace(b'"seed": 3', b'"seed": 3.0', 1),
+    "arrays a row short": lambda raw: (raw.replace(b'"n": 40', b'"n": 39', 1)
+                                       [:-(8 * 9 + 1)]),
+    "nan in s": lambda raw: _put_float(raw, _payload_at(raw), math.nan),
+    "inf in r": lambda raw: _put_float(raw, _payload_at(raw) + 40 * 4 * 8, math.inf),
+    "-inf in the last an": lambda raw: _put_float(raw, len(raw) - 40 - 8, -math.inf),
+    "done byte 2": lambda raw: raw[:-1] + b"\x02",
+}
+
+
+@pytest.mark.parametrize("name", [*_BAD_CACHES, "another file's cache", "a directory"])
+def test_a_cache_that_does_not_fit_is_a_miss_that_parses(tmp_path, monkeypatch, name):
+    lines = _saved_lines(tmp_path, 1)
+    path = tmp_path / "d.jsonl"
+    _write(path, lines)
+    parsed = _outcome(load_jsonl, path)
+    cache = _cache_of(path)
+    if name == "another file's cache":  # a valid cache, of other bytes
+        other = tmp_path / "other.jsonl"
+        _write(other, _with(lines, 5, "r", -0.25))
+        load_jsonl(str(other))
+        assert _outcome(load_jsonl, other) != parsed
+        shutil.copyfile(_cache_of(other), cache)
+    elif name == "a directory":
+        cache.unlink()
+        cache.mkdir()
+    else:
+        cache.write_bytes(_BAD_CACHES[name](cache.read_bytes()))
+    parses = []
+    parse = data_module._dataset_of_lines
+    monkeypatch.setattr(data_module, "_dataset_of_lines",
+                        lambda lines: parses.append(1) or parse(lines))
+    assert _outcome(load_jsonl, path) == parsed
+    assert parses == [1]
+    if name != "a directory":  # the miss wrote a valid cache in its place
+        assert _hit(path) == parsed
+
+
+@pytest.mark.parametrize("failing", ["tempfile.mkstemp", "os.replace"])
+def test_an_unwritable_directory_only_loses_the_cache(tmp_path, monkeypatch, failing):
+    # the process runs with privileges that a read-only mode does not stop,
+    # so the directory's refusal is raised where the write meets it
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+    lines = _saved_lines(tmp_path, 1)
+    path = tmp_path / "sub" / "d.jsonl"
+    path.parent.mkdir()
+    _write(path, lines)
+    expected = _outcome(load_jsonl_line_by_line, path)
+    module, attr = failing.split(".")
+    monkeypatch.setattr({"tempfile": tempfile, "os": os}[module], attr, refuse)
+    assert _outcome(load_jsonl, path) == expected
+    assert os.listdir(path.parent) == ["d.jsonl"]  # no cache and no temp file
+
+
+def test_a_file_rewritten_after_its_hash_is_parsed_and_not_cached(tmp_path, monkeypatch):
+    # a writer that rewrites the file in place between the hash and the parse
+    lines = _saved_lines(tmp_path, 1)
+    path = tmp_path / "d.jsonl"
+    _write(path, lines)
+    rewritten = _with(lines, 5, "r", -0.25)
+    cached = data_module._cached
+
+    def rewrite_then_look_up(cache, key):
+        _write(path, rewritten)
+        return cached(cache, key)
+    monkeypatch.setattr(data_module, "_cached", rewrite_then_look_up)
+    got = _outcome(load_jsonl, path)
+    assert got == _outcome(load_jsonl_line_by_line, path)  # the parse read the new bytes
+    assert not _cache_of(path).exists()  # but they are not the bytes the key names
