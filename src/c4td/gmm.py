@@ -101,11 +101,16 @@ def default_ridge(y: np.ndarray) -> float:
 def gaussian_logpdf(y: np.ndarray, means, chols) -> np.ndarray:
     """log N(y_i | means[z], L_z L_z^T) for every row i of y and component z, shape (N, Z).
 
+    The table is component-major: Z contiguous rows of N, one per component,
+    returned as their (N, Z) view, so column z is contiguous and the sums
+    over components below run as whole-row operations.
+
     ``chols[z]`` is the lower Cholesky factor L_z; one stacked ``inv`` call
-    inverts them all, each with the bits of its own call. The rows run in
-    blocks, and every (block, component) pair goes through the same two
-    block-sized buffers, ``diff`` and ``u``: a call holds no N x D array at
-    any N, and its scratch stays in cache.
+    inverts them all, each with the bits of its own call, so a column
+    depends only on its own mean and factor. The rows run in blocks, and
+    every (block, component) pair goes through the same two block-sized
+    buffers, ``diff`` and ``u``: a call holds no N x D array at any N, and
+    its scratch stays in cache.
 
     A row's GEMM bits can depend on the matrix around it, so the blocks
     follow one rule: a block holds ``rows = max(64, (_BLOCK_ELEMS // D) //
@@ -121,7 +126,7 @@ def gaussian_logpdf(y: np.ndarray, means, chols) -> np.ndarray:
     contiguous copy of ``inv_t``, and folding the two constant adds into one.
     """
     n, d = y.shape
-    out = np.empty((n, len(means)))
+    table = np.empty((len(means), n))
     inv_t = np.linalg.inv(chols).swapaxes(1, 2)  # triangular back-substitution; D is small
     log_dets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
     log_2pi = d * np.log(2.0 * np.pi)
@@ -129,46 +134,107 @@ def gaussian_logpdf(y: np.ndarray, means, chols) -> np.ndarray:
     last = max(n // rows - 1, 0) * rows  # the last block is the longest
     diff = np.empty((n - last, d))
     u = np.empty_like(diff)
-    maha = np.empty(n - last)
     for s in range(0, last + 1, rows):
         e = n if s == last else s + rows
-        y_b, diff_b, u_b, maha_b = y[s:e], diff[:e - s], u[:e - s], maha[:e - s]
+        y_b, diff_b, u_b = y[s:e], diff[:e - s], u[:e - s]
         for z, mean in enumerate(means):
             np.subtract(y_b, mean, out=diff_b)
             np.matmul(diff_b, inv_t[z], out=u_b)
+            maha_b = table[z, s:e]
             np.einsum("ij,ij->i", u_b, u_b, out=maha_b)
             maha_b += log_dets[z]
             maha_b += log_2pi
-            np.multiply(maha_b, -0.5, out=out[s:e, z])
-    return out
+            maha_b *= -0.5
+    return table.T
 
 
-def _log_components(y: np.ndarray, mixture: GaussianMixture) -> np.ndarray:
-    """log(p_z) + log N(y_i | mu_z, Omega_z) for every (i, z)."""
+def _log_components(y: np.ndarray, mixture: GaussianMixture,
+                    logpdf: np.ndarray | None = None) -> np.ndarray:
+    """log(p_z) + log N(y_i | mu_z, Omega_z) for every (i, z), laid out as ``gaussian_logpdf``'s.
+
+    ``logpdf``, when given, is ``gaussian_logpdf``'s table for this mixture's
+    means and factors, already computed; it is read, not changed.
+    """
+    log_weights = [np.log(w) if w > 0 else -np.inf for w in mixture.weights]
+    if logpdf is not None:
+        return (logpdf.T + np.array(log_weights)[:, None]).T
     logs = gaussian_logpdf(y, mixture.means, mixture.chols)
-    logs += [np.log(w) if w > 0 else -np.inf for w in mixture.weights]
+    logs += log_weights
     return logs
+
+
+def _fold_rows(terms: np.ndarray) -> None:
+    """Sum the K rows of ``terms`` into ``terms[0]``, in place, with the bits of
+    numpy's sum over a contiguous row of K (nonnegative) terms.
+
+    numpy's association: below 8 terms it adds one by one; from 8 to 128 it
+    runs eight lanes, lane j adding terms j, j + 8, ... one by one, joins
+    them as ((0+1)+(2+3))+((4+5)+(6+7)) and then adds the K mod 8 leftover
+    terms one by one; above 128 it sums two halves, split at a multiple of
+    8, on their own and adds them. Each add here is one contiguous
+    operation over all the columns of ``terms``, where a sum over axis 1 of
+    an (N, K) table runs N reductions of K terms. numpy also adds its sum
+    to 0.0, which changes only a sum of negative zeros; that add is left out.
+    """
+    k = len(terms)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        _fold_rows(terms[:half])
+        _fold_rows(terms[half:])
+        terms[0] += terms[half]
+        return
+    tail = 0 if k < 8 else k - k % 8
+    if tail:
+        for m in range(8, tail, 8):
+            terms[:8] += terms[m:m + 8]
+        terms[0:8:2] += terms[1:8:2]
+        terms[0:8:4] += terms[2:8:4]
+        terms[0] += terms[4]
+    for row in terms[max(tail, 1):]:
+        terms[0] += row
+
+
+def _component_sums(table: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+    """sum_z table[z, i] for every column i of a (K, N) table, or sum_z exp(table[z, i]
+    - shift[i]) when ``shift`` is given, with the association of ``_fold_rows``.
+
+    Blocks of ``_BLOCK_ELEMS // K`` columns go through one (K, cols) buffer,
+    so the table is neither changed nor copied whole.
+    """
+    k, n = table.shape
+    sums = np.empty(n)
+    cols = max(1, _BLOCK_ELEMS // k)
+    block = np.empty((k, min(cols, n)))
+    for s in range(0, n, cols):
+        e = min(s + cols, n)
+        terms = block[:, :e - s]
+        if shift is None:
+            np.copyto(terms, table[:, s:e])
+        else:
+            np.subtract(table[:, s:e], shift[s:e], out=terms)
+            np.exp(terms, out=terms)
+        _fold_rows(terms)
+        sums[s:e] = terms[0]
+    return sums
 
 
 def logsumexp_rows(logs: np.ndarray) -> np.ndarray:
     """log sum_z exp(logs[i, z]) for every row i, shifted by the row's finite peak.
 
-    The shift and ``exp`` run in blocks of ``_BLOCK_ELEMS // K`` rows through
-    one buffer, so no (N, K) copy of ``logs`` is made. Each row sums its own
-    K entries, so the bits do not depend on the blocking.
+    The work runs on the component rows ``logs.T``, contiguous for a table
+    from ``gaussian_logpdf``: the peak is a fold of ``np.maximum`` over
+    them, and the shifted exponentials are summed in column blocks by
+    ``_component_sums``, in numpy's own association for a contiguous row of
+    K terms (one by one below 8 terms, eight lanes up to 128, two halves
+    above; see ``_fold_rows``), so the bits are those of
+    ``logs.max(axis=1)`` and ``sum(axis=1)`` on a C-ordered (N, K) table.
     """
-    n, k = logs.shape
-    peak = logs.max(axis=1)
-    safe = np.where(np.isfinite(peak), peak, 0.0)
-    sums = np.empty(n)
-    rows = max(1, _BLOCK_ELEMS // k)
-    block = np.empty((min(rows, n), k))
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        shifted = block[:e - s]
-        np.subtract(logs[s:e], safe[s:e, None], out=shifted)
-        np.exp(shifted, out=shifted)
-        shifted.sum(axis=1, out=sums[s:e])
+    table = logs.T
+    safe = table[0].copy()
+    for row in table[1:]:
+        np.maximum(safe, row, out=safe)
+    safe[~np.isfinite(safe)] = 0.0
+    sums = _component_sums(table, safe)
     np.log(sums, out=sums)
     sums += safe
     return sums
@@ -179,14 +245,24 @@ def log_density(mixture: GaussianMixture, y: np.ndarray) -> np.ndarray:
     return logsumexp_rows(_log_components(_check_data(y, mixture.dim), mixture))
 
 
-def _posterior(mixture: GaussianMixture, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Responsibilities, rows normalized to sum to one exactly, and log p(y_i) per row."""
-    logs = _log_components(y, mixture)
+def _posterior(mixture: GaussianMixture, y: np.ndarray,
+               logpdf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities, rows normalized to sum to one exactly, and log p(y_i) per row.
+
+    The responsibilities are the (N, K) view of K contiguous component
+    rows, as ``gaussian_logpdf`` lays them out: the shift, ``exp`` and
+    division each run once over the whole table, and the normalizing sums
+    are ``_component_sums``, with the bits of ``sum(axis=1)`` on a C-ordered
+    (N, K) table (numpy's association for a row of K terms; see
+    ``_fold_rows``). ``logpdf`` is passed on to ``_log_components``.
+    """
+    logs = _log_components(y, mixture, logpdf)
     row_ll = logsumexp_rows(logs)
-    logs -= row_ll[:, None]
-    resp = np.exp(logs, out=logs)
-    resp /= resp.sum(axis=1, keepdims=True)
-    return resp, row_ll
+    resp = logs.T
+    resp -= row_ll
+    np.exp(resp, out=resp)
+    resp /= _component_sums(resp)
+    return logs, row_ll
 
 
 def e_step(mixture: GaussianMixture, y: np.ndarray) -> np.ndarray:
@@ -251,20 +327,11 @@ def _global_cov(y: np.ndarray, ridge: float) -> np.ndarray:
     return 0.5 * (cov + cov.T) + ridge * np.eye(d)
 
 
-def _initial_mixture(y: np.ndarray, k: int, ridge: float,
-                     rng: np.random.Generator) -> GaussianMixture:
-    global_cov = _global_cov(y, ridge)
-    means = _kmeanspp_means(y, k, rng)
-    return GaussianMixture(np.full(k, 1.0 / k), means,
-                           np.repeat(global_cov[None, :, :], k, axis=0))
-
-
 def _reseed_starved(mixture: GaussianMixture, y: np.ndarray, row_ll: np.ndarray,
-                    starved: np.ndarray, ridge: float) -> GaussianMixture:
+                    starved: np.ndarray, global_cov: np.ndarray) -> GaussianMixture:
     """Move starved clusters onto the least-explained points (lowest ``row_ll``)."""
     weights, means, covs = (a.copy() for a in (mixture.weights, mixture.means,
                                                mixture.covariances))
-    global_cov = _global_cov(y, ridge)
     order = np.argsort(row_ll)
     for rank, z in enumerate(np.flatnonzero(starved)):
         means[z] = y[order[rank % len(order)]]
@@ -286,6 +353,15 @@ def fit(y: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-7,
     the modified mixture, and the trace documents that final run. ``init``
     warm-starts from a previous mixture. Data whose variance overflows raise
     InputError.
+
+    A reseed changes only the starved components' means and covariances,
+    and a column of ``gaussian_logpdf`` depends only on its own component,
+    so the densities' table is kept across a reseed and only the reseeded
+    columns are recomputed; ``_log_components`` still adds the weights once
+    per E-step. The table is dropped before the M-step, which gets the
+    responsibilities in C order: ``resp.T @ y`` and the soft counts' fold
+    over rows keep the bits they have for that layout. Every fresh
+    covariance is one ``_global_cov``, computed at most once per fit.
     """
     check_fields(locals(), _FIT_ARGS)
     y = _check_data(y)
@@ -296,28 +372,40 @@ def fit(y: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-7,
     if not np.isfinite(eps):
         raise InputError("data too large for EM: their variance overflows")
     rng = np.random.default_rng(seed)
+    global_cov = None
     if init is not None:
         if init.n_components != k or init.dim != y.shape[1]:
             raise InputError("warm start shape does not match (K, D)")
         mixture = init
     else:
-        mixture = _initial_mixture(y, k, eps, rng)
+        global_cov = _global_cov(y, eps)
+        mixture = GaussianMixture(np.full(k, 1.0 / k), _kmeanspp_means(y, k, rng),
+                                  np.repeat(global_cov[None, :, :], k, axis=0))
 
     trace: list[float] = []
     prev_mixture = None
+    logpdf = None  # the densities' table, kept only across a reseed
     reseeds = 0
     iters = 0
     while iters < max_iters:
         iters += 1
-        resp, row_ll = _posterior(mixture, y)
+        if logpdf is None:
+            logpdf = gaussian_logpdf(y, mixture.means, mixture.chols)
+        resp, row_ll = _posterior(mixture, y, logpdf)
+        resp = np.ascontiguousarray(resp)
         ll = float(row_ll.sum())
         counts = resp.sum(axis=0)
         starved = counts < STARVED_FRACTION * n
         if np.any(starved):
-            mixture = _reseed_starved(mixture, y, row_ll, starved, eps)
+            if global_cov is None:
+                global_cov = _global_cov(y, eps)
+            mixture = _reseed_starved(mixture, y, row_ll, starved, global_cov)
+            logpdf[:, starved] = gaussian_logpdf(y, mixture.means[starved],
+                                                 mixture.chols[starved])
             reseeds += 1
             trace.clear()
             continue
+        logpdf = row_ll = None  # read only by a reseed; the M-step's peak holds neither
         if trace and ll < trace[-1]:
             mixture = prev_mixture  # ridge dip: keep the better iterate
             break

@@ -114,22 +114,33 @@ class MlpCritic:
         values = h @ w_out.T + b_out
         return values[..., 0], acts, pres
 
-    def _hidden(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _last_product(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The last hidden layer's product ``h @ w.T``, before its bias and clamp.
+
+        The layers before it run as ``_hidden`` runs them, keeping only the
+        current layer's array. The product is written into ``out`` when
+        given, which may be a strided view such as the column half of a
+        wider array: BLAS writes it through its row stride, with the bits of
+        a fresh array.
+        """
+        h = x
+        *inner, (w_last, _) = self.layers[:-1]
+        for w, b in inner:
+            h = h @ w.T
+            h += b
+            np.maximum(h, 0.0, out=h)
+        return np.matmul(h, w_last.T, out=out)
+
+    def _hidden(self, x: np.ndarray) -> np.ndarray:
         """The last hidden activations, keeping only the current layer's array.
 
         The same ``h @ w.T + b`` and ``max(., 0)`` as ``_forward_cached``, the
         add and the clamp done in place on the product: elementwise, so the
-        bits do not depend on where they are written. 2-D or stacked. The
-        last layer is written into ``out`` when given, which may be a strided
-        view such as the column half of a wider array: BLAS writes the
-        product through its row stride, with the bits of a fresh array.
+        bits do not depend on where they are written. 2-D or stacked.
         """
-        h = x
-        hidden = self.layers[:-1]
-        for i, (w, b) in enumerate(hidden):
-            h = np.matmul(h, w.T, out=out if i == len(hidden) - 1 else None)
-            h += b
-            np.maximum(h, 0.0, out=h)
+        h = self._last_product(x)
+        h += self.layers[-2][1]
+        np.maximum(h, 0.0, out=h)
         return h
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:

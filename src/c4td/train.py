@@ -160,7 +160,11 @@ def gradient_pairs(critic: MlpCritic, target: MlpCritic, x: np.ndarray, x_prime:
 
     Each side is written into its half of the one (N, 2w) array: in surrogate
     mode the last hidden layer's product lands there directly, so no side is
-    held as an array of its own; an input gradient is assigned into its half.
+    held as an array of its own, and both sides' biases and clamps then run
+    once over the whole contiguous array, not over strided halves: they are
+    elementwise, so the bits are those of each net's own
+    ``penultimate_features_batch``. An input gradient is assigned into its
+    half.
     """
     check_fields({"feature_mode": feature_mode}, TRAIN_SCHEMA, "train.")
     if len(x) == 0:
@@ -170,9 +174,12 @@ def gradient_pairs(critic: MlpCritic, target: MlpCritic, x: np.ndarray, x_prime:
     y = np.empty((len(x), 2 * w))
     for half, net, rows in ((y[:, :w], target, x_prime), (y[:, w:], critic, x)):
         if surrogate:
-            net._hidden(net._check_batch(rows), out=half)
+            net._last_product(net._check_batch(rows), out=half)
         else:
             half[...] = net.input_gradient_batch(rows)
+    if surrogate:
+        y += np.concatenate([target.layers[-2][1], critic.layers[-2][1]])
+        np.maximum(y, 0.0, out=y)
     return y
 
 

@@ -12,6 +12,7 @@ import re
 import numpy as np
 from scipy import stats
 
+from c4td import gmm
 from c4td.data import _ROW_KEYS, OfflineDataset
 from c4td.errors import FormatError, NumericalError, ParseError
 
@@ -458,3 +459,49 @@ def kappa_star_two_pass(r_curvature, coeffs, hits=None):
     if abs(residual(k)) < 1e-12:
         return k
     raise NumericalError("kappa_star iteration did not reach residual 1e-12")
+
+
+def fit_recomputing_every_component(y, k, max_iters=200, tol=1e-7, seed=0, init=None):
+    """``gmm.fit``'s loop as it was: every E-step recomputes every component, in
+    the (N, K) layout of ``posterior_out_of_place``, and every reseed builds its
+    fresh covariance with a ``_global_cov`` call of its own.
+
+    Returns (mixture, trace, iterations, reseeds).
+    """
+    n = y.shape[0]
+    eps = gmm.default_ridge(y)
+    rng = np.random.default_rng(seed)
+    if init is None:
+        cov = gmm._global_cov(y, eps)
+        mixture = gmm.GaussianMixture(np.full(k, 1.0 / k), gmm._kmeanspp_means(y, k, rng),
+                                      np.repeat(cov[None, :, :], k, axis=0))
+    else:
+        mixture = init
+    trace, prev_mixture, reseeds, iters = [], None, 0, 0
+    while iters < max_iters:
+        iters += 1
+        resp, row_ll = posterior_out_of_place(mixture, y)
+        ll = float(row_ll.sum())
+        starved = resp.sum(axis=0) < gmm.STARVED_FRACTION * n
+        if np.any(starved):
+            weights, means, covs = (a.copy() for a in (mixture.weights, mixture.means,
+                                                       mixture.covariances))
+            cov = gmm._global_cov(y, eps)
+            order = np.argsort(row_ll)
+            for rank, z in enumerate(np.flatnonzero(starved)):
+                means[z] = y[order[rank % len(order)]]
+                covs[z] = cov
+                weights[z] = 1.0 / k
+            mixture = gmm.GaussianMixture(weights / weights.sum(), means, covs)
+            reseeds += 1
+            trace.clear()
+            continue
+        if trace and ll < trace[-1]:
+            mixture = prev_mixture
+            break
+        trace.append(ll)
+        if len(trace) > 1 and ll - trace[-2] < tol:
+            break
+        prev_mixture = mixture
+        mixture = gmm.m_step(y, resp, eps)
+    return mixture, trace, iters, reseeds

@@ -8,8 +8,9 @@ from c4td import gmm
 from c4td.errors import InputError
 from c4td.gmm import (GaussianMixture, default_ridge, e_step, effective_clusters, fit,
                       log_density, m_step, mixture_to_json, sample_cluster)
-from oracles import (adjusted_rand_index, gaussian_logpdf_per_component, logsumexp_rows_one_pass,
-                     m_step_moments, mixture_json_dumps, mixture_logpdf, posterior_out_of_place)
+from oracles import (adjusted_rand_index, fit_recomputing_every_component,
+                     gaussian_logpdf_per_component, logsumexp_rows_one_pass, m_step_moments,
+                     mixture_json_dumps, mixture_logpdf, posterior_out_of_place)
 
 
 def _random_mixture(rng, k, dim):
@@ -82,11 +83,12 @@ def test_m_step_matches_weighted_moments():
     assert mix.weights.sum() == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("k", [1, 5, 8])
+@pytest.mark.parametrize("k", [1, 5, 8, 9, 16, 17, 129])
 @pytest.mark.parametrize("d", [1, 2, 32])
 @pytest.mark.parametrize("n", [1, 7, 512, 2053])
 def test_em_kernels_match_their_unbuffered_forms_byte_for_byte(n, d, k):
-    # reused buffers, a stacked inverse and in-place exp move no bit
+    # reused buffers, a stacked inverse, in-place exp and sums over component
+    # rows move no bit; K = 9 to 17 and 129 take numpy's lanes and halves
     rng = np.random.default_rng(n * 100 + d * 10 + k)
     mix = _random_mixture(rng, k, d)
     if k > 1:  # an empty component exercises the -inf column
@@ -122,10 +124,12 @@ def test_e_step_row_blocks_move_no_bit(n, d):
     assert resp.tobytes() == ref_resp.tobytes() and row_ll.tobytes() == ref_ll.tobytes()
 
 
-@pytest.mark.parametrize("k", [1, 3, 8, 33])
+@pytest.mark.parametrize("k", [1, 3, 8, 9, 16, 17, 33, 129])
 def test_logsumexp_rows_blocks_move_no_bit(k):
-    # Blocks hold _BLOCK_ELEMS // k rows: n sits at and around one and two
-    # blocks. Each row holds a -inf column, and one row is -inf throughout.
+    # Blocks hold _BLOCK_ELEMS // k columns of the component rows: n sits at
+    # and around one and two blocks. Each row holds a -inf column, and one
+    # row is -inf throughout. The (N, K) input here is C-ordered, so the
+    # component rows are strided.
     rows = gmm._BLOCK_ELEMS // k
     rng = np.random.default_rng(k)
     for n in (1, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1, 10_000):
@@ -134,16 +138,34 @@ def test_logsumexp_rows_blocks_move_no_bit(k):
         logs[n // 2] = -np.inf
         with np.errstate(divide="ignore"):  # log(0) for the row with no mass, in both
             got, ref = gmm.logsumexp_rows(logs), logsumexp_rows_one_pass(logs)
-        assert got.tobytes() == ref.tobytes()
+            component_major = gmm.logsumexp_rows(np.ascontiguousarray(logs.T).T)
+        assert got.tobytes() == ref.tobytes() == component_major.tobytes()
+
+
+@pytest.mark.parametrize("k", [*range(1, 21), 31, 32, 33, 64, 128, 129, 200])
+def test_component_sums_are_numpys_row_sums_byte_for_byte(k):
+    # numpy sums a contiguous row of K terms one by one below 8 terms, in
+    # eight lanes up to 128, and as two halves above; positive terms over
+    # 60 decades make every other association move bits. 700 columns span
+    # several blocks from K = 47 on.
+    rng = np.random.default_rng(k)
+    terms = 10.0 ** rng.uniform(-30.0, 30.0, size=(700, k))
+    table = np.ascontiguousarray(terms.T)
+    assert gmm._component_sums(table).tobytes() == terms.sum(axis=1).tobytes()
+    assert table.tobytes() == np.ascontiguousarray(terms.T).tobytes()  # left as it was
+    shift = rng.uniform(-5.0, 5.0, size=700)
+    logs = np.log(terms)
+    assert gmm._component_sums(np.ascontiguousarray(logs.T), shift).tobytes() \
+        == np.exp(logs - shift[:, None]).sum(axis=1).tobytes()
 
 
 def test_e_step_holds_two_row_buffers_whatever_k_is(traced_peak):
     # In units of N D doubles, the peak (0.67 here) is set inside
-    # gaussian_logpdf: its (N, K) output table (K/D = 0.25), which becomes
+    # gaussian_logpdf: its (K, N) output table (K/D = 0.25), which becomes
     # the responsibilities, and its diff and u buffers, one row block each,
     # at most 2047 rows whatever N is (1808 rows here: 0.36), with a few (N,)
-    # vectors (1/D = 0.03 each). logsumexp_rows shifts the table in row
-    # blocks, not as an (N, K) copy. A single (N, D) array would reach the
+    # vectors (1/D = 0.03 each). logsumexp_rows and the normalization sum the
+    # table in column blocks, not as an (N, K) copy. A single (N, D) array would reach the
     # bound of 1.0 on its own; two of them, as the E-step once kept, read 2.31.
     n, d, k = 10_000, 32, 8
     rng = np.random.default_rng(5)
@@ -152,19 +174,95 @@ def test_e_step_holds_two_row_buffers_whatever_k_is(traced_peak):
     assert traced_peak(lambda: e_step(mix, y)) <= 1.0 * n * d * 8
 
 
-def test_e_step_scratch_grows_with_n_only_by_its_k_wide_table_and_vectors(traced_peak):
-    # From N = 10 000 to 40 000 rows, the peak may grow by the (N, K) table
-    # and six (N,) vectors: 14 doubles a row at K = 8 (8.9 measured).
-    # The peak itself is set inside gaussian_logpdf (previous test), and
-    # logsumexp_rows's shift runs in row blocks; a whole (N, K) shifted copy,
-    # as it once made, grew the peak by 19.5 doubles a row. One (N, D) array
-    # would add 32 on its own.
-    d, k = 32, 8
+@pytest.mark.parametrize("k", [8, 16])
+def test_e_step_scratch_grows_with_n_only_by_its_k_wide_table_and_vectors(traced_peak, k):
+    # From N = 10 000 to 40 000 rows, the peak may grow by the (K, N) table
+    # and six (N,) vectors: 14 doubles a row at K = 8 (7.4 measured), 22 at
+    # K = 16 (15.9). The peak itself is set inside gaussian_logpdf (previous
+    # test), and the sums over components run in column blocks, their lanes
+    # added in place in the block buffer; a whole (N, K) shifted copy, as
+    # logsumexp_rows once made, grew the peak by 19.5 doubles a row at K = 8,
+    # and eight (N,) lanes would add 8. One (N, D) array would add 32.
+    d = 32
     rng = np.random.default_rng(6)
     mix = _random_mixture(rng, k, d)
     small, large = (rng.standard_normal((n, d)) for n in (10_000, 40_000))
     growth = traced_peak(lambda: e_step(mix, large)) - traced_peak(lambda: e_step(mix, small))
     assert growth <= 30_000 * (k + 6) * 8
+
+
+def test_fit_peak_is_no_higher_than_with_every_component_recomputed(traced_peak):
+    # In units of N D doubles, the peak is set inside the M-step: its diff
+    # and weighted (N, D) buffers and the C-ordered responsibilities. The
+    # loop that recomputed every component read 3.181-3.184 here; this one
+    # reads 3.169, as it drops the densities' table and the row
+    # log-likelihoods before the M-step. A (K, N) table kept through the
+    # M-step adds 0.25.
+    n, d, k = 2048, 32, 8
+    y = np.random.default_rng(8).standard_normal((n, d))
+    assert traced_peak(lambda: fit(y, k, max_iters=10, tol=0.0, seed=0)) <= 3.18 * n * d * 8
+
+
+def _collapsing_data(seed):
+    """(y, k): repeated points among scattered ones, on which clusters that
+    collapse onto the repeats starve others."""
+    rng = np.random.default_rng(seed)
+    d, k = int(rng.integers(2, 6)), int(rng.integers(3, 10))
+    points = rng.standard_normal((int(rng.integers(1, 5)), d)) * 3
+    repeats = int(rng.integers(5, 30))
+    scattered = rng.standard_normal((int(rng.integers(3, 30)), d))
+    return np.concatenate([np.repeat(points, repeats, axis=0), scattered]), k
+
+
+@pytest.mark.parametrize("start, seed, far, starved", [
+    ("cold", 9, (), [1]),            # one reseed, one cluster starved
+    ("cold", 186, (), [2] * 12),     # twelve reseeds, two clusters starved at each
+    ("warm", 101, (8,), [1]),        # a warm start with one cluster moved far off
+    ("warm", 101, (0, 2), [2, 1]),
+    ("warm", 9, (0, 1, 2), [3]),
+])
+def test_fit_matches_the_loop_that_recomputes_every_component(monkeypatch, start, seed, far,
+                                                               starved):
+    # A reseed recomputes only the reseeded columns of the densities' table
+    # and reuses one global covariance; the loop that recomputed every
+    # component, and the global covariance at every reseed, gives the same bits.
+    y, k = _collapsing_data(seed)
+    init = None
+    if start == "warm":
+        fitted = fit(y, k, max_iters=5, seed=seed).mixture
+        means = fitted.means.copy()
+        means[list(far)] += 50.0
+        init = GaussianMixture(fitted.weights, means, fitted.covariances)
+    seen, calls = [], []
+    real_reseed, real_log_components = gmm._reseed_starved, gmm._log_components
+    monkeypatch.setattr(gmm, "_reseed_starved", lambda mixture, rows, row_ll, mask, cov: (
+        seen.append(int(mask.sum())), real_reseed(mixture, rows, row_ll, mask, cov))[1])
+    monkeypatch.setattr(gmm, "_log_components", lambda *args: (
+        calls.append(1), real_log_components(*args))[1])
+    result = fit(y, k, max_iters=40, seed=seed, init=init)
+    assert seen == starved
+    assert len(calls) == result.n_iterations  # the tracer counts one per E-step
+    monkeypatch.undo()
+    mixture, trace, iterations, reseeds = fit_recomputing_every_component(
+        y, k, max_iters=40, seed=seed, init=init)
+    for got, ref in ((result.mixture.weights, mixture.weights),
+                     (result.mixture.means, mixture.means),
+                     (result.mixture.covariances, mixture.covariances)):
+        assert got.tobytes() == ref.tobytes()
+    assert result.log_likelihoods == trace
+    assert (result.n_iterations, result.n_reseeds) == (iterations, reseeds)
+
+
+def test_fit_computes_one_global_covariance_at_most(monkeypatch):
+    y, k = _collapsing_data(186)
+    calls = []
+    real = gmm._global_cov
+    monkeypatch.setattr(gmm, "_global_cov", lambda *args: (calls.append(1), real(*args))[1])
+    assert fit(y, k, max_iters=40, seed=186).n_reseeds == 12
+    assert len(calls) == 1  # the initial mixture's, shared by every reseed
+    warm = fit(y, k, max_iters=3, seed=186, init=_random_mixture(np.random.default_rng(0),
+                                                                   k, y.shape[1]))
+    assert len(calls) == 1 + (warm.n_reseeds > 0)
 
 
 def test_fit_log_likelihood_is_monotone_on_generic_data():

@@ -1,8 +1,8 @@
 """Golden hashes: fixed commands must reproduce their outputs bit for bit.
 
 The hashes gate any refactor that claims to compute the same thing. They
-cover the metric log and the saved critic weights of three ``c4 train``
-configs, the mixture snapshots the clustered run writes at every refresh (a
+cover the metric log and the saved critic weights of four ``c4 train``
+configs, the mixture snapshots the clustered runs write at every refresh (a
 one-cluster run fits no mixture and writes none),
 the report of ``c4 verify --suite all --seed 0`` (the only command that
 reaches the policy module and the verify suites) and, apart, each of its
@@ -71,16 +71,28 @@ CASES = {
         [],
         "",
     ),
+    # nine clusters on a 64-row probe: the warm fits reseed starved clusters,
+    # and every row sum over the components takes numpy's eight-lane path
+    "c4_k9_reseeding": (
+        {"steps": 120, "hidden": [16, 16], "optimizer": "adam", "learning_rate": 0.01,
+         "ema_rate": 0.05, "penalty_weight": 0.1, "n_clusters": 9, "refresh_period": 50,
+         "batch_size": 24, "probe_size": 64, "em_max_iters": 12, "em_warm_iters": 4,
+         "check_identities": False, "evaluate": False, "seed": 13},
+        [],
+        "",
+    ),
 }
 
 GOLDEN = {
     "c4_adam_checked_eval": "05fedb60a76780e95c524e15b70e937d48a8d666d4776c2515c89221868df367",
     "baseline_sgd_32": "dc606d0e5a9d8198a8b8f9d1ce4e3a92b45da32790fb7908d319c457141ccb6c",
     "c4_k1_exact_trace_sgd": "bb0b45defc83aba68155994e33ff558e209119645b34d3d53993ff4929ece50a",
+    "c4_k9_reseeding": "822e4e867fb15760e8a754971a78769c558934b0bacd06b5804e20e5d3d3ebc0",
 }
 
 GOLDEN_MIXTURES = {
     "c4_adam_checked_eval": "37f2216504119248cf528d3511b834e77c3074381a6efbec03c08fb3840df37a",
+    "c4_k9_reseeding": "710b580aa420f7b2d888f112f589678e8f8ec3786ba9c3a20d848dcfa2ecb5f2",
 }
 
 GOLDEN_VERIFY_ALL_SEED0 = "420e2ef8b2889a5f580b4cc8659515be459e308a79dce284fa67f349b8a46dec"

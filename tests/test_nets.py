@@ -136,15 +136,20 @@ def test_inference_forwards_hold_two_hidden_activations_at_most(traced_peak):
 @pytest.mark.parametrize("width", [1, 8, 16, 32])
 @pytest.mark.parametrize("rows", [1, 63, 64, 65, 10_000, 40_000])
 def test_hidden_written_into_a_column_half_keeps_its_bits(width, rows):
-    # gradient_pairs writes each side's last layer into one half of an
-    # (N, 2w) array: BLAS writes through the row stride 2w, same bits
+    # gradient_pairs writes each side's last product into one half of an
+    # (N, 2w) array, BLAS writing through the row stride 2w, then adds both
+    # biases and clamps once over the whole array: same bits as _hidden
     rng = np.random.default_rng(rows + width)
     net = MlpCritic.init(4, (16, width), rng)
+    net.layers[-2][1][...] = rng.standard_normal(width)  # a bias that moves bits
     x = rng.standard_normal((rows, 4))
     alone = net._hidden(x)
     y = np.full((rows, 2 * width), np.nan)
     for half in (y[:, :width], y[:, width:]):
-        assert net._hidden(x, out=half) is half
+        assert net._last_product(x, out=half) is half
+    y += np.concatenate([net.layers[-2][1]] * 2)
+    np.maximum(y, 0.0, out=y)
+    for half in (y[:, :width], y[:, width:]):
         assert np.ascontiguousarray(half).tobytes() == alone.tobytes()
 
 
