@@ -140,11 +140,10 @@ def gaussian_logpdf(y: np.ndarray, means, chols) -> np.ndarray:
         for z, mean in enumerate(means):
             np.subtract(y_b, mean, out=diff_b)
             np.matmul(diff_b, inv_t[z], out=u_b)
-            maha_b = table[z, s:e]
-            np.einsum("ij,ij->i", u_b, u_b, out=maha_b)
-            maha_b += log_dets[z]
-            maha_b += log_2pi
-            maha_b *= -0.5
+            np.einsum("ij,ij->i", u_b, u_b, out=table[z, s:e])
+    table += log_dets[:, None]
+    table += log_2pi
+    table *= -0.5
     return table.T
 
 
