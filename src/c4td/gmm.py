@@ -156,15 +156,15 @@ def _log_components(y: np.ndarray, mixture: GaussianMixture,
     """
     log_weights = [np.log(w) if w > 0 else -np.inf for w in mixture.weights]
     if logpdf is not None:
-        return (logpdf.T + np.array(log_weights)[:, None]).T
+        return logpdf + log_weights  # a new array in logpdf's layout
     logs = gaussian_logpdf(y, mixture.means, mixture.chols)
     logs += log_weights
     return logs
 
 
-def _fold_rows(terms: np.ndarray) -> None:
-    """Sum the K rows of ``terms`` into ``terms[0]``, in place, with the bits of
-    numpy's sum over a contiguous row of K (nonnegative) terms.
+def _fold_rows(terms: np.ndarray) -> np.ndarray:
+    """The sum of the K rows of ``terms``, which it may overwrite, with the bits
+    of numpy's sum over a contiguous row of K (nonnegative) terms.
 
     numpy's association: below 8 terms it adds one by one; from 8 to 128 it
     runs eight lanes, lane j adding terms j, j + 8, ... one by one, joins
@@ -172,25 +172,24 @@ def _fold_rows(terms: np.ndarray) -> None:
     terms one by one; above 128 it sums two halves, split at a multiple of
     8, on their own and adds them. Each add here is one contiguous
     operation over all the columns of ``terms``, where a sum over axis 1 of
-    an (N, K) table runs N reductions of K terms. numpy also adds its sum
-    to 0.0, which changes only a sum of negative zeros; that add is left out.
+    an (N, K) table runs N reductions of K terms. Only a sum of negative
+    zeros can differ in sign.
     """
     k = len(terms)
+    if k < 8:
+        return terms.sum(axis=0)  # row after row
     if k > 128:
         half = k // 2 - k // 2 % 8
-        _fold_rows(terms[:half])
-        _fold_rows(terms[half:])
-        terms[0] += terms[half]
-        return
-    tail = 0 if k < 8 else k - k % 8
-    if tail:
-        for m in range(8, tail, 8):
-            terms[:8] += terms[m:m + 8]
-        terms[0:8:2] += terms[1:8:2]
-        terms[0:8:4] += terms[2:8:4]
-        terms[0] += terms[4]
-    for row in terms[max(tail, 1):]:
+        return _fold_rows(terms[:half]) + _fold_rows(terms[half:])
+    tail = k - k % 8
+    for m in range(8, tail, 8):
+        terms[:8] += terms[m:m + 8]
+    terms[0:8:2] += terms[1:8:2]
+    terms[0:8:4] += terms[2:8:4]
+    terms[0] += terms[4]
+    for row in terms[tail:]:
         terms[0] += row
+    return terms[0]
 
 
 def _component_sums(table: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
@@ -212,8 +211,7 @@ def _component_sums(table: np.ndarray, shift: np.ndarray | None = None) -> np.nd
         else:
             np.subtract(table[:, s:e], shift[s:e], out=terms)
             np.exp(terms, out=terms)
-        _fold_rows(terms)
-        sums[s:e] = terms[0]
+        sums[s:e] = _fold_rows(terms)
     return sums
 
 
@@ -229,9 +227,7 @@ def logsumexp_rows(logs: np.ndarray) -> np.ndarray:
     ``logs.max(axis=1)`` and ``sum(axis=1)`` on a C-ordered (N, K) table.
     """
     table = logs.T
-    safe = table[0].copy()
-    for row in table[1:]:
-        np.maximum(safe, row, out=safe)
+    safe = table.max(axis=0)
     safe[~np.isfinite(safe)] = 0.0
     sums = _component_sums(table, safe)
     np.log(sums, out=sums)

@@ -195,7 +195,7 @@ def test_fit_peak_is_no_higher_than_with_every_component_recomputed(traced_peak)
     # In units of N D doubles, the peak is set inside the M-step: its diff
     # and weighted (N, D) buffers and the C-ordered responsibilities. The
     # loop that recomputed every component read 3.181-3.184 here; this one
-    # reads 3.169, as it drops the densities' table and the row
+    # reads 3.167-3.170, as it drops the densities' table and the row
     # log-likelihoods before the M-step. A (K, N) table kept through the
     # M-step adds 0.25.
     n, d, k = 2048, 32, 8
