@@ -156,64 +156,64 @@ def _log_components(y: np.ndarray, mixture: GaussianMixture,
     """
     log_weights = [np.log(w) if w > 0 else -np.inf for w in mixture.weights]
     if logpdf is not None:
-        return logpdf + log_weights  # a new array in logpdf's layout
+        return (logpdf.T + np.array(log_weights)[:, None]).T
     logs = gaussian_logpdf(y, mixture.means, mixture.chols)
     logs += log_weights
     return logs
 
 
-def _fold_rows(terms: np.ndarray, out: np.ndarray) -> None:
-    """Write the sum of the K rows of ``terms`` into ``out``, with the bits of
+def _fold_rows(terms: np.ndarray) -> None:
+    """Sum the K rows of ``terms`` into ``terms[0]``, in place, with the bits of
     numpy's sum over a contiguous row of K (nonnegative) terms.
 
     numpy's association: below 8 terms it adds one by one; from 8 to 128 it
     runs eight lanes, lane j adding terms j, j + 8, ... one by one, joins
     them as ((0+1)+(2+3))+((4+5)+(6+7)) and then adds the K mod 8 leftover
     terms one by one; above 128 it sums two halves, split at a multiple of
-    8, on their own and adds them. Here a sum over the rows, which numpy
-    runs row after row, gives the one-by-one sums and the lanes, and every
-    other add is one contiguous operation over all the columns of
-    ``terms``, where a sum over axis 1 of an (N, K) table runs N reductions
-    of K terms. Only a sum of negative zeros can differ in sign.
+    8, on their own and adds them. Each add here is one contiguous
+    operation over all the columns of ``terms``, where a sum over axis 1 of
+    an (N, K) table runs N reductions of K terms. numpy also adds its sum
+    to 0.0, which changes only a sum of negative zeros; that add is left out.
     """
     k = len(terms)
-    if k < 8:
-        np.add.reduce(terms, axis=0, out=out)
-    elif k > 128:
+    if k > 128:
         half = k // 2 - k // 2 % 8
-        second = np.empty_like(out)
-        _fold_rows(terms[:half], out)
-        _fold_rows(terms[half:], second)
-        out += second
-    else:
-        tail = k - k % 8
-        lanes = terms[:8] if k < 16 else terms[:tail].reshape(-1, 8, terms.shape[1]).sum(axis=0)
-        pairs = lanes[0::2] + lanes[1::2]
-        quads = pairs[0::2] + pairs[1::2]
-        np.add(quads[0], quads[1], out=out)
-        for row in terms[tail:]:
-            out += row
+        _fold_rows(terms[:half])
+        _fold_rows(terms[half:])
+        terms[0] += terms[half]
+        return
+    tail = 0 if k < 8 else k - k % 8
+    if tail:
+        for m in range(8, tail, 8):
+            terms[:8] += terms[m:m + 8]
+        terms[0:8:2] += terms[1:8:2]
+        terms[0:8:4] += terms[2:8:4]
+        terms[0] += terms[4]
+    for row in terms[max(tail, 1):]:
+        terms[0] += row
 
 
 def _component_sums(table: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
     """sum_z table[z, i] for every column i of a (K, N) table, or sum_z exp(table[z, i]
     - shift[i]) when ``shift`` is given, with the association of ``_fold_rows``.
 
-    The columns run in blocks of ``_BLOCK_ELEMS // K``, the shifted
-    exponentials through one (K, cols) buffer, so the table is neither
-    changed nor copied and the scratch does not grow with N.
+    Blocks of ``_BLOCK_ELEMS // K`` columns go through one (K, cols) buffer,
+    so the table is neither changed nor copied whole.
     """
     k, n = table.shape
     sums = np.empty(n)
     cols = max(1, _BLOCK_ELEMS // k)
-    block = None if shift is None else np.empty((k, min(cols, n)))
+    block = np.empty((k, min(cols, n)))
     for s in range(0, n, cols):
         e = min(s + cols, n)
-        terms = table[:, s:e]
-        if shift is not None:
-            terms = np.subtract(terms, shift[s:e], out=block[:, :e - s])
+        terms = block[:, :e - s]
+        if shift is None:
+            np.copyto(terms, table[:, s:e])
+        else:
+            np.subtract(table[:, s:e], shift[s:e], out=terms)
             np.exp(terms, out=terms)
-        _fold_rows(terms, sums[s:e])
+        _fold_rows(terms)
+        sums[s:e] = terms[0]
     return sums
 
 
@@ -229,7 +229,9 @@ def logsumexp_rows(logs: np.ndarray) -> np.ndarray:
     ``logs.max(axis=1)`` and ``sum(axis=1)`` on a C-ordered (N, K) table.
     """
     table = logs.T
-    safe = table.max(axis=0)
+    safe = table[0].copy()
+    for row in table[1:]:
+        np.maximum(safe, row, out=safe)
     safe[~np.isfinite(safe)] = 0.0
     sums = _component_sums(table, safe)
     np.log(sums, out=sums)

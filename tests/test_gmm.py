@@ -177,10 +177,10 @@ def test_e_step_holds_two_row_buffers_whatever_k_is(traced_peak):
 @pytest.mark.parametrize("k", [8, 16])
 def test_e_step_scratch_grows_with_n_only_by_its_k_wide_table_and_vectors(traced_peak, k):
     # From N = 10 000 to 40 000 rows, the peak may grow by the (K, N) table
-    # and six (N,) vectors: 14 doubles a row at K = 8 (8.2 measured), 22 at
-    # K = 16 (16.4). The peak itself is set inside gaussian_logpdf (previous
-    # test), and the sums over components run in column blocks, so their
-    # lanes and partial sums are block-sized; a whole (N, K) shifted copy, as
+    # and six (N,) vectors: 14 doubles a row at K = 8 (7.4 measured), 22 at
+    # K = 16 (15.9). The peak itself is set inside gaussian_logpdf (previous
+    # test), and the sums over components run in column blocks, their lanes
+    # added in place in the block buffer; a whole (N, K) shifted copy, as
     # logsumexp_rows once made, grew the peak by 19.5 doubles a row at K = 8,
     # and eight (N,) lanes would add 8. One (N, D) array would add 32.
     d = 32
