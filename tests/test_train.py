@@ -146,8 +146,8 @@ def test_gradient_pairs_build_the_stacked_rows_in_place(traced_peak):
     # Hidden (16, 16), as em_refresh: each side's last layer is written into
     # its half of y, so beside y only the first layer's (N, 16) activations
     # live, half of y. Two sides made apart and then joined, as the refresh
-    # once did, hold them and y at once: 2.0 y. The constant admits numpy's
-    # 64 KB ufunc buffer for the bias add on a strided half.
+    # once did, hold them and y at once: 2.0 y. The constant admits one of
+    # numpy's 64 KB buffers (1.5 y + 66 KB measured).
     n = 10_000
     rng = np.random.default_rng(8)
     critic, target = MlpCritic.init(4, (16, 16), rng), MlpCritic.init(4, (16, 16), rng)
