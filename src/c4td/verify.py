@@ -7,7 +7,10 @@ residual and tolerance. The CLI exposes these as `c4 verify --suite NAME`.
 
 from __future__ import annotations
 
+import json
 import math
+import os
+from typing import NoReturn
 
 import numpy as np
 
@@ -214,14 +217,104 @@ _SUITE_FNS = {"covariance": suite_covariance, "gmm": suite_gmm,
               "theorem1": suite_theorem1, "policy": suite_policy}
 
 
+def _report(name: str, seed: int) -> dict:
+    checks = _SUITE_FNS[name](seed)
+    return {"suite": name, "checks": checks, "passed": all(c["passed"] for c in checks)}
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one, else 1."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _serve(share: list[str], seed: int, write_fd: int) -> NoReturn:
+    """Body of a forked worker: its suites' reports as JSON into its pipe, then exit.
+
+    ``repr`` floats read back with the same bits. On failure the pipe carries the
+    exception's text instead and the exit status is 1. ``os._exit`` never returns
+    into the caller's stack and never flushes stdio buffers copied from it.
+    """
+    status = 1
+    try:
+        try:
+            text, code = json.dumps([_report(name, seed) for name in share]), 0
+        except BaseException as exc:  # this process exits below; the caller raises it
+            text, code = f"{type(exc).__name__}: {exc}", 1
+        with open(write_fd, "wb") as pipe:
+            pipe.write(text.encode())
+        status = code
+    finally:
+        os._exit(status)
+
+
+def _join(workers: list[tuple[int, int, list[str]]]) -> list[tuple[int, bytes]]:
+    """Reads each worker's pipe to EOF, then reaps every worker, even after a failed read.
+
+    Returns each worker's exit code and what it wrote.
+    """
+    outputs: list[bytes] = []
+    try:
+        for _, read_fd, _ in workers:
+            with open(read_fd, "rb") as pipe:
+                outputs.append(pipe.read())
+    finally:
+        for _, read_fd, _ in workers[len(outputs) + 1:]:
+            os.close(read_fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _, _ in workers]
+    return list(zip(codes, outputs))
+
+
+def _run_all(seed: int) -> list[dict]:
+    """Every suite's report in ``_SUITE_FNS`` order, the suites split over processes.
+
+    Each report depends only on its suite and seed, so worker ``w`` of ``n``
+    (one per usable CPU, at most one per suite) runs suites ``w, w+n, ...``.
+    This process is worker 0; the others are forked children.
+    """
+    names = list(_SUITE_FNS)
+    n = min(len(names), _usable_cpus())
+    shares = [names[w::n] for w in range(n)]
+    workers = []  # (pid, read end of its pipe, its suites)
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _serve(share, seed, write_fd)
+            os.close(write_fd)  # so the pipe reads EOF once this worker exits
+            workers.append((pid, read_fd, share))
+        reports = {name: _report(name, seed) for name in shares[0]}
+    finally:
+        results = _join(workers)
+    failed = []
+    for (_, _, share), (code, output) in zip(workers, results):
+        if code == 0:
+            reports.update(zip(share, json.loads(output)))
+        else:
+            failed.append(f"suites {', '.join(share)} exited with status {code}: "
+                          f"{output.decode(errors='replace') or 'no output'}")
+    if failed:
+        raise RuntimeError("verify worker failed: " + "; ".join(failed))
+    return [reports[name] for name in names]
+
+
 def run_suite(name: str, seed: int = 0) -> dict:
-    """One named suite, or all of them under {"suites": [...]}."""
+    """One named suite, or all of them under {"suites": [...]}.
+
+    ``"all"`` runs the suites in up to one process per usable CPU (see
+    ``_run_all``); its report is the same bytes as running them one by one.
+    """
     check_fields(locals(), {"seed": at_least(0)})
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; choose from {SUITES}")
     if name != "all":
-        checks = _SUITE_FNS[name](seed)
-        return {"suite": name, "checks": checks, "passed": all(c["passed"] for c in checks)}
-    reports = [run_suite(key, seed) for key in _SUITE_FNS]
+        return _report(name, seed)
+    reports = _run_all(seed)
     return {"suite": "all", "suites": reports,
             "passed": all(r["passed"] for r in reports)}

@@ -5,7 +5,8 @@ cover the metric log and the saved critic weights of four ``c4 train``
 configs, the mixture snapshots the clustered runs write at every refresh (a
 one-cluster run fits no mixture and writes none),
 the report of ``c4 verify --suite all --seed 0`` (the only command that
-reaches the policy module and the verify suites) and, apart, each of its
+reaches the policy module and the verify suites), in this process and in a
+child with one BLAS thread as the benchmark runs it, and, apart, each of its
 suites but the covariance one, so a change shows which suite moved; the
 values the policy module's mixture checks return on fixed cases (verify
 never reaches their Monte Carlo path), and one ``grad_cosine_report`` on a
@@ -19,10 +20,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import c4td
+from c4td import BLAS_THREAD_VARS
 from c4td.cli import main
 from c4td.data import EnvSpec, generate, subsample
 from c4td.diagnostics import grad_cosine_report
@@ -175,6 +182,16 @@ def _sha256(text: str) -> str:
 
 def test_verify_all_report_matches_golden_hash(verify_all_seed0):
     assert _sha256(verify_all_seed0) == GOLDEN_VERIFY_ALL_SEED0
+
+
+def test_verify_all_in_a_child_with_one_blas_thread_matches_golden_hash():
+    # the benchmark's setting: a fresh process, BLAS pools of one thread set before numpy loads
+    env = dict(os.environ, PYTHONPATH=str(Path(c4td.__file__).parents[1]),
+               **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    out = subprocess.run([sys.executable, "-m", "c4td.cli", "verify", "--suite", "all",
+                          "--seed", "0"], env=env, capture_output=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout).hexdigest() == GOLDEN_VERIFY_ALL_SEED0
 
 
 def test_verify_suites_match_their_golden_hashes(verify_all_seed0):
