@@ -478,16 +478,20 @@ def _greedy_action(critic: MlpCritic, states: np.ndarray, env: EnvSpec,
     return a
 
 
-def _eval_return(critic: MlpCritic, env: EnvSpec, episodes: int,
-                 rng: np.random.Generator) -> float:
-    """Mean greedy return over ``episodes`` rollouts run in lockstep.
+def _eval_starts(env: EnvSpec, episodes: int, rng: np.random.Generator) -> np.ndarray:
+    """The initial states of one evaluation, ``(episodes, ds)``, drawn one after another."""
+    return np.stack([env.sample_initial_state(rng) for _ in range(episodes)])
 
-    Every initial state is drawn first; the search and the dynamics draw
-    nothing, so ``rng`` is consumed as by one rollout after another.
+
+def _eval_return(critic: MlpCritic, env: EnvSpec, starts: np.ndarray) -> float:
+    """Mean greedy return of one rollout from each state of ``starts``, run in lockstep.
+
+    The search and the dynamics draw nothing, so drawing every initial state
+    first (``_eval_starts``) consumes the stream as one rollout after another.
     """
     cand = _action_grid(env)
-    states = [env.sample_initial_state(rng) for _ in range(episodes)]
-    ep = [0.0] * episodes
+    states = list(starts)
+    ep = [0.0] * len(states)
     for _ in range(env.horizon):
         actions = _greedy_action(critic, np.stack(states), env, cand)
         for i, (s, a) in enumerate(zip(states, actions)):
@@ -496,7 +500,32 @@ def _eval_return(critic: MlpCritic, env: EnvSpec, episodes: int,
     total = 0.0
     for ret in ep:  # not sum(): from Python 3.12 it compensates and moves the bits
         total += ret
-    return total / episodes
+    return total / len(ep)
+
+
+def _checked_eval(critic: MlpCritic, env: EnvSpec, starts: np.ndarray, step: int) -> float:
+    """``_eval_return``; NumericalError naming ``step`` if it is not finite."""
+    ret = _eval_return(critic, env, starts)
+    if not math.isfinite(ret):
+        raise NumericalError(f"evaluation diverged: greedy return not finite at step {step}; "
+                             f"lower env.box_radius or env.action_bound")
+    return ret
+
+
+def _start_helper(cfg: TrainConfig, online: MlpCritic, x_all: np.ndarray):
+    """A ``helper.Helper`` for the run's off-path work, if it has some and a second CPU
+    to run it on; else None. Only a run that starts one imports that code."""
+    env = cfg.eval_env
+    if cfg.steps < 1 or not (cfg.check_identities
+                             or (env is not None and cfg.eval_every < cfg.steps)):
+        return None
+    from .workers import usable_cpus
+
+    if usable_cpus() < 2:
+        return None
+    from .helper import Helper
+
+    return Helper(online, x_all, cfg)
 
 
 def train(dataset: OfflineDataset, cfg: TrainConfig,
@@ -513,6 +542,12 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
     critic, the batch stream and the evaluation starts. A non-finite
     objective, gradient or greedy return, or gradient pairs that are not
     finite or overflow EM, raise NumericalError naming the step.
+
+    No step reads an identity check, nor an evaluation before the last step.
+    Where the process may use two CPUs, a forked helper (``helper.Helper``) runs
+    them beside the loop; the loop waits for it before each ``on_refresh``,
+    before it raises and before it returns, and raises what an inline run
+    would have raised first. The outputs are the same bits either way.
     """
     if len(dataset) == 0:
         raise InputError("dataset must be nonempty")
@@ -537,54 +572,74 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
     identity_residual_max = 0.0
 
     clustered = cfg.n_clusters > 1
-    for step in range(cfg.steps + 1):
-        if clustered and step % cfg.refresh_period == 0:
-            # the old sampler's K x N CDFs need not sit beside the new ones;
-            # the old mixture stays, as EM's warm start
-            sampler = None
-            try:
-                mixture, sampler = refresh_clusters(online, target.net, x_all, x_prime_all,
-                                                    cfg, rngs.em, mixture)
-            except NumericalError as exc:
-                raise NumericalError(f"{exc} at step {step}") from None
-            visits = np.zeros(cfg.n_clusters)
-            if on_refresh is not None:
-                on_refresh(step, mixture)
-        if step == 0:  # step 0 is the first refresh alone
-            continue
-        z = 0
-        if clustered:
-            z = gmm.sample_cluster(mixture, rngs.cluster)
-            while sampler.mass[z] <= 0.0:
-                zero_mass_redraws += 1
+    helper = _start_helper(cfg, online, x_all)  # forked while this process is still small
+    try:
+        for step in range(cfg.steps + 1):
+            if clustered and step % cfg.refresh_period == 0:
+                # the old sampler's K x N CDFs need not sit beside the new ones;
+                # the old mixture stays, as EM's warm start
+                sampler = None
+                try:
+                    mixture, sampler = refresh_clusters(online, target.net, x_all, x_prime_all,
+                                                        cfg, rngs.em, mixture)
+                except NumericalError as exc:
+                    raise NumericalError(f"{exc} at step {step}") from None
+                visits = np.zeros(cfg.n_clusters)
+                if on_refresh is not None:
+                    if helper is not None:
+                        helper.drain()  # no snapshot after a step that failed
+                    on_refresh(step, mixture)
+            if step == 0:  # step 0 is the first refresh alone
+                continue
+            z = 0
+            if clustered:
                 z = gmm.sample_cluster(mixture, rngs.cluster)
-        idx = sampler.draw(z, cfg.batch_size, rngs.batch)
-        eval_ret = None
-        # a diverging run is reported once, by the checks below, not by a
-        # RuntimeWarning from every operation that overflows on the way
-        with np.errstate(over="ignore", invalid="ignore"):
-            rep = _objective_report(online, target.net, x_all[idx], x_prime_all[idx],
-                                    dataset.r[idx], dataset.done[idx], cfg)
-            if not (math.isfinite(rep.objective) and np.all(np.isfinite(rep.grads))):
-                raise NumericalError(f"training diverged: objective or gradient "
-                                     f"not finite at step {step}")
-            if cfg.check_identities:
-                identity_residual_max = max(identity_residual_max, _check_step_identities(
-                    rep.delta, online, rep.acts, rep.pres))
-            optimizer.apply(online.flat, rep.grads)
-            target.update(online)
-            if env is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
-                eval_ret = _eval_return(online, env, cfg.eval_episodes, rngs.eval)
-                if not math.isfinite(eval_ret):
-                    raise NumericalError(f"evaluation diverged: greedy return not finite "
-                                         f"at step {step}; lower env.box_radius or "
-                                         f"env.action_bound")
-        visits[z] += 1
-        metrics.append(MetricRecord(
-            step=step, td_loss=rep.td, penalty=rep.penalty_part,
-            objective=rep.objective, tr_n_sample_convention=rep.tr_n,
-            active_cluster=z, cluster_occupancy_entropy=_occupancy_entropy(visits),
-            eval_return=eval_ret))
+                while sampler.mass[z] <= 0.0:
+                    zero_mass_redraws += 1
+                    z = gmm.sample_cluster(mixture, rngs.cluster)
+            idx = sampler.draw(z, cfg.batch_size, rngs.batch)
+            eval_ret = None
+            # a diverging run is reported once, by the checks below, not by a
+            # RuntimeWarning from every operation that overflows on the way
+            with np.errstate(over="ignore", invalid="ignore"):
+                rep = _objective_report(online, target.net, x_all[idx], x_prime_all[idx],
+                                        dataset.r[idx], dataset.done[idx], cfg)
+                if not (math.isfinite(rep.objective) and np.all(np.isfinite(rep.grads))):
+                    raise NumericalError(f"training diverged: objective or gradient "
+                                         f"not finite at step {step}")
+                if cfg.check_identities:
+                    if helper is None:
+                        identity_residual_max = max(identity_residual_max, _check_step_identities(
+                            rep.delta, online, rep.acts, rep.pres))
+                    else:
+                        helper.check(step, online.flat, idx, rep.delta)
+                optimizer.apply(online.flat, rep.grads)
+                target.update(online)
+                if env is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
+                    starts = _eval_starts(env, cfg.eval_episodes, rngs.eval)
+                    if helper is None or step == cfg.steps:
+                        eval_ret = _checked_eval(online, env, starts, step)
+                    else:
+                        helper.evaluate(step, online.flat, starts)
+            visits[z] += 1
+            metrics.append(MetricRecord(
+                step=step, td_loss=rep.td, penalty=rep.penalty_part,
+                objective=rep.objective, tr_n_sample_convention=rep.tr_n,
+                active_cluster=z, cluster_occupancy_entropy=_occupancy_entropy(visits),
+                eval_return=eval_ret))
+        if helper is not None:
+            helper.drain()
+    except Exception:
+        if helper is not None:
+            helper.drain()  # a failure of an earlier step in the helper comes first
+        raise
+    finally:
+        if helper is not None:
+            helper.close()
+    if helper is not None:
+        for step, ret in helper.returns.items():
+            metrics[step - 1].eval_return = ret
+        identity_residual_max = max(identity_residual_max, helper.residual_max)
     return online, metrics
 
 

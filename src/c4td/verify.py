@@ -7,10 +7,10 @@ residual and tolerance. The CLI exposes these as `c4 verify --suite NAME`.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import os
-from typing import NoReturn
+from typing import BinaryIO
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import InputError, at_least, check_fields
 from .nets import MlpCritic
 from .policy import (GaussianDist, PenaltyCoeffs, chi2_inflation_at_optimum, kappa_star,
                      kappa_star_pearson_closed_form, mixture_bound_check)
+from .workers import fork, join, usable_cpus
 
 SUITES = ("covariance", "gmm", "theorem1", "policy", "all")
 
@@ -222,47 +223,18 @@ def _report(name: str, seed: int) -> dict:
     return {"suite": name, "checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one, else 1."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
-
-
-def _serve(share: list[str], seed: int, write_fd: int) -> NoReturn:
-    """Body of a forked worker: its suites' reports as JSON into its pipe, then exit.
+def _serve(share: list[str], seed: int, pipe: BinaryIO) -> int:
+    """Body of a forked worker: its suites' reports as JSON into its pipe; the exit code.
 
     ``repr`` floats read back with the same bits. On failure the pipe carries the
-    exception's text instead and the exit status is 1. ``os._exit`` never returns
-    into the caller's stack and never flushes stdio buffers copied from it.
+    exception's text instead and the exit code is 1.
     """
-    status = 1
     try:
-        try:
-            text, code = json.dumps([_report(name, seed) for name in share]), 0
-        except BaseException as exc:  # this process exits below; the caller raises it
-            text, code = f"{type(exc).__name__}: {exc}", 1
-        with open(write_fd, "wb") as pipe:
-            pipe.write(text.encode())
-        status = code
-    finally:
-        os._exit(status)
-
-
-def _join(workers: list[tuple[int, int, list[str]]]) -> list[tuple[int, bytes]]:
-    """Reads each worker's pipe to EOF, then reaps every worker, even after a failed read.
-
-    Returns each worker's exit code and what it wrote.
-    """
-    outputs: list[bytes] = []
-    try:
-        for _, read_fd, _ in workers:
-            with open(read_fd, "rb") as pipe:
-                outputs.append(pipe.read())
-    finally:
-        for _, read_fd, _ in workers[len(outputs) + 1:]:
-            os.close(read_fd)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _, _ in workers]
-    return list(zip(codes, outputs))
+        text, code = json.dumps([_report(name, seed) for name in share]), 0
+    except BaseException as exc:  # the worker exits with it; the caller raises it
+        text, code = f"{type(exc).__name__}: {exc}", 1
+    pipe.write(text.encode())
+    return code
 
 
 def _run_all(seed: int) -> list[dict]:
@@ -273,27 +245,17 @@ def _run_all(seed: int) -> list[dict]:
     This process is worker 0; the others are forked children.
     """
     names = list(_SUITE_FNS)
-    n = min(len(names), _usable_cpus())
+    n = min(len(names), usable_cpus())
     shares = [names[w::n] for w in range(n)]
-    workers = []  # (pid, read end of its pipe, its suites)
+    workers = []
     try:
         for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _serve(share, seed, write_fd)
-            os.close(write_fd)  # so the pipe reads EOF once this worker exits
-            workers.append((pid, read_fd, share))
+            workers.append(fork(functools.partial(_serve, share, seed)))
         reports = {name: _report(name, seed) for name in shares[0]}
     finally:
-        results = _join(workers)
+        results = join(workers)
     failed = []
-    for (_, _, share), (code, output) in zip(workers, results):
+    for share, (code, output) in zip(shares[1:], results):
         if code == 0:
             reports.update(zip(share, json.loads(output)))
         else:

@@ -1,3 +1,4 @@
+import os
 import sys
 import tracemalloc
 from pathlib import Path
@@ -20,3 +21,14 @@ def traced_peak():
         finally:
             tracemalloc.stop()
     return peak
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process behind, running or not yet reaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)  # reaps one that has exited, so it cannot leak on
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process{f' (pid {pid}, reaped here)' if pid else ''}")

@@ -21,6 +21,7 @@ from c4td.train import (
     TrainConfig,
     _action_grid,
     _eval_return,
+    _eval_starts,
     _greedy_action,
     _objective_report,
     _occupancy_entropy,
@@ -395,7 +396,7 @@ def test_eval_return_equals_the_one_episode_at_a_time_oracle(env, make_critic, e
     for seed in range(3):
         critic = make_critic(np.random.default_rng(seed))
         rng, oracle_rng = np.random.default_rng(50 + seed), np.random.default_rng(50 + seed)
-        got = _eval_return(critic, env, episodes, rng)
+        got = _eval_return(critic, env, _eval_starts(env, episodes, rng))
         want = eval_return_one_episode_at_a_time(critic, env, episodes, oracle_rng,
                                                  _action_grid(env))
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
