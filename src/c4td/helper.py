@@ -6,28 +6,25 @@ such work and the process may use two CPUs (``train._start_helper``), so
 other runs never import this module. The loop sends each job in the order an
 inline run meets it and never waits for it, except in ``Helper.drain``.
 
-What crosses the pipe: a header of two int64 words, the job's kind and step,
-then the job's arrays, all of 8-byte items, in their numpy layout. Only a
-sync is answered, with a pickle, which only this helper writes.
+Each job crosses the pipe as one message: its kind, its step and its arrays
+as raw bytes, which the helper reads back with numpy. Only a sync is answered.
 """
 
 from __future__ import annotations
 
 import functools
-import pickle
-from typing import BinaryIO
 
 import numpy as np
 
 from . import train
 from .nets import MlpCritic
-from .workers import fork
+from .workers import Channel, fork
 
 _SYNC, _CHECK, _EVAL = 0, 1, 2
 
 
 def _serve(critic: MlpCritic, x_all: np.ndarray, cfg: train.TrainConfig,
-           inbox: BinaryIO, outbox: BinaryIO) -> int:
+           channel: Channel) -> int:
     """Body of the helper: the jobs ``Helper`` sends, in order, until its pipe closes.
 
     A check job carries the online parameters before the step's update, the
@@ -39,39 +36,30 @@ def _serve(critic: MlpCritic, x_all: np.ndarray, cfg: train.TrainConfig,
     residual so far). Nothing is allocated before a job arrives, so a run too
     large to start fails in the loop, as it does inline.
     """
-    n_params, batch = critic.flat.size, cfg.batch_size
-    items = {_SYNC: 0, _CHECK: n_params + 2 * batch, _EVAL: n_params}
-    if cfg.eval_env is not None:
-        items[_EVAL] += cfg.eval_episodes * cfg.eval_env.ds
     failure, returns, residual_max = None, {}, 0.0
     while True:
-        head = inbox.read(16)
-        if len(head) < 16:  # the train loop has finished, or died
-            return 0
-        kind, step = (int(v) for v in np.frombuffer(head, dtype=np.int64))
-        job = inbox.read(8 * items[kind])
-        if len(job) < 8 * items[kind]:
+        try:
+            kind, step, *buffers = channel.recv()
+        except EOFError:  # the train loop has finished, or died
             return 0
         if kind == _SYNC:
-            pickle.dump((failure, returns, residual_max), outbox)
-            outbox.flush()
+            channel.send((failure, returns, residual_max))
             returns = {}
             continue
         if failure is not None:
             continue
         try:
-            critic.flat[...] = np.frombuffer(job, count=n_params)
+            critic.flat[...] = np.frombuffer(buffers[0])
             with np.errstate(over="ignore", invalid="ignore"):  # as in the train loop
                 if kind == _CHECK:
-                    idx = np.frombuffer(job, dtype=np.intp, count=batch, offset=8 * n_params)
+                    idx = np.frombuffer(buffers[1], dtype=np.intp)
                     # copied, as the arrays the loop computed with, into numpy's memory
-                    delta = np.frombuffer(job, offset=8 * (n_params + batch)).copy()
+                    delta = np.frombuffer(buffers[2]).copy()
                     _, acts, pres = critic._forward_cached(x_all[idx])
                     residual_max = max(residual_max, train._check_step_identities(
                         delta, critic, acts, pres))
                 else:
-                    starts = np.frombuffer(job, offset=8 * n_params).reshape(
-                        cfg.eval_episodes, -1).copy()
+                    starts = np.frombuffer(buffers[1]).reshape(cfg.eval_episodes, -1).copy()
                     returns[step] = train._checked_eval(critic, cfg.eval_env, starts, step)
         except Exception as exc:  # the train loop raises it at its next drain
             failure = exc
@@ -85,7 +73,7 @@ class Helper:
     """
 
     def __init__(self, critic: MlpCritic, x_all: np.ndarray, cfg: train.TrainConfig):
-        self.worker = fork(functools.partial(_serve, critic, x_all, cfg), inbound=True)
+        self.worker = fork(functools.partial(_serve, critic, x_all, cfg))
         self.returns: dict[int, float] = {}  # greedy return by step
         self.residual_max = 0.0
         self.failure: Exception | None = None
@@ -93,19 +81,19 @@ class Helper:
     def check(self, step: int, params: np.ndarray, idx: np.ndarray,
               delta: np.ndarray) -> None:
         """The identity check of ``step``: ``params`` before its update, its batch and delta."""
-        self._send(_CHECK, step, params, idx, delta)
+        self._send(_CHECK, step, bytes(params), bytes(idx), bytes(delta))
 
     def evaluate(self, step: int, params: np.ndarray, starts: np.ndarray) -> None:
         """The greedy evaluation of ``step``, from ``starts``, with ``params`` after its update."""
-        self._send(_EVAL, step, params, starts)
+        self._send(_EVAL, step, bytes(params), bytes(starts))
 
     def drain(self) -> None:
         """Waits until the helper has run every job sent so far; raises the first failure."""
         self._send(_SYNC, 0)
         if self.failure is None:
             try:
-                self.failure, returns, residual = pickle.load(self.worker.from_worker)
-            except (EOFError, pickle.UnpicklingError):
+                self.failure, returns, residual = self.worker.recv()
+            except EOFError:
                 self.failure = self._died()
             else:
                 self.returns.update(returns)
@@ -117,10 +105,11 @@ class Helper:
         """Ends the helper and reaps it."""
         self.worker.reap()
 
-    def _send(self, kind: int, step: int, *arrays: np.ndarray) -> None:
+    def _send(self, *message) -> None:
+        """Arrays cross as bytes: a pickled array costs several times as much to send."""
         if self.failure is None:
             try:
-                self.worker.send(np.array((kind, step), dtype=np.int64), *arrays)
+                self.worker.send(message)
             except BrokenPipeError:
                 self.failure = self._died()
 

@@ -513,8 +513,8 @@ def _checked_eval(critic: MlpCritic, env: EnvSpec, starts: np.ndarray, step: int
 
 
 def _start_helper(cfg: TrainConfig, online: MlpCritic, x_all: np.ndarray):
-    """A ``helper.Helper`` for the run's off-path work, if it has some and a second CPU
-    to run it on; else None. Only a run that starts one imports that code."""
+    """A ``helper.Helper`` for the run's off-path work, if it has some, a second CPU and
+    a process to spare; else None. Only a run that starts one imports that code."""
     env = cfg.eval_env
     if cfg.steps < 1 or not (cfg.check_identities
                              or (env is not None and cfg.eval_every < cfg.steps)):
@@ -525,7 +525,10 @@ def _start_helper(cfg: TrainConfig, online: MlpCritic, x_all: np.ndarray):
         return None
     from .helper import Helper
 
-    return Helper(online, x_all, cfg)
+    try:
+        return Helper(online, x_all, cfg)
+    except OSError:  # no process or pipe to spare: the work runs inline
+        return None
 
 
 def train(dataset: OfflineDataset, cfg: TrainConfig,

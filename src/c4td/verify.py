@@ -8,9 +8,7 @@ residual and tolerance. The CLI exposes these as `c4 verify --suite NAME`.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from typing import BinaryIO
 
 import numpy as np
 
@@ -23,7 +21,7 @@ from .errors import InputError, at_least, check_fields
 from .nets import MlpCritic
 from .policy import (GaussianDist, PenaltyCoeffs, chi2_inflation_at_optimum, kappa_star,
                      kappa_star_pearson_closed_form, mixture_bound_check)
-from .workers import fork, join, usable_cpus
+from .workers import Channel, fork, usable_cpus
 
 SUITES = ("covariance", "gmm", "theorem1", "policy", "all")
 
@@ -223,17 +221,14 @@ def _report(name: str, seed: int) -> dict:
     return {"suite": name, "checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
-def _serve(share: list[str], seed: int, pipe: BinaryIO) -> int:
-    """Body of a forked worker: its suites' reports as JSON into its pipe; the exit code.
-
-    ``repr`` floats read back with the same bits. On failure the pipe carries the
-    exception's text instead and the exit code is 1.
-    """
+def _serve(share: list[str], seed: int, channel: Channel) -> int:
+    """Body of a forked worker: its suites' reports, or on failure the exception's
+    text, as one message; the exit code, 1 on failure."""
     try:
-        text, code = json.dumps([_report(name, seed) for name in share]), 0
+        message, code = [_report(name, seed) for name in share], 0
     except BaseException as exc:  # the worker exits with it; the caller raises it
-        text, code = f"{type(exc).__name__}: {exc}", 1
-    pipe.write(text.encode())
+        message, code = f"{type(exc).__name__}: {exc}", 1
+    channel.send(message)
     return code
 
 
@@ -242,25 +237,33 @@ def _run_all(seed: int) -> list[dict]:
 
     Each report depends only on its suite and seed, so worker ``w`` of ``n``
     (one per usable CPU, at most one per suite) runs suites ``w, w+n, ...``.
-    This process is worker 0; the others are forked children.
+    This process is worker 0; the others are forked children, and it runs the
+    share of any it cannot fork itself.
     """
     names = list(_SUITE_FNS)
     n = min(len(names), usable_cpus())
     shares = [names[w::n] for w in range(n)]
-    workers = []
+    inline, forked, answers = shares[0], [], []
     try:
         for share in shares[1:]:
-            workers.append(fork(functools.partial(_serve, share, seed)))
-        reports = {name: _report(name, seed) for name in shares[0]}
+            try:
+                forked.append((share, fork(functools.partial(_serve, share, seed))))
+            except OSError:  # no process or pipe to spare
+                inline += share
+        reports = {name: _report(name, seed) for name in inline}
+        for _, worker in forked:
+            try:
+                answers.append(worker.recv())
+            except EOFError:
+                answers.append("no output")
     finally:
-        results = join(workers)
+        codes = [worker.reap() for _, worker in forked]
     failed = []
-    for share, (code, output) in zip(shares[1:], results):
+    for (share, _), code, answer in zip(forked, codes, answers):
         if code == 0:
-            reports.update(zip(share, json.loads(output)))
+            reports.update(zip(share, answer))
         else:
-            failed.append(f"suites {', '.join(share)} exited with status {code}: "
-                          f"{output.decode(errors='replace') or 'no output'}")
+            failed.append(f"suites {', '.join(share)} exited with status {code}: {answer}")
     if failed:
         raise RuntimeError("verify worker failed: " + "; ".join(failed))
     return [reports[name] for name in names]

@@ -1,16 +1,23 @@
-"""Forked worker processes: the CPUs this process may use, and pipes to and from a worker.
+"""Forked worker processes: the CPUs this process may use, and a pipe pair to each worker.
 
 A worker is a child of ``os.fork``: it starts from a copy of its parent's memory, so
 it imports nothing again, and it ends in ``os._exit``, so it never returns into the
 parent's stack and never flushes stdio buffers copied from it. Its parent reaps it.
+Every message, in either direction, is one pickle.
 """
 
 from __future__ import annotations
 
 import os
-from typing import BinaryIO, Callable, NoReturn
+import pickle
+from typing import Callable, NoReturn
 
 _PIPE_MAX = "/proc/sys/fs/pipe-max-size"
+
+# this process's ends of the pipes of every worker it has not yet reaped, whoever
+# forked it (descriptors belong to the process); a new worker closes them, so that
+# only this process holds them open
+_live_fds: set[int] = set()
 
 
 def usable_cpus() -> int:
@@ -33,19 +40,33 @@ def _widen(fd: int) -> None:
         pass
 
 
-class Worker:
-    """A forked child, the pipe it writes to us and, if any, the pipe we write to it."""
+class Channel:
+    """One end of a pipe pair: ``send`` writes to the other end, ``recv`` reads from it."""
 
-    def __init__(self, pid: int, from_worker: BinaryIO, to_worker: BinaryIO | None):
-        self.pid, self.from_worker, self.to_worker = pid, from_worker, to_worker
+    def __init__(self, read_fd: int, write_fd: int):
+        self.reader, self.writer = open(read_fd, "rb"), open(write_fd, "wb")
+
+    def send(self, obj) -> None:
+        """``obj`` as one pickle; BrokenPipeError once the other end has closed."""
+        pickle.dump(obj, self.writer, pickle.HIGHEST_PROTOCOL)
+        self.writer.flush()
+
+    def recv(self):
+        """The next message; EOFError once the other end has closed, even mid-message."""
+        try:
+            return pickle.load(self.reader)
+        except pickle.UnpicklingError:  # truncated
+            raise EOFError from None
+
+
+class Worker(Channel):
+    """A forked child, with the caller's end of its pipe pair."""
+
+    def __init__(self, pid: int, read_fd: int, write_fd: int):
+        super().__init__(read_fd, write_fd)
+        self.pid, self.fds = pid, {read_fd, write_fd}
         self.status: int | None = None
-
-    def send(self, *buffers) -> None:
-        """Bytes-like objects, such as C-contiguous arrays, to the worker in order;
-        BrokenPipeError once it has exited."""
-        for buf in buffers:
-            self.to_worker.write(buf)
-        self.to_worker.flush()
+        _live_fds.update(self.fds)
 
     def reap(self) -> int:
         """Closes this end of both pipes, waits for the worker to exit, returns its exit code.
@@ -53,69 +74,50 @@ class Worker:
         Closing first ends a worker blocked on a pipe. A second call returns the same code.
         """
         if self.status is None:
-            for pipe in (self.to_worker, self.from_worker):
-                if pipe is not None:
-                    try:
-                        pipe.close()
-                    except BrokenPipeError:  # unsent bytes, for a worker that has exited
-                        pass
+            _live_fds.difference_update(self.fds)
+            try:
+                self.writer.close()
+            except BrokenPipeError:  # unsent bytes, for a worker that has exited
+                pass
+            self.reader.close()
             self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         return self.status
 
 
-def fork(body: Callable[..., int], inbound: bool = False) -> Worker:
-    """Start a worker that runs ``body(outbox)``, or ``body(inbox, outbox)`` with
-    ``inbound``, and exits with the code it returns, or 1 if it raises.
+def fork(body: Callable[[Channel], int]) -> Worker:
+    """Start a worker that runs ``body(channel)`` and exits with the code it returns,
+    or 1 if it raises; OSError, with no descriptor left open, if it cannot start.
 
-    ``outbox`` is the pipe the worker writes to the caller and ``inbox`` the one it
-    reads from, widened to the system's maximum capacity; both are binary files.
+    ``channel`` is the worker's end of its pipe pair; the pipe into it is widened to
+    the system's maximum capacity.
     """
-    pipes = [os.pipe()] + ([os.pipe()] if inbound else [])
+    fds: list[int] = []
     try:
+        for _ in range(2):
+            fds += os.pipe()
         pid = os.fork()
     except OSError:
-        for fd in (fd for pair in pipes for fd in pair):
+        for fd in fds:
             os.close(fd)
         raise
-    (out_read, out_write), *inward = pipes
+    in_read, in_write, out_read, out_write = fds
     if pid == 0:
-        os.close(out_read)
-        if inward:
-            os.close(inward[0][1])  # so the worker reads EOF once the caller closes its end
-        _run(body, out_write, inward[0][0] if inward else None)
+        # so that each worker reads EOF once the caller closes its end, whatever
+        # other workers it started; the copied files on them are never used here
+        for fd in _live_fds | {in_write, out_read}:
+            os.close(fd)
+        _live_fds.clear()
+        _run(body, in_read, out_write)
+    os.close(in_read)
     os.close(out_write)  # so the caller reads EOF once the worker exits
-    to_worker = None
-    if inward:
-        os.close(inward[0][0])
-        to_worker = open(inward[0][1], "wb")
-    return Worker(pid, open(out_read, "rb"), to_worker)
+    return Worker(pid, out_read, in_write)
 
 
-def _run(body: Callable[..., int], write_fd: int, read_fd: int | None) -> NoReturn:
-    """Body of a forked worker: ``body`` on its pipes, then exit with the code it returned."""
+def _run(body: Callable[[Channel], int], read_fd: int, write_fd: int) -> NoReturn:
+    """Body of a forked worker: ``body`` on its channel, then exit with the code it returned."""
     status = 1
     try:
-        with open(write_fd, "wb") as outbox:
-            if read_fd is None:
-                code = body(outbox)
-            else:
-                _widen(read_fd)  # in the worker, so the caller never loads fcntl
-                with open(read_fd, "rb") as inbox:
-                    code = body(inbox, outbox)
-        status = code
+        _widen(read_fd)  # in the worker, so the caller never loads fcntl
+        status = body(Channel(read_fd, write_fd))
     finally:
         os._exit(status)
-
-
-def join(workers: list[Worker]) -> list[tuple[int, bytes]]:
-    """Reads each worker's output to EOF, then reaps every worker, even after a failed read.
-
-    Returns each worker's exit code and what it wrote.
-    """
-    outputs: list[bytes] = []
-    try:
-        for worker in workers:
-            outputs.append(worker.from_worker.read())
-    finally:
-        codes = [worker.reap() for worker in workers]
-    return list(zip(codes, outputs))

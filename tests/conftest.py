@@ -1,3 +1,4 @@
+import errno
 import os
 import sys
 import tracemalloc
@@ -23,6 +24,24 @@ def traced_peak():
     return peak
 
 
+@pytest.fixture
+def refuse_call(monkeypatch):
+    """(name, n) -> patches ``os.fork`` or ``os.pipe`` so that its n-th call raises, as
+    under a process limit (EAGAIN) or a descriptor limit (EMFILE)."""
+    def refuse(name: str, n: int) -> None:
+        real, calls = getattr(os, name), []
+
+        def call():
+            calls.append(None)
+            if len(calls) == n:
+                code = errno.EAGAIN if name == "fork" else errno.EMFILE
+                raise OSError(code, os.strerror(code))
+            return real()
+
+        monkeypatch.setattr(os, name, call)
+    return refuse
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fails a test that leaves a child process behind, running or not yet reaped."""
@@ -32,3 +51,28 @@ def no_child_left():
     except ChildProcessError:
         return
     pytest.fail(f"the test left a child process{f' (pid {pid}, reaped here)' if pid else ''}")
+
+
+def _open_pipes() -> set[str]:
+    """The pipes this process holds an end of, by inode; none where /proc is absent."""
+    try:
+        fds = os.listdir("/proc/self/fd")
+    except OSError:
+        return set()
+    links = set()
+    for fd in fds:
+        try:
+            links.add(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # the descriptor of the listing itself, closed since
+            pass
+    return {link for link in links if link.startswith("pipe:")}
+
+
+@pytest.fixture(autouse=True)
+def no_pipe_left():
+    """Fails a test that leaves an end of a new pipe open, such as a worker's not reaped."""
+    before = _open_pipes()
+    yield
+    left = _open_pipes() - before
+    if left:
+        pytest.fail(f"the test left an end of {len(left)} new pipe(s) open: {sorted(left)}")

@@ -150,10 +150,10 @@ def test_the_pipe_to_a_worker_is_widened_to_the_system_maximum():
         limit = int(Path("/proc/sys/fs/pipe-max-size").read_text())
     except OSError:
         pytest.skip("the system publishes no pipe size limit")
-    worker = fork(lambda inbox, outbox: outbox.write(b"up") and 0, inbound=True)
+    worker = fork(lambda channel: channel.send("up") or 0)
     try:
-        assert worker.from_worker.read() == b"up"  # the worker widens it before its body
-        assert fcntl.fcntl(worker.to_worker.fileno(), fcntl.F_GETPIPE_SZ) == limit
+        assert worker.recv() == "up"  # the worker widens it before its body
+        assert fcntl.fcntl(worker.writer.fileno(), fcntl.F_GETPIPE_SZ) == limit
     finally:
         assert worker.reap() == 0
     _no_child_left()
@@ -289,3 +289,19 @@ def test_train_loads_the_helper_code_only_when_a_helper_starts(train_keys, loade
                          capture_output=True, text=True, timeout=120)
     # the helper widens its pipe itself, so the command's process never loads fcntl
     assert json.loads(out.stdout.splitlines()[-1]) == [0, loaded, loaded, False]
+
+
+@pytest.mark.parametrize("name, n", [("fork", 1), ("pipe", 2)])
+def test_a_helper_that_cannot_start_leaves_the_work_inline(name, n, refuse_call, monkeypatch,
+                                                          tmp_path):
+    dataset, cfg, _ = CASES["eval_every_1"]
+    with monkeypatch.context() as patch:
+        _cpus(patch, 1)
+        _refuse_fork(patch)
+        inline = _outputs(dataset, cfg, tmp_path / "inline.csv")
+    _cpus(monkeypatch, 2)
+    refuse_call(name, n)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert _outputs(dataset, cfg, tmp_path / "refused.csv") == inline
+    assert len(os.listdir("/proc/self/fd")) == fds
+    _no_child_left()

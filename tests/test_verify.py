@@ -122,6 +122,18 @@ def test_all_is_the_serial_report_byte_for_byte_at_any_cpu_count(
     assert len(calls) == forks
 
 
+@pytest.mark.parametrize("cpus, name, n", [(2, "fork", 1), (4, "fork", 2), (4, "pipe", 2),
+                                          (4, "pipe", 3)])
+def test_all_runs_the_share_of_a_worker_it_cannot_fork_itself(
+        cpus, name, n, serial_seed1, refuse_call, monkeypatch):
+    _cpus(monkeypatch, cpus)
+    refuse_call(name, n)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert _dump(run_suite("all", 1)) == serial_seed1
+    assert len(os.listdir("/proc/self/fd")) == fds
+    _no_child_left()
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
