@@ -98,16 +98,20 @@ def default_ridge(y: np.ndarray) -> float:
     return max(1e-6 * mean_var, 1e-12)
 
 
-def gaussian_logpdf(y: np.ndarray, means, chols) -> np.ndarray:
+def gaussian_logpdf(y: np.ndarray, means, chols, out: np.ndarray | None = None) -> np.ndarray:
     """log N(y_i | means[z], L_z L_z^T) for every row i of y and component z, shape (N, Z).
 
     The table is component-major: Z contiguous rows of N, one per component,
     returned as their (N, Z) view, so column z is contiguous and the sums
-    over components below run as whole-row operations.
+    over components below run as whole-row operations. ``out``, when given,
+    is the (Z, N) table to fill, in place of a fresh one.
 
     ``chols[z]`` is the lower Cholesky factor L_z; one stacked ``inv`` call
     inverts them all, each with the bits of its own call, so a column
-    depends only on its own mean and factor. The rows run in blocks, and
+    depends only on its own mean and factor: a call over any range of the
+    components fills their rows with the bits a call over all of them
+    gives, which is what lets a refresh split the components between two
+    processes (``Inline``). The rows run in blocks, and
     every (block, component) pair goes through the same two block-sized
     buffers, ``diff`` and ``u``: a call holds no N x D array at any N, and
     its scratch stays in cache.
@@ -126,7 +130,7 @@ def gaussian_logpdf(y: np.ndarray, means, chols) -> np.ndarray:
     contiguous copy of ``inv_t``, and folding the two constant adds into one.
     """
     n, d = y.shape
-    table = np.empty((len(means), n))
+    table = np.empty((len(means), n)) if out is None else out
     inv_t = np.linalg.inv(chols).swapaxes(1, 2)  # triangular back-substitution; D is small
     log_dets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
     log_2pi = d * np.log(2.0 * np.pi)
@@ -147,17 +151,50 @@ def gaussian_logpdf(y: np.ndarray, means, chols) -> np.ndarray:
     return table.T
 
 
+class Inline:
+    """Where EM's per-component work runs: all of it here, into fresh arrays.
+
+    ``fit``, ``m_step`` and ``e_step`` take one as ``split``. A per-component
+    job is a function of this module, called as ``fn(y, *parts)``: its
+    ``parts`` are indexed by component on their first axis, the last of them
+    its output, and it gives each component the bits it gets alone;
+    ``each_component`` runs it. ``array(name, shape)`` gives the array that
+    a job's inputs or output are kept in, one per name. ``helper.Helper``
+    offers the same two methods and runs part of the components in its own
+    process, on shared arrays, finding ``fn`` there by its name.
+    """
+
+    @staticmethod
+    def array(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        return np.empty(shape)
+
+    @staticmethod
+    def each_component(fn, y: np.ndarray, *parts: np.ndarray) -> None:
+        fn(y, *parts)
+
+
+INLINE = Inline()
+
+
+def _densities(y: np.ndarray, means: np.ndarray, chols: np.ndarray, split: Inline) -> np.ndarray:
+    """``gaussian_logpdf(y, means, chols)``, with its components run by ``split``."""
+    table = split.array("table", (len(means), len(y)))
+    split.each_component(gaussian_logpdf, y, means, chols, table)
+    return table.T
+
+
 def _log_components(y: np.ndarray, mixture: GaussianMixture,
-                    logpdf: np.ndarray | None = None) -> np.ndarray:
+                    logpdf: np.ndarray | None = None, split: Inline = INLINE) -> np.ndarray:
     """log(p_z) + log N(y_i | mu_z, Omega_z) for every (i, z), laid out as ``gaussian_logpdf``'s.
 
     ``logpdf``, when given, is ``gaussian_logpdf``'s table for this mixture's
-    means and factors, already computed; it is read, not changed.
+    means and factors, already computed; it is read, not changed. Otherwise
+    ``split`` runs the densities.
     """
     log_weights = [np.log(w) if w > 0 else -np.inf for w in mixture.weights]
     if logpdf is not None:
         return (logpdf.T + np.array(log_weights)[:, None]).T
-    logs = gaussian_logpdf(y, mixture.means, mixture.chols)
+    logs = _densities(y, mixture.means, mixture.chols, split)
     logs += log_weights
     return logs
 
@@ -244,8 +281,8 @@ def log_density(mixture: GaussianMixture, y: np.ndarray) -> np.ndarray:
     return logsumexp_rows(_log_components(_check_data(y, mixture.dim), mixture))
 
 
-def _posterior(mixture: GaussianMixture, y: np.ndarray,
-               logpdf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _posterior(mixture: GaussianMixture, y: np.ndarray, logpdf: np.ndarray | None = None,
+               split: Inline = INLINE) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities, rows normalized to sum to one exactly, and log p(y_i) per row.
 
     The responsibilities are the (N, K) view of K contiguous component
@@ -253,9 +290,9 @@ def _posterior(mixture: GaussianMixture, y: np.ndarray,
     division each run once over the whole table, and the normalizing sums
     are ``_component_sums``, with the bits of ``sum(axis=1)`` on a C-ordered
     (N, K) table (numpy's association for a row of K terms; see
-    ``_fold_rows``). ``logpdf`` is passed on to ``_log_components``.
+    ``_fold_rows``). ``logpdf`` and ``split`` are passed on to ``_log_components``.
     """
-    logs = _log_components(y, mixture, logpdf)
+    logs = _log_components(y, mixture, logpdf, split)
     row_ll = logsumexp_rows(logs)
     resp = logs.T
     resp -= row_ll
@@ -264,13 +301,40 @@ def _posterior(mixture: GaussianMixture, y: np.ndarray,
     return logs, row_ll
 
 
-def e_step(mixture: GaussianMixture, y: np.ndarray) -> np.ndarray:
-    """Responsibilities, rows normalized to sum to one exactly."""
-    return _posterior(mixture, _check_data(y, mixture.dim))[0]
+def e_step(mixture: GaussianMixture, y: np.ndarray, *, split: Inline = INLINE) -> np.ndarray:
+    """Responsibilities, rows normalized to sum to one exactly.
+
+    ``split`` runs the densities and keeps them, and then the
+    responsibilities, in its "table" array.
+    """
+    return _posterior(mixture, _check_data(y, mixture.dim), split=split)[0]
 
 
-def m_step(y: np.ndarray, resp: np.ndarray, ridge: float) -> GaussianMixture:
-    """Weighted moment update with a ridge added to every covariance."""
+def _covariances(y: np.ndarray, means: np.ndarray, resp_t: np.ndarray, counts: np.ndarray,
+                 out: np.ndarray) -> None:
+    """out[z] = sum_i resp_t[z, i] (y_i - means[z])(y_i - means[z])^T / counts[z] for every z.
+
+    Each component's GEMM reads only its own mean, responsibilities and
+    count, so a call over any range of the components gives them the bits
+    a call over all of them gives (see ``Inline``).
+    """
+    diff = np.empty_like(y)
+    weighted = np.empty_like(y)
+    for z, mean in enumerate(means):
+        np.subtract(y, mean, out=diff)
+        np.multiply(diff, resp_t[z, :, None], out=weighted)
+        out[z] = (weighted.T @ diff) / counts[z]
+
+
+def m_step(y: np.ndarray, resp: np.ndarray, ridge: float, *,
+           split: Inline = INLINE) -> GaussianMixture:
+    """Weighted moment update with a ridge added to every covariance.
+
+    The weights, means and soft counts are computed here. Covariance z reads
+    only y, mean z, the responsibilities' column z and count z, so ``split``
+    may run the covariances (``_covariances``), into its "covs" array, over
+    any ranges of the components with the bits of one call over all of them.
+    """
     resp = np.asarray(resp, dtype=float)
     n, d = y.shape
     if resp.shape[0] != n or resp.ndim != 2:
@@ -283,13 +347,8 @@ def m_step(y: np.ndarray, resp: np.ndarray, ridge: float) -> GaussianMixture:
     k = resp.shape[1]
     weights = counts / n
     means = (resp.T @ y) / counts[:, None]
-    covs = np.empty((k, d, d))
-    diff = np.empty_like(y)
-    weighted = np.empty_like(y)
-    for z in range(k):
-        np.subtract(y, means[z], out=diff)
-        np.multiply(diff, resp[:, z, None], out=weighted)
-        covs[z] = (weighted.T @ diff) / counts[z]
+    covs = split.array("covs", (k, d, d))
+    split.each_component(_covariances, y, means, resp.T, counts, covs)
     return GaussianMixture(weights, means,
                            0.5 * (covs + covs.swapaxes(1, 2)) + ridge * np.eye(d))
 
@@ -341,7 +400,8 @@ def _reseed_starved(mixture: GaussianMixture, y: np.ndarray, row_ll: np.ndarray,
 
 
 def fit(y: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-7,
-        seed: int = 0, init: GaussianMixture | None = None) -> FitResult:
+        seed: int = 0, init: GaussianMixture | None = None, *,
+        split: Inline = INLINE) -> FitResult:
     """Full EM loop. Deterministic given (y, k, seed).
 
     Iteration stops when the log-likelihood improvement drops below tol.
@@ -361,6 +421,9 @@ def fit(y: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-7,
     responsibilities in C order: ``resp.T @ y`` and the soft counts' fold
     over rows keep the bits they have for that layout. Every fresh
     covariance is one ``_global_cov``, computed at most once per fit.
+
+    ``split`` runs each E-step's densities, into its "table" array, and the
+    M-step's covariances. A reseed's columns are computed here.
     """
     check_fields(locals(), _FIT_ARGS)
     y = _check_data(y)
@@ -389,7 +452,7 @@ def fit(y: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-7,
     while iters < max_iters:
         iters += 1
         if logpdf is None:
-            logpdf = gaussian_logpdf(y, mixture.means, mixture.chols)
+            logpdf = _densities(y, mixture.means, mixture.chols, split)
         resp, row_ll = _posterior(mixture, y, logpdf)
         resp = np.ascontiguousarray(resp)
         ll = float(row_ll.sum())
@@ -412,7 +475,7 @@ def fit(y: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-7,
         if len(trace) > 1 and ll - trace[-2] < tol:
             break
         prev_mixture = mixture
-        mixture = m_step(y, resp, eps)
+        mixture = m_step(y, resp, eps, split=split)
     return FitResult(mixture, trace, iters, reseeds)
 
 

@@ -154,7 +154,7 @@ def bootstrap_targets(r: np.ndarray, done: np.ndarray, q_prime: np.ndarray,
 
 
 def gradient_pairs(critic: MlpCritic, target: MlpCritic, x: np.ndarray, x_prime: np.ndarray,
-                   feature_mode: str = "surrogate") -> np.ndarray:
+                   feature_mode: str = "surrogate", split: gmm.Inline = gmm.INLINE) -> np.ndarray:
     """Stacked feature rows y = [G' | G], shape (N, 2w): G' from the target at joint
     inputs x', then G from the online at x.
 
@@ -164,14 +164,14 @@ def gradient_pairs(critic: MlpCritic, target: MlpCritic, x: np.ndarray, x_prime:
     once over the whole contiguous array, not over strided halves: they are
     elementwise, so the bits are those of each net's own
     ``penultimate_features_batch``. An input gradient is assigned into its
-    half.
+    half. The array is ``split``'s "pairs" array.
     """
     check_fields({"feature_mode": feature_mode}, TRAIN_SCHEMA, "train.")
     if len(x) == 0:
         raise InputError("batch must be nonempty")
     surrogate = feature_mode == "surrogate"
-    w = critic.arch[-2] if surrogate else critic.input_dim
-    y = np.empty((len(x), 2 * w))
+    w = _pair_dim(critic, feature_mode) // 2
+    y = split.array("pairs", (len(x), 2 * w))
     for half, net, rows in ((y[:, :w], target, x_prime), (y[:, w:], critic, x)):
         if surrogate:
             net._last_product(net._check_batch(rows), out=half)
@@ -181,6 +181,11 @@ def gradient_pairs(critic: MlpCritic, target: MlpCritic, x: np.ndarray, x_prime:
         y += np.concatenate([target.layers[-2][1], critic.layers[-2][1]])
         np.maximum(y, 0.0, out=y)
     return y
+
+
+def _pair_dim(critic: MlpCritic, feature_mode: str) -> int:
+    """The width D of a row of ``gradient_pairs``: both sides' features or input gradients."""
+    return 2 * (critic.arch[-2] if feature_mode == "surrogate" else critic.input_dim)
 
 
 class _StepReport(NamedTuple):
@@ -254,9 +259,12 @@ class ClusterSampler:
     that call builds the same normalized cumulative sum and searches it with
     ``rng.random(size)``, but re-validates and re-sums all N weights on
     every draw. Non-finite or negative weights are rejected here instead.
+
+    With ``in_place``, each CDF is built, with the same bits, in its own
+    column of ``responsibilities``, which the caller reads no more.
     """
 
-    def __init__(self, responsibilities: np.ndarray):
+    def __init__(self, responsibilities: np.ndarray, in_place: bool = False):
         resp = np.asarray(responsibilities, dtype=float)
         if resp.ndim != 2:
             raise InputError("responsibilities must be 2-D with a valid column z")
@@ -267,7 +275,11 @@ class ClusterSampler:
         for z, mass in enumerate(self.mass):
             cdf = None
             if mass > 0.0:
-                cdf = (resp[:, z] / mass).cumsum()
+                if in_place:
+                    cdf = np.divide(resp[:, z], mass, out=resp[:, z])
+                    np.cumsum(cdf, out=cdf)
+                else:
+                    cdf = (resp[:, z] / mass).cumsum()
                 cdf /= cdf[-1]
             self._cdfs.append(cdf)
 
@@ -287,8 +299,8 @@ def single_cluster_batch(responsibilities: np.ndarray, z: int, batch_size: int,
 
 
 def refresh_clusters(online: MlpCritic, target: MlpCritic, x: np.ndarray, x_prime: np.ndarray,
-                     cfg: TrainConfig, rng: np.random.Generator,
-                     mixture: GaussianMixture | None) -> tuple[GaussianMixture, ClusterSampler]:
+                     cfg: TrainConfig, rng: np.random.Generator, mixture: GaussianMixture | None,
+                     split: gmm.Inline = gmm.INLINE) -> tuple[GaussianMixture, ClusterSampler]:
     """Refit the mixture on stacked gradient pairs; return it and its batch sampler.
 
     ``x`` and ``x_prime`` are the joint input rows of the whole dataset, built
@@ -300,23 +312,28 @@ def refresh_clusters(online: MlpCritic, target: MlpCritic, x: np.ndarray, x_prim
     are not finite, or whose ridge is not, raise NumericalError. The pairs
     are ``gradient_pairs``' one (N, 2w) array, used as it is: the fit reads
     its probe rows and the E-step all of it, and no second (N, 2w) array is
-    made.
+    made. ``split`` runs EM's per-component work and holds the "pairs" and
+    "probe" rows. The sampler's CDFs are built in the responsibilities, which
+    a split's next refresh writes over: drop the sampler before it.
     """
     # a diverged critic is reported once, below, not by a RuntimeWarning
     # from every operation that overflows on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        y = gradient_pairs(online, target, x, x_prime, cfg.feature_mode)
+        y = gradient_pairs(online, target, x, x_prime, cfg.feature_mode, split)
         fit_rows = y
         if cfg.probe_size is not None and cfg.probe_size < y.shape[0]:
             pick = rng.choice(y.shape[0], size=cfg.probe_size, replace=False)
-            fit_rows = y[np.sort(pick)]
+            # every pick is a row; "clip" writes into out directly, "raise" through a copy
+            fit_rows = np.take(y, np.sort(pick), axis=0, mode="clip",
+                               out=split.array("probe", (cfg.probe_size, y.shape[1])))
         if not (np.isfinite(y).all() and math.isfinite(gmm.default_ridge(fit_rows))):
             raise NumericalError("training diverged: gradient pairs not finite "
                                  "or too large for EM")
     fitted = gmm.fit(fit_rows, cfg.n_clusters,
                      max_iters=cfg.em_max_iters if mixture is None else cfg.em_warm_iters,
-                     tol=cfg.em_tol, seed=int(rng.integers(2 ** 63)), init=mixture).mixture
-    return fitted, ClusterSampler(gmm.e_step(fitted, y))
+                     tol=cfg.em_tol, seed=int(rng.integers(2 ** 63)), init=mixture,
+                     split=split).mixture
+    return fitted, ClusterSampler(gmm.e_step(fitted, y, split=split), in_place=True)
 
 
 class _Sgd:
@@ -512,21 +529,39 @@ def _checked_eval(critic: MlpCritic, env: EnvSpec, starts: np.ndarray, step: int
     return ret
 
 
-def _start_helper(cfg: TrainConfig, online: MlpCritic, x_all: np.ndarray):
-    """A ``helper.Helper`` for the run's off-path work, if it has some, a second CPU and
-    a process to spare; else None. Only a run that starts one imports that code."""
-    env = cfg.eval_env
-    if cfg.steps < 1 or not (cfg.check_identities
-                             or (env is not None and cfg.eval_every < cfg.steps)):
-        return None
-    from .workers import usable_cpus
+# Pairs of at least this many doubles (N x D) split each refresh's EM and
+# E-step work with the helper. Median ms per refresh, inline -> split, over
+# 13 refreshes (a cold fit of 10 EM iterations, then warm fits of 3, and the
+# full-data E-step), D = 32, one BLAS thread, 2 CPUs:
+#   K = 5, probe 512:  N = 2000 7.08 -> 7.89, 3000 8.64 -> 9.37,
+#                      4000 9.81 -> 9.79, 5000 11.9 -> 12.5, 10000 16.8 -> 15.4
+#   K = 8, probe 1024: N = 2000 15.7 -> 13.8, 3000 17.9 -> 15.4,
+#                      4000 20.1 -> 20.0, 5000 18.3 -> 16.0
+#   K = 8, probe 2048: N = 10000 47.9 -> 40.7
+# The gate's shape (N = 2000, K = 5, probe 512) ran slower split; it stays below.
+_SPLIT_ELEMS = 131072
 
-    if usable_cpus() < 2:
+
+def _start_helper(cfg: TrainConfig, online: MlpCritic, x_all: np.ndarray):
+    """A ``helper.Helper`` for the run's off-path work or large refreshes, if it has
+    some, a second CPU and a process to spare; else None. Only a run that starts one
+    imports that code."""
+    env = cfg.eval_env
+    off_path = cfg.steps >= 1 and (cfg.check_identities
+                                   or (env is not None and cfg.eval_every < cfg.steps))
+    d = _pair_dim(online, cfg.feature_mode)
+    split = cfg.n_clusters > 1 and len(x_all) * d >= _SPLIT_ELEMS
+    if not (off_path or split):
+        return None
+    from .workers import one_blas_thread, usable_cpus
+
+    split = split and one_blas_thread()
+    if usable_cpus() < 2 or not (off_path or split):
         return None
     from .helper import Helper
 
     try:
-        return Helper(online, x_all, cfg)
+        return Helper(online, x_all, cfg, d if split else None)
     except OSError:  # no process or pipe to spare: the work runs inline
         return None
 
@@ -550,7 +585,9 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
     Where the process may use two CPUs, a forked helper (``helper.Helper``) runs
     them beside the loop; the loop waits for it before each ``on_refresh``,
     before it raises and before it returns, and raises what an inline run
-    would have raised first. The outputs are the same bits either way.
+    would have raised first. With one BLAS thread and pairs of at least
+    ``_SPLIT_ELEMS`` doubles, the helper also runs half of each refresh's
+    per-component EM work. The outputs are the same bits either way.
     """
     if len(dataset) == 0:
         raise InputError("dataset must be nonempty")
@@ -576,6 +613,7 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
 
     clustered = cfg.n_clusters > 1
     helper = _start_helper(cfg, online, x_all)  # forked while this process is still small
+    split = gmm.INLINE if helper is None or helper.shared is None else helper
     try:
         for step in range(cfg.steps + 1):
             if clustered and step % cfg.refresh_period == 0:
@@ -584,7 +622,7 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
                 sampler = None
                 try:
                     mixture, sampler = refresh_clusters(online, target.net, x_all, x_prime_all,
-                                                        cfg, rngs.em, mixture)
+                                                        cfg, rngs.em, mixture, split)
                 except NumericalError as exc:
                     raise NumericalError(f"{exc} at step {step}") from None
                 visits = np.zeros(cfg.n_clusters)

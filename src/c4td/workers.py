@@ -26,6 +26,21 @@ def usable_cpus() -> int:
     return len(affinity(0)) if affinity else 1
 
 
+def one_blas_thread() -> bool:
+    """Whether this process's BLAS pool has one thread, as OpenBLAS sizes it when numpy
+    loads: the first of its variables below set to a positive integer, else a thread
+    per CPU. Two processes that each run a pool of several threads on two CPUs run
+    several times slower than one."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n == 1
+    return False
+
+
 def _widen(fd: int) -> None:
     """Raise a pipe's capacity to the system's maximum, so its writer blocks less often.
 

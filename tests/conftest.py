@@ -1,4 +1,5 @@
 import errno
+import gc
 import os
 import sys
 import tracemalloc
@@ -76,3 +77,31 @@ def no_pipe_left():
     left = _open_pipes() - before
     if left:
         pytest.fail(f"the test left an end of {len(left)} new pipe(s) open: {sorted(left)}")
+
+
+def _shared_mappings() -> set[str]:
+    """The shared mappings of this process, by address range; none where /proc is absent."""
+    try:
+        with open("/proc/self/maps", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return set()
+    return {fields[0] for fields in map(str.split, lines) if fields[1].endswith("s")}
+
+
+@pytest.fixture(autouse=True)
+def no_mapping_left():
+    """Fails a test that leaves a new shared mapping, such as a train helper's arrays.
+
+    A mapping is unmapped once no array of it is left. An exception's traceback
+    keeps the arrays of the frames it passed through, and often a reference
+    cycle with them, so what only garbage holds is collected before the check.
+    """
+    before = _shared_mappings()
+    yield
+    left = _shared_mappings() - before
+    if left:
+        gc.collect()
+        left = _shared_mappings() - before
+    if left:
+        pytest.fail(f"the test left {len(left)} new shared mapping(s): {sorted(left)}")

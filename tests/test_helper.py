@@ -1,13 +1,16 @@
-"""The train helper: identity checks and early evaluations in a forked process.
+"""The train helper: identity checks, early evaluations and half of a large
+refresh's EM work in a forked process.
 
 ``train()`` forks one helper when the process may use two CPUs and the run has
-work that no step reads: identity checks, or evaluations before its last step
+work that no step reads, identity checks or evaluations before its last step,
+or refreshes of at least ``train._SPLIT_ELEMS`` pair elements
 (``train._start_helper``). These tests patch the usable CPUs to 1 and 2 and
 require every output byte, and every failure, to be the same either way, with
-no child process left behind.
+no child process and no shared mapping left behind.
 """
 
 import fcntl
+import functools
 import json
 import os
 import subprocess
@@ -17,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from c4td import cli
+from c4td import cli, gmm, workers
+from c4td import helper as helper_module
 from c4td import train as train_module
 from c4td.data import EnvSpec, generate
 from c4td.errors import NumericalError
@@ -35,6 +39,21 @@ _GATE = dict(hidden=(16, 16), batch_size=256, n_clusters=5, probe_size=512,
              penalty_weight=0.1)
 _SMALL = dict(hidden=(8, 8), batch_size=32, n_clusters=2, refresh_period=25,
               em_max_iters=10, em_warm_iters=3, eval_env=ENV, eval_episodes=2, seed=3)
+# the benchmark's em_refresh shape: N = 10000, K = 8, probe 2048, EM to its cap
+_EM = dict(hidden=(16, 16), batch_size=256, n_clusters=8, probe_size=2048, refresh_period=25,
+           optimizer="adam", learning_rate=0.03, ema_rate=0.05, penalty_weight=0.1,
+           em_tol=0.0, em_max_iters=10, em_warm_iters=3, check_identities=False, seed=3)
+
+
+class _EmData:
+    """The em_refresh shape's dataset, generated on first use (about 0.3 s)."""
+
+    @functools.cached_property
+    def dataset(self):
+        return generate(ENV, n_trajectories=250, seed=5)
+
+
+_EM_DATA = _EmData()
 
 # name -> (dataset, config, whether the run has work for a helper)
 CASES = {
@@ -55,11 +74,16 @@ CASES = {
     "eval_every_past_steps_unchecked": (SMALL, TrainConfig(
         steps=40, **_SMALL, eval_every=500, check_identities=False), False),
     "one_step": (SMALL, TrainConfig(steps=1, **_SMALL), True),
+    # no checks and no evaluations, but refreshes past the size rule: the helper
+    # runs half of their EM and E-step work (the dataset is made on first use)
+    "em_refresh_shape": (None, TrainConfig(steps=50, **_EM), True),
 }
 
 
 def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    # as under the benchmark's BLAS variables; pytest's own pool is left as it is
+    monkeypatch.setattr(workers, "one_blas_thread", lambda: True)
 
 
 def _refuse_fork(monkeypatch):
@@ -80,6 +104,18 @@ def _count_forks(monkeypatch) -> list:
     return calls
 
 
+def _count_splits(monkeypatch) -> list:
+    """Records the name of each per-component job that the helper shares."""
+    calls, real = [], helper_module.Helper.each_component
+
+    def counting(self, fn, *args):
+        calls.append(fn.__name__)
+        return real(self, fn, *args)
+
+    monkeypatch.setattr(helper_module.Helper, "each_component", counting)
+    return calls
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -94,32 +130,43 @@ def _outputs(dataset, cfg, path: Path):
     return path.read_bytes(), critic.to_json(), snapshots
 
 
+def _case(name):
+    dataset, cfg, has_work = CASES[name]
+    return (_EM_DATA.dataset if dataset is None else dataset), cfg, has_work
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_the_helper_changes_no_output_byte(name, monkeypatch, tmp_path):
-    dataset, cfg, has_work = CASES[name]
+    dataset, cfg, has_work = _case(name)
     with monkeypatch.context() as patch:
         _cpus(patch, 1)
         _refuse_fork(patch)
         inline = _outputs(dataset, cfg, tmp_path / "inline.csv")
     _cpus(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
+    splits = _count_splits(monkeypatch)
     helped = _outputs(dataset, cfg, tmp_path / "helped.csv")
     assert len(forks) == has_work
+    # only the em_refresh shape is past the size rule; the gate's shape and
+    # checked_eval's (gate_shape_adam) keep every refresh inline
+    assert bool(splits) == (name == "em_refresh_shape")
     assert helped == inline
     _no_child_left()
 
 
-# The decision to fork reads only the config: these stand for the benchmark's
-# desk_pair (an evaluation at the last step alone, no identity checks) and
-# em_refresh (no evaluation, no identity checks) and for any zero-step set-up.
+# The decision to fork reads only the config and the pairs' size: these stand
+# for the benchmark's desk_pair (an evaluation at the last step alone, no
+# identity checks, N = 2000), for a gate-shape run with no evaluation and no
+# identity checks at K = 8, and for any small zero-step set-up. Their refreshes
+# are below the size rule, so they keep the inline path.
 NO_WORK = {
     "desk_pair": (GATE, TrainConfig(steps=60, **_GATE, eval_env=ENV, eval_every=5000,
                                     eval_episodes=8, check_identities=False)),
     "desk_pair_baseline": (GATE, baseline_of(TrainConfig(
         steps=60, **_GATE, eval_env=ENV, eval_every=5000, eval_episodes=8,
         check_identities=False))),
-    "em_refresh": (GATE, TrainConfig(steps=50, **{**_GATE, "n_clusters": 8},
-                                     check_identities=False)),
+    "gate_shape_k8_unchecked": (GATE, TrainConfig(steps=50, **{**_GATE, "n_clusters": 8},
+                                                  check_identities=False)),
     "zero_steps": (SMALL, TrainConfig(steps=0, **_SMALL, eval_every=1)),
 }
 
@@ -131,6 +178,132 @@ def test_a_run_without_off_path_work_never_forks(name, monkeypatch):
     dataset, cfg = NO_WORK[name]
     _, metrics = train(dataset, cfg)
     assert len(metrics) == cfg.steps
+
+
+def test_the_gate_shape_is_below_the_size_rule():
+    # the pairs of a gate-shape refresh: N = 2000 rows of D = 2 x 16
+    assert len(GATE) * 32 < train_module._SPLIT_ELEMS <= len(_EM_DATA.dataset) * 32
+
+
+def _counting_reseeds(monkeypatch) -> list:
+    """Patches ``gmm.fit``, which runs in the loop, to record each fit's reseeds."""
+    reseeds, real = [], gmm.fit
+
+    def fit(*args, **kwargs):
+        result = real(*args, **kwargs)
+        reseeds.append(result.n_reseeds)
+        return result
+
+    monkeypatch.setattr(gmm, "fit", fit)
+    return reseeds
+
+
+# Run with the size rule patched down to 1 element, so every refresh splits its
+# per-component work with the helper: odd and even K, reseeds (K = 9 on 240
+# rows), input-gradient features, no probe or a small one, and identity checks
+# and evaluations sharing the helper with the split.
+SPLIT = {
+    "k2_no_probe_checked": (SMALL, TrainConfig(steps=60, **_SMALL, eval_every=25)),
+    # the E-step's full table reaches past EM's arrays, as at any small probe
+    "k8_probe_40": (SMALL, TrainConfig(steps=60, **{**_SMALL, "n_clusters": 8}, probe_size=40,
+                                       check_identities=False)),
+    "k3_probe_unchecked": (SMALL, TrainConfig(
+        steps=60, **{**_SMALL, "n_clusters": 3, "eval_env": None}, probe_size=100,
+        check_identities=False)),
+    "k9_reseeding": (SMALL, TrainConfig(steps=60, **{**_SMALL, "n_clusters": 9},
+                                        eval_every=20)),
+    "exact_input_grad_k4": (SMALL, TrainConfig(
+        steps=60, **{**_SMALL, "n_clusters": 4}, feature_mode="exact_input_grad",
+        eval_every=30)),
+    "gate_shape_adam_k5": (GATE, TrainConfig(
+        steps=150, **_GATE, eval_env=ENV, eval_every=100, eval_episodes=4, seed=2)),
+    "zero_steps": (SMALL, TrainConfig(steps=0, **_SMALL)),
+}
+
+
+@pytest.mark.parametrize("name", SPLIT)
+def test_a_forced_split_changes_no_output_byte(name, monkeypatch, tmp_path):
+    dataset, cfg = SPLIT[name]
+    monkeypatch.setattr(train_module, "_SPLIT_ELEMS", 1)
+    with monkeypatch.context() as patch:
+        _cpus(patch, 1)
+        _refuse_fork(patch)
+        inline = _outputs(dataset, cfg, tmp_path / "inline.csv")
+    _cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    splits = _count_splits(monkeypatch)
+    reseeds = _counting_reseeds(monkeypatch)
+    assert _outputs(dataset, cfg, tmp_path / "split.csv") == inline
+    assert len(forks) == 1
+    assert {"gaussian_logpdf", "_covariances"} <= set(splits)
+    if name == "k9_reseeding":
+        assert sum(reseeds) > 0
+    _no_child_left()
+
+
+@pytest.mark.parametrize("rate, message", [
+    (1e6, "objective or gradient not finite at step 24"),
+    (1e20, "gradient pairs not finite or too large for EM at step 3")])
+def test_a_split_run_that_diverges_fails_as_inline(rate, message, monkeypatch):
+    # with the helper mid-run and its arrays mapped: in the loop, or in a refresh
+    monkeypatch.setattr(train_module, "_SPLIT_ELEMS", 1)
+    cfg = TrainConfig(steps=60, **{**_SMALL, "refresh_period": 1, "eval_env": None},
+                      learning_rate=rate, check_identities=False)
+    errors = []
+    for cpus in (1, 2):
+        with monkeypatch.context() as patch:
+            _cpus(patch, cpus)
+            forks = _count_forks(patch)
+            with pytest.raises(NumericalError) as caught:
+                train(SMALL, cfg)
+            errors.append(str(caught.value))
+            assert len(forks) == cpus - 1
+        _no_child_left()
+    assert errors == [f"training diverged: {message}"] * 2
+
+
+def _raising_in(monkeypatch, name, where, raised):
+    """Patches ``gmm.<name>`` to raise ``raised`` in the helper, in the test process or
+    in both (``where``), and otherwise run."""
+    parent, real = os.getpid(), getattr(gmm, name)
+
+    @functools.wraps(real)  # the helper finds a job's function by its name
+    def patched(*args):
+        if where in ("both", "helper" if os.getpid() != parent else "loop"):
+            raise raised
+        return real(*args)
+
+    monkeypatch.setattr(gmm, name, patched)
+
+
+@pytest.mark.parametrize("name", ["gaussian_logpdf", "_covariances"])
+@pytest.mark.parametrize("where", ["both", "helper", "loop"])
+def test_a_split_job_that_raises_fails_the_run(name, where, monkeypatch):
+    monkeypatch.setattr(train_module, "_SPLIT_ELEMS", 1)
+    _cpus(monkeypatch, 2)
+    _raising_in(monkeypatch, name, where, ValueError(f"{name} patched to fail"))
+    with pytest.raises(ValueError, match=f"^{name} patched to fail$"):
+        train(SMALL, TrainConfig(steps=30, **_SMALL))
+    _no_child_left()
+
+
+def test_a_split_helper_that_dies_raises_naming_its_status(monkeypatch):
+    parent = os.getpid()
+    real = gmm.gaussian_logpdf
+
+    @functools.wraps(real)
+    def die(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(train_module, "_SPLIT_ELEMS", 1)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(gmm, "gaussian_logpdf", die)
+    with pytest.raises(RuntimeError, match="^train helper exited with status 3$"):
+        train(SMALL, TrainConfig(steps=30, **{**_SMALL, "eval_env": None},
+                                 check_identities=False))
+    _no_child_left()
 
 
 def test_a_pipe_left_at_its_default_size_changes_no_output_byte(monkeypatch, tmp_path):
@@ -291,10 +464,13 @@ def test_train_loads_the_helper_code_only_when_a_helper_starts(train_keys, loade
     assert json.loads(out.stdout.splitlines()[-1]) == [0, loaded, loaded, False]
 
 
+@pytest.mark.parametrize("split", [False, True])
 @pytest.mark.parametrize("name, n", [("fork", 1), ("pipe", 2)])
-def test_a_helper_that_cannot_start_leaves_the_work_inline(name, n, refuse_call, monkeypatch,
-                                                          tmp_path):
+def test_a_helper_that_cannot_start_leaves_the_work_inline(name, n, split, refuse_call,
+                                                          monkeypatch, tmp_path):
     dataset, cfg, _ = CASES["eval_every_1"]
+    if split:  # its shared arrays are mapped before the fork is refused
+        monkeypatch.setattr(train_module, "_SPLIT_ELEMS", 1)
     with monkeypatch.context() as patch:
         _cpus(patch, 1)
         _refuse_fork(patch)

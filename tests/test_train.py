@@ -258,8 +258,8 @@ def test_a_cluster_without_sampler_mass_is_drawn_again(monkeypatch):
     real_e_step, real_sample = gmm.e_step, gmm.sample_cluster
     drawn = []
 
-    def e_step_without_cluster_0(mixture, y):
-        resp = real_e_step(mixture, y)
+    def e_step_without_cluster_0(mixture, y, **kwargs):
+        resp = real_e_step(mixture, y, **kwargs)
         resp[:, 0] = 0.0
         return resp
 
