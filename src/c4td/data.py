@@ -217,14 +217,14 @@ def subsample(dataset: OfflineDataset, n: int, seed: int) -> OfflineDataset:
 
 _HEADER_KEYS = {"ds": "int", "da": "int", "env": "str", "modes": "int", "seed": "int"}
 _ROW_KEYS = {"s", "a", "r", "sn", "an", "done"}
-# Lines per json.loads in load_jsonl: one parse per chunk, and a chunk's
-# transient Python objects are freed before the next is parsed.
+# Lines per chunk in load_jsonl: a chunk's lines and Python objects become
+# arrays before the next chunk is read, so a parse holds one chunk at a time.
 _CHUNK_LINES = 1024
-_MARKER = ',"",'  # load_jsonl's separator between the lines of a chunk
-# load_jsonl keeps each parse in <dataset>.c4cache. The file is the key (this
-# format version and the SHA-256 of the dataset's bytes) on one line, the
-# header fields and the row count n as one JSON line, then the raw columns s,
-# a, r, sn, an (little-endian float64) and done (one byte per row).
+# save_jsonl, and load_jsonl on a miss, keep the arrays in <dataset>.c4cache.
+# The file is the key (this format version and the SHA-256 of the dataset's
+# bytes) on one line, the header fields and the row count n as one JSON line,
+# then the raw columns s, a, r, sn, an (little-endian float64) and done (one
+# byte per row).
 _CACHE_SUFFIX = ".c4cache"
 _CACHE_FORMAT = b"c4td dataset cache, format 1, sha256 "
 _HASH_BYTES = 1 << 16  # bytes per read while hashing a dataset
@@ -234,15 +234,25 @@ def save_jsonl(dataset: OfflineDataset, path: str) -> None:
     """One header line, then one JSON object per transition.
 
     Floats are emitted with repr precision, so a load after save reproduces
-    every bit.
+    every bit. The SHA-256 of the bytes written keys ``<path>.c4cache``,
+    the cache that the first ``load_jsonl`` of the file would write, so no
+    load parses a file saved here. Only float columns are cached (a bool
+    column, for one, is written as JSON that does not load); an ``OSError``
+    while writing the cache leaves it unwritten.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_header_of(dataset)) + "\n")
-        for i in range(len(dataset)):
-            row = {"s": dataset.s[i].tolist(), "a": dataset.a[i].tolist(),
-                   "r": float(dataset.r[i]), "sn": dataset.s_next[i].tolist(),
-                   "an": dataset.a_next[i].tolist(), "done": bool(dataset.done[i])}
-            fh.write(json.dumps(row) + "\n")
+    sha256 = hashlib.sha256()
+    rows = ({"s": dataset.s[i].tolist(), "a": dataset.a[i].tolist(),
+             "r": float(dataset.r[i]), "sn": dataset.s_next[i].tolist(),
+             "an": dataset.a_next[i].tolist(), "done": bool(dataset.done[i])}
+            for i in range(len(dataset)))
+    with open(path, "wb") as fh:
+        for item in chain([_header_of(dataset)], rows):
+            line = (json.dumps(item) + "\n").encode()
+            sha256.update(line)
+            fh.write(line)
+    columns = (dataset.s, dataset.a, dataset.r, dataset.s_next, dataset.a_next)
+    if all(column.dtype.kind == "f" for column in columns):
+        _write_cache(os.fspath(path) + _CACHE_SUFFIX, _key(sha256), dataset)
 
 
 def _header_of(dataset: OfflineDataset) -> dict:
@@ -290,58 +300,26 @@ def _rows_line_by_line(lines: list[str], first: int, ds: int, da: int) -> dict[s
     return cols
 
 
-def _all_float_lists(column: list, width: int) -> bool:
-    return (set(map(type, column)) == {list} and set(map(len, column)) == {width}
-            and set(map(type, chain.from_iterable(column))) == {float})
-
-
-def _rows_in_one_parse(lines: list[str], widths: dict[str, int]) -> dict[str, list] | None:
-    """Columns of ``lines`` from one ``json.loads``, or None unless every line is a clean row.
-
-    The lines are joined into one array with an empty string between each
-    two. A valid row holds no string but its keys, so a marker can only
-    parse as an array element of its own; when the parse alternates rows and
-    markers, each line held exactly one row and would parse to it alone.
-    Integers take the line-by-line path, which converts them one by one.
-    """
-    try:
-        items = json.loads("[" + _MARKER.join(lines) + "]")
-    except (ValueError, RecursionError):
-        return None
-    rows = items[::2]
-    if (len(rows) != len(lines) or items[1::2] != [""] * (len(lines) - 1)
-            or set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(_ROW_KEYS)}):
-        return None
-    try:  # six keys, all of them found: exactly _ROW_KEYS
-        cols = {key: [row[key] for row in rows] for key in _ROW_KEYS}
-    except KeyError:
-        return None
-    if (all(_all_float_lists(cols[key], width) for key, width in widths.items())
-            and set(map(type, cols["r"])) == {float} and set(map(type, cols["done"])) == {bool}):
-        return cols
-    return None
-
-
 def load_jsonl(path: str) -> OfflineDataset:
     """Read a dataset written by ``save_jsonl``; errors name the line, as ParseError.
 
-    The file is streamed: lines are decoded and split as read, and rows are
-    parsed ``_CHUNK_LINES`` at a time with one ``json.loads``, so beyond the
-    arrays it returns a load holds one chunk's text and objects, never the
-    whole file. Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r`` (Python's
+    The file is streamed: lines are decoded and split as read, and parsed
+    one ``json.loads`` per line, ``_CHUNK_LINES`` lines at a time, so beyond
+    the arrays it returns a load holds one chunk's text and objects, never
+    the whole file. Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r`` (Python's
     universal newlines) and nowhere else, unlike ``str.splitlines()``, which
-    also breaks a JSON string at U+2028 or ``\\x85``. A chunk that is not all
-    clean rows is parsed again line by line, so the first error reported is
-    the first in line order. Non-finite values are looked for once every row has
-    parsed. A file that is not UTF-8 is reported ahead of any other error,
-    with the position of the bad byte in the file.
+    also breaks a JSON string at U+2028 or ``\\x85``. The first error reported
+    is the first in line order. Non-finite values are looked for once every
+    row has parsed. A file that is not UTF-8 is reported ahead of any other
+    error, with the position of the bad byte in the file.
 
     A clean parse is kept in ``<path>.c4cache``, keyed by a format version and
     the SHA-256 of the bytes it parsed, and a later load of the same bytes
-    reads its arrays back instead of parsing. Any cache that does not fit
-    exactly is passed over and the file parsed. Deleting the cache is always
-    safe; an ``OSError`` while writing it, as in a read-only directory, only
-    leaves it unwritten.
+    reads its arrays back instead of parsing; ``save_jsonl`` leaves the same
+    cache, so only a file written otherwise is parsed, once. Any cache that
+    does not fit exactly is passed over and the file parsed. Deleting the
+    cache is always safe; an ``OSError`` while writing it, as in a read-only
+    directory, only leaves it unwritten.
     """
     cache = os.fspath(path) + _CACHE_SUFFIX
     try:
@@ -349,7 +327,7 @@ def load_jsonl(path: str) -> OfflineDataset:
             buffer = bytearray(_HASH_BYTES)
             while raw.readinto(buffer):
                 pass
-            key = raw.key()
+            key = _key(raw.sha256)
             dataset = _cached(cache, key)
             if dataset is not None:
                 return dataset
@@ -366,7 +344,7 @@ def load_jsonl(path: str) -> OfflineDataset:
             except UnicodeDecodeError as exc:
                 raise FormatError(f"dataset {path} is not UTF-8 text: {exc}") from exc
         raise
-    if raw.key() == key:
+    if _key(raw.sha256) == key:
         _write_cache(cache, key, dataset)
     return dataset
 
@@ -383,9 +361,10 @@ class _HashingFile(io.FileIO):
         self.sha256.update(memoryview(buffer)[:n])
         return n
 
-    def key(self) -> bytes:
-        """The cache key of the bytes read: the format, then the digest, one line."""
-        return _CACHE_FORMAT + self.sha256.hexdigest().encode() + b"\n"
+
+def _key(sha256) -> bytes:
+    """The cache key of hashed bytes: the format, then their digest, one line."""
+    return _CACHE_FORMAT + sha256.hexdigest().encode() + b"\n"
 
 
 def _cached(cache: str, key: bytes) -> OfflineDataset | None:
@@ -467,8 +446,7 @@ def _dataset_of_lines(lines) -> OfflineDataset:
     parts = []  # per chunk, so nothing is sized from the header before its rows parse
     n = 0
     while chunk := list(islice(lines, _CHUNK_LINES)):
-        cols = (_rows_in_one_parse(chunk, widths)
-                or _rows_line_by_line(chunk, n + 2, ds, da))
+        cols = _rows_line_by_line(chunk, n + 2, ds, da)
         n += len(chunk)
         parts.append({**{key: np.fromiter(chain.from_iterable(cols[key]), float,
                                           len(chunk) * width).reshape(len(chunk), width)

@@ -260,11 +260,11 @@ class ClusterSampler:
     ``rng.random(size)``, but re-validates and re-sums all N weights on
     every draw. Non-finite or negative weights are rejected here instead.
 
-    With ``in_place``, each CDF is built, with the same bits, in its own
-    column of ``responsibilities``, which the caller reads no more.
+    Each CDF is built, with the same bits, in its own column of a float
+    ``responsibilities`` array, which the caller reads no more.
     """
 
-    def __init__(self, responsibilities: np.ndarray, in_place: bool = False):
+    def __init__(self, responsibilities: np.ndarray):
         resp = np.asarray(responsibilities, dtype=float)
         if resp.ndim != 2:
             raise InputError("responsibilities must be 2-D with a valid column z")
@@ -275,11 +275,8 @@ class ClusterSampler:
         for z, mass in enumerate(self.mass):
             cdf = None
             if mass > 0.0:
-                if in_place:
-                    cdf = np.divide(resp[:, z], mass, out=resp[:, z])
-                    np.cumsum(cdf, out=cdf)
-                else:
-                    cdf = (resp[:, z] / mass).cumsum()
+                cdf = np.divide(resp[:, z], mass, out=resp[:, z])
+                np.cumsum(cdf, out=cdf)
                 cdf /= cdf[-1]
             self._cdfs.append(cdf)
 
@@ -295,7 +292,7 @@ class ClusterSampler:
 def single_cluster_batch(responsibilities: np.ndarray, z: int, batch_size: int,
                          rng: np.random.Generator) -> np.ndarray:
     """batch_size indices drawn with replacement, probability prop. to r_iz."""
-    return ClusterSampler(responsibilities).draw(z, batch_size, rng)
+    return ClusterSampler(np.array(responsibilities, dtype=float)).draw(z, batch_size, rng)
 
 
 def refresh_clusters(online: MlpCritic, target: MlpCritic, x: np.ndarray, x_prime: np.ndarray,
@@ -333,7 +330,7 @@ def refresh_clusters(online: MlpCritic, target: MlpCritic, x: np.ndarray, x_prim
                      max_iters=cfg.em_max_iters if mixture is None else cfg.em_warm_iters,
                      tol=cfg.em_tol, seed=int(rng.integers(2 ** 63)), init=mixture,
                      split=split).mixture
-    return fitted, ClusterSampler(gmm.e_step(fitted, y, split=split), in_place=True)
+    return fitted, ClusterSampler(gmm.e_step(fitted, y, split=split))
 
 
 class _Sgd:

@@ -10,6 +10,26 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 
+def _caches_in_checkout() -> set[Path]:
+    """The dataset caches under the checkout, outside the benchmark's work directory."""
+    found = set()
+    for root, dirs, files in os.walk(Path(__file__).parents[1]):
+        dirs[:] = [d for d in dirs if d not in (".git", ".perfbench_work")]
+        found.update(Path(root, name) for name in files if name.endswith(".c4cache"))
+    return found
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_cache_in_checkout():
+    """Fails the run if a test leaves a new ``*.c4cache`` in the checkout, as a
+    ``save_jsonl`` or ``load_jsonl`` of a dataset there would."""
+    before = _caches_in_checkout()
+    yield
+    left = _caches_in_checkout() - before
+    if left:
+        pytest.fail(f"the tests left dataset caches in the checkout: {sorted(map(str, left))}")
+
+
 @pytest.fixture
 def traced_peak():
     """fn -> bytes numpy and Python allocated at the peak of a call to fn, above what was live."""

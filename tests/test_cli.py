@@ -61,6 +61,13 @@ def test_gen_data_writes_dataset_and_summary(tmp_path, capsys):
     assert out.read_text().count("\n") == 161  # header plus one line per row
 
 
+def test_train_right_after_gen_data_loads_without_a_parse(tmp_path, monkeypatch):
+    config, _ = _write_config(tmp_path)
+    _gen(tmp_path, config)  # leaves the dataset's parse cache beside it
+    monkeypatch.setattr(data_module, "_dataset_of_lines", lambda lines: pytest.fail("parsed"))
+    assert main(["train", "--config", str(config), "--set", "train.steps=0"]) == 0
+
+
 def test_gen_data_is_deterministic(tmp_path):
     config, _ = _write_config(tmp_path)
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -595,7 +602,6 @@ def em_shape(tmp_path_factory):
                 PYTHONPATH=str(Path(c4td.__file__).parents[1]))
     subprocess.run([sys.executable, "-m", "c4td.cli", "gen-data", "--config", str(config),
                     "--out", cfg["dataset"]], env=base, capture_output=True, check=True)
-    data_module.load_jsonl(cfg["dataset"])  # writes the parse cache, so every run below loads alike
 
     def train(out_dir, *sets, **env) -> int:
         before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
@@ -611,7 +617,8 @@ def em_shape(tmp_path_factory):
                     reason="the heap setting and the fault counts are glibc's")
 def test_a_refresh_faults_in_no_fresh_memory(em_shape):
     # glibc's default mmaps every N-row array of a refresh and unmaps it when
-    # freed, so each refresh faulted about 1900 pages in again; c4 keeps them
+    # freed, so each refresh would fault 550-610 pages in again on two CPUs
+    # (about 165 on one); c4 keeps them, and a refresh takes about 20-28
     root, train = em_shape
     one = train(root / "one", "train.refresh_period=1000")
     five = train(root / "five", "train.refresh_period=25")

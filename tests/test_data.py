@@ -203,7 +203,7 @@ def test_loader_rejects_non_finite_numbers_with_their_line(tmp_path):
 def test_loader_scratch_does_not_grow_with_the_file(tmp_path, traced_peak):
     # From N to 4N rows, the traced peak of a parse may grow by the output
     # arrays twice over (the per-chunk parts and their concatenation), not by
-    # the file: one chunk's text and objects are a constant. It grows by 1.04
+    # the file: one chunk's text and objects are a constant. It grows by 1.0
     # times the arrays' growth here; holding the whole text and a list of its
     # lines, as the loader once did, grew it by 5.0 times. A cache hit holds
     # the arrays and one hashing buffer, and grows by 1.03 times the arrays'
@@ -426,25 +426,16 @@ def test_a_file_that_is_not_utf8_is_reported_first_with_the_bytes_file_position(
                               f"byte 0xff in position {len(raw) - 5}: invalid start byte")
 
 
-def test_clean_rows_take_one_json_parse_per_chunk(tmp_path, monkeypatch):
+def test_a_hit_parses_the_caches_header_alone(tmp_path, monkeypatch):
     path = tmp_path / "d.jsonl"
-    lines = _saved_lines(tmp_path, 27)  # 1080 rows, two chunks
-    _write(path, lines)
-    parses, line_by_line = [], []
-    loads, rows_line_by_line = json.loads, data_module._rows_line_by_line
+    _write(path, _with(_saved_lines(tmp_path, 27), 1030, "r", -1))  # 1080 rows, an integer r
+    parses = []
+    loads = json.loads
     monkeypatch.setattr(json, "loads", lambda text: parses.append(text) or loads(text))
-    monkeypatch.setattr(data_module, "_rows_line_by_line",
-                        lambda *args: line_by_line.append(args) or rows_line_by_line(*args))
-    assert len(load_jsonl(str(path))) == 1080
-    assert (len(parses), line_by_line) == (3, [])  # the header, then one per chunk
-    _write(path, _with(lines, 1030, "r", -1))  # an integer r in the second chunk
+    assert load_jsonl(str(path)).r[1028] == -1.0  # a miss: the file has no cache yet
+    assert len(parses) == 1 + 1080  # the header, then one per row
     parses.clear()
-    assert load_jsonl(str(path)).r[1028] == -1.0  # a miss: the cache holds the first file
-    assert [args[1] for args in line_by_line] == [1026]
-    assert len(parses) == 3 + 1080 - 1024
-    parses.clear()
-    assert load_jsonl(str(path)).r[1028] == -1.0  # a hit parses the cache's header alone
-    assert [args[1] for args in line_by_line] == [1026]
+    assert load_jsonl(str(path)).r[1028] == -1.0
     assert len(parses) == 1 and b'"n": 1080' in parses[0]
 
 
@@ -499,20 +490,58 @@ def _hit(path):
 
 
 def test_a_cache_hit_returns_what_the_parse_returns(tmp_path):
-    # several chunks, and a header whose strings and integers JSON must carry exactly
-    data = generate(EnvSpec.with_circular_modes(3), n_trajectories=60, seed=11)
+    # the gate's 2000 rows (two chunks), and a header whose strings and
+    # integers JSON must carry exactly
+    data = generate(EnvSpec.with_circular_modes(3), n_trajectories=50, seed=11)
     odd = OfflineDataset(data.ds, data.da, 'env "\u2028\n\udc00 \u00e9', 10 ** 30,
                          2 ** 70, data.s, data.a, data.r, data.s_next, data.a_next, data.done)
+    copies = tmp_path / "copies"
+    copies.mkdir()
     for i, dataset in enumerate((data, odd)):
         path = tmp_path / f"d{i}.jsonl"
         save_jsonl(dataset, str(path))
-        assert not _cache_of(path).exists()
-        parsed = _outcome(load_jsonl, path)
-        assert isinstance(parsed[0], tuple) and _cache_of(path).is_file()
+        copy = copies / path.name
+        shutil.copyfile(path, copy)
+        parsed = _outcome(load_jsonl, copy)  # a miss, which writes the copy's cache
+        assert isinstance(parsed[0], tuple)
+        # the save left the cache that a parse of its bytes writes
+        assert _cache_of(path).read_bytes() == _cache_of(copy).read_bytes()
         assert _hit(path) == parsed == _outcome(load_jsonl_line_by_line, path)
     assert parsed[0] == (2, 2, 'env "\u2028\n\udc00 \u00e9', 10 ** 30, 2 ** 70)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "d0.jsonl", "d0.jsonl.c4cache", "d1.jsonl", "d1.jsonl.c4cache"]
+        "copies", "d0.jsonl", "d0.jsonl.c4cache", "d1.jsonl", "d1.jsonl.c4cache"]
+
+
+@pytest.mark.parametrize("failing", ["a directory", "tempfile.mkstemp", "os.replace"])
+def test_a_save_whose_cache_cannot_be_written_still_writes_the_dataset(
+        tmp_path, monkeypatch, failing):
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+    data = generate(EnvSpec.with_circular_modes(3), n_trajectories=1, seed=3)
+    path = tmp_path / "d.jsonl"
+    if failing == "a directory":
+        _cache_of(path).mkdir()
+    else:
+        module, attr = failing.split(".")
+        monkeypatch.setattr({"tempfile": tempfile, "os": os}[module], attr, refuse)
+    save_jsonl(data, str(path))
+    monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path)) == (  # and no temp file
+        ["d.jsonl", "d.jsonl.c4cache"] if failing == "a directory" else ["d.jsonl"])
+    assert _outcome(load_jsonl, path) == _outcome(load_jsonl_line_by_line, path)
+
+
+def test_a_save_leaves_a_column_that_is_not_float_to_the_parse(tmp_path):
+    data = generate(EnvSpec(), n_trajectories=1, seed=0)
+    path = tmp_path / "d.jsonl"
+    for s, loads in ((data.s > 0, False), (np.ones(data.s.shape, dtype=int), True)):
+        save_jsonl(OfflineDataset(data.ds, data.da, data.env_name, data.n_modes, data.seed, s,
+                                  data.a, data.r, data.s_next, data.a_next, data.done),
+                   str(path))
+        assert not _cache_of(path).exists()
+        got = _outcome(load_jsonl, path)  # bools are no numbers, integers convert
+        assert got == _outcome(load_jsonl_line_by_line, path)
+        assert isinstance(got[0], tuple) == loads
 
 
 def test_a_one_byte_edit_is_a_miss(tmp_path):

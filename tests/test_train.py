@@ -163,9 +163,11 @@ def test_single_cluster_batch_respects_responsibility_weights():
     resp = np.zeros((6, 2))
     resp[3, 0] = 1.0
     resp[:, 1] = 1.0 / 6.0
+    given = resp.copy()
     idx = single_cluster_batch(resp, 0, 40, rng)
     assert np.all(idx == 3)
     idx = single_cluster_batch(resp, 1, 4000, rng)
+    assert np.array_equal(resp, given)  # the CDFs are built in a copy
     counts = np.bincount(idx, minlength=6)
     assert counts.min() > 0
     assert abs(counts.max() / 4000 - 1 / 6) < 0.05
@@ -191,7 +193,7 @@ def _responsibility_matrices():
 def test_cluster_sampler_draws_exactly_what_weighted_choice_draws():
     checked = 0
     for trial, resp in _responsibility_matrices():
-        sampler = ClusterSampler(resp)
+        sampler = ClusterSampler(resp.copy())  # its CDFs are built in the array it is given
         for z in range(resp.shape[1]):
             mass = resp[:, z].sum()
             ours, ref, direct = (np.random.default_rng(trial) for _ in range(3))
