@@ -12,9 +12,9 @@ processes share, and the loop waits for it. ``train.train`` starts a
 
 Each job crosses the pipe as one message. A check or an evaluation carries its
 kind, its step and its arrays as raw bytes, which the helper reads back with
-numpy. A split job carries the name of a ``gmm`` function and the places of
-its arguments in the shared mapping, into which the loop first copies those
-that lie elsewhere. Only a sync and a split job are answered.
+numpy. A split job carries the name of a ``gmm`` function and its arguments:
+the place in the shared mapping of each that lies there, and the shape and raw
+bytes of each that does not. Only a sync and a split job are answered.
 """
 
 from __future__ import annotations
@@ -36,18 +36,17 @@ def _layout(cfg: train.TrainConfig, n: int, d: int) -> dict[str, tuple[int, int]
     """(start, size) in doubles of each array that a refresh of ``n`` pairs of width ``d``
     shares with the helper, by the name ``train.refresh_clusters`` and ``gmm`` ask for.
 
-    "stage" holds a split job's other inputs (``_Shared.places``): the means,
-    Cholesky factors, responsibilities and soft counts of at most K
-    components. EM's arrays lie past the first K x rows doubles of the
-    "table" array, the part of it that EM uses: the E-step's full table
-    covers them, and is made only once the fit has returned.
+    A split job's other inputs, the means, Cholesky factors, responsibilities
+    and soft counts, cross in its message (``_Shared.places``). EM's arrays
+    lie past the first K x rows doubles of the "table" array, the part of it
+    that EM uses: the E-step's full table covers them, and is made only once
+    the fit has returned.
     """
     rows = n if cfg.probe_size is None else min(cfg.probe_size, n)  # the rows EM fits
     k = cfg.n_clusters
     layout, start = {}, 0
-    for name, size in (("pairs", n * d), ("stage", _lines(k * d) + _lines(k * d * d)
-                                          + _lines(k * rows) + _lines(k)),
-                       ("table", k * rows), ("probe", rows * d), ("covs", k * d * d)):
+    for name, size in (("pairs", n * d), ("table", k * rows), ("probe", rows * d),
+                       ("covs", k * d * d)):
         layout[name] = (start, size)
         start += _lines(size)
     layout["table"] = (layout["table"][0], k * n)
@@ -77,26 +76,22 @@ class _Shared:
         """The array kept under ``name``; ValueError if ``shape`` is larger than its slot."""
         return self.root[self.slots[name]][:math.prod(shape)].reshape(shape)
 
-    def places(self, arrays) -> list[tuple[int, tuple, tuple]]:
-        """Where each of ``arrays`` lies in the mapping, as (offset, shape, strides).
-
-        An array that lies elsewhere is copied into the "stage" slot first, one
-        after another: a copy costs less than a pickle sent through the pipe.
-        """
-        places, stage = [], self.slots["stage"]
-        start = stage.start
+    def places(self, arrays) -> list[tuple]:
+        """Each of ``arrays`` as its place in the mapping, (offset, shape, strides),
+        or, for one that lies elsewhere, as (shape, its raw bytes in C order)."""
+        places = []
         for a in arrays:
             offset = a.__array_interface__["data"][0] - self._base
-            if not 0 <= offset < self.root.nbytes:
-                copy = self.root[start:stage.stop][:a.size].reshape(a.shape)
-                copy[...] = a
-                offset, a = start * 8, copy
-                start += _lines(a.size)
-            places.append((offset, a.shape, a.strides))
+            places.append((offset, a.shape, a.strides) if 0 <= offset < self.root.nbytes
+                          else (a.shape, bytes(a)))
         return places
 
     def view(self, place) -> np.ndarray:
-        """The array that ``place`` describes."""
+        """The array that ``place`` describes: a view of the mapping, or a read-only
+        C-ordered array of the bytes it carries."""
+        if len(place) == 2:
+            shape, data = place
+            return np.frombuffer(data).reshape(shape)
         offset, shape, strides = place
         return np.ndarray(shape, buffer=self.root, offset=offset, strides=strides)
 

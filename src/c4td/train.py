@@ -540,12 +540,13 @@ _SPLIT_ELEMS = 131072
 
 
 def _start_helper(cfg: TrainConfig, online: MlpCritic, x_all: np.ndarray):
-    """A ``helper.Helper`` for the run's off-path work or large refreshes, if it has
-    some, a second CPU and a process to spare; else None. Only a run that starts one
-    imports that code."""
+    """A ``helper.Helper`` for the run's off-path work or large refreshes, if it trains,
+    has such work, a second CPU and a process to spare; else None. A zero-step set-up
+    runs its one refresh inline. Only a run that starts a helper imports that code."""
+    if cfg.steps < 1:
+        return None
     env = cfg.eval_env
-    off_path = cfg.steps >= 1 and (cfg.check_identities
-                                   or (env is not None and cfg.eval_every < cfg.steps))
+    off_path = cfg.check_identities or (env is not None and cfg.eval_every < cfg.steps)
     d = _pair_dim(online, cfg.feature_mode)
     split = cfg.n_clusters > 1 and len(x_all) * d >= _SPLIT_ELEMS
     if not (off_path or split):
@@ -584,7 +585,8 @@ def train(dataset: OfflineDataset, cfg: TrainConfig,
     before it raises and before it returns, and raises what an inline run
     would have raised first. With one BLAS thread and pairs of at least
     ``_SPLIT_ELEMS`` doubles, the helper also runs half of each refresh's
-    per-component EM work. The outputs are the same bits either way.
+    per-component EM work. A zero-step run starts no helper. The outputs are
+    the same bits either way.
     """
     if len(dataset) == 0:
         raise InputError("dataset must be nonempty")

@@ -16,7 +16,8 @@ from . import gmm
 from .covstats import (jacobi_svd, spectral_norm, svd_alignment_bound,
                        total_cov_decomposition, within_bound_check)
 from .data import EnvSpec, generate
-from .diagnostics import PerturbSpec, direct_var_delta, estimate_abc, grad_cosine_report
+from .diagnostics import (PerturbSpec, default_perturb_spec, direct_var_delta, estimate_abc,
+                          grad_cosine_report)
 from .errors import InputError, at_least, check_fields
 from .nets import MlpCritic
 from .policy import (GaussianDist, PenaltyCoeffs, chi2_inflation_at_optimum, kappa_star,
@@ -144,8 +145,7 @@ def suite_theorem1(seed: int = 0) -> list[dict]:
     net1 = MlpCritic.init(4, (16, 16), rng)
     net2 = MlpCritic.init(4, (16, 16), rng)
     x, xp = batch.joint_inputs()
-    k = 0.01 * float(np.mean(np.std(np.vstack([x, xp]), axis=0)))
-    rspec = PerturbSpec(k=k, k_prime=k, n_directions=10_000)
+    rspec = default_perturb_spec(np.vstack([x, xp]), n_directions=10_000)
     comp = estimate_abc(net1, net2, batch, rspec, 0.99,
                         np.random.default_rng(seed + 4)).composed
     dirv = direct_var_delta(net1, net2, batch, rspec, 0.99,

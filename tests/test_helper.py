@@ -1,9 +1,9 @@
 """The train helper: identity checks, early evaluations and half of a large
 refresh's EM work in a forked process.
 
-``train()`` forks one helper when the process may use two CPUs and the run has
-work that no step reads, identity checks or evaluations before its last step,
-or refreshes of at least ``train._SPLIT_ELEMS`` pair elements
+``train()`` forks one helper when the process may use two CPUs and the run
+trains and has work that no step reads, identity checks or evaluations before
+its last step, or refreshes of at least ``train._SPLIT_ELEMS`` pair elements
 (``train._start_helper``). These tests patch the usable CPUs to 1 and 2 and
 require every output byte, and every failure, to be the same either way, with
 no child process and no shared mapping left behind.
@@ -12,7 +12,9 @@ no child process and no shared mapping left behind.
 import fcntl
 import functools
 import json
+import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +25,7 @@ import pytest
 from c4td import cli, gmm, workers
 from c4td import helper as helper_module
 from c4td import train as train_module
-from c4td.data import EnvSpec, generate
+from c4td.data import EnvSpec, generate, save_jsonl
 from c4td.errors import NumericalError
 from c4td.gmm import mixture_to_json
 from c4td.train import RngStreams, TrainConfig, _eval_starts, baseline_of, metrics_to_csv, train
@@ -156,9 +158,11 @@ def test_the_helper_changes_no_output_byte(name, monkeypatch, tmp_path):
 
 # The decision to fork reads only the config and the pairs' size: these stand
 # for the benchmark's desk_pair (an evaluation at the last step alone, no
-# identity checks, N = 2000), for a gate-shape run with no evaluation and no
-# identity checks at K = 8, and for any small zero-step set-up. Their refreshes
-# are below the size rule, so they keep the inline path.
+# identity checks, N = 2000) and for a gate-shape run with no evaluation and no
+# identity checks at K = 8, whose refreshes are below the size rule, and for
+# zero-step set-ups, which run their one refresh inline at any size: a small
+# one, one with the size rule patched down to 1 element (name ending "_split")
+# and one at em_refresh's shape (the dataset is made on first use).
 NO_WORK = {
     "desk_pair": (GATE, TrainConfig(steps=60, **_GATE, eval_env=ENV, eval_every=5000,
                                     eval_episodes=8, check_identities=False)),
@@ -168,6 +172,8 @@ NO_WORK = {
     "gate_shape_k8_unchecked": (GATE, TrainConfig(steps=50, **{**_GATE, "n_clusters": 8},
                                                   check_identities=False)),
     "zero_steps": (SMALL, TrainConfig(steps=0, **_SMALL, eval_every=1)),
+    "zero_steps_split": (SMALL, TrainConfig(steps=0, **_SMALL)),
+    "zero_steps_em_refresh_shape": (None, TrainConfig(steps=0, **_EM)),
 }
 
 
@@ -176,7 +182,9 @@ def test_a_run_without_off_path_work_never_forks(name, monkeypatch):
     _cpus(monkeypatch, 2)
     _refuse_fork(monkeypatch)
     dataset, cfg = NO_WORK[name]
-    _, metrics = train(dataset, cfg)
+    if name.endswith("_split"):
+        monkeypatch.setattr(train_module, "_SPLIT_ELEMS", 1)
+    _, metrics = train(_EM_DATA.dataset if dataset is None else dataset, cfg)
     assert len(metrics) == cfg.steps
 
 
@@ -217,7 +225,6 @@ SPLIT = {
         eval_every=30)),
     "gate_shape_adam_k5": (GATE, TrainConfig(
         steps=150, **_GATE, eval_env=ENV, eval_every=100, eval_episodes=4, seed=2)),
-    "zero_steps": (SMALL, TrainConfig(steps=0, **_SMALL)),
 }
 
 
@@ -239,6 +246,77 @@ def test_a_forced_split_changes_no_output_byte(name, monkeypatch, tmp_path):
     if name == "k9_reseeding":
         assert sum(reseeds) > 0
     _no_child_left()
+
+
+def _recording_sends(monkeypatch) -> list:
+    """Records every message the loop sends to its helper."""
+    sent, real = [], workers.Worker.send
+
+    def send(self, message):
+        sent.append(message)
+        real(self, message)
+
+    monkeypatch.setattr(workers.Worker, "send", send)
+    return sent
+
+
+def _recording_layouts(monkeypatch) -> list:
+    """Records the arguments and result of each ``helper._layout`` call."""
+    layouts, real = [], helper_module._layout
+
+    def layout(cfg, n, d):
+        layouts.append((cfg, n, d, real(cfg, n, d)))
+        return layouts[-1][-1]
+
+    monkeypatch.setattr(helper_module, "_layout", layout)
+    return layouts
+
+
+def _check_mapping_holds_only_the_refresh(cfg, n, d, layout):
+    """The mapping holds the pairs, then the full table or EM's table, probe rows and
+    covariances over it, each slot starting on a 64-byte line."""
+    lines = helper_module._lines
+    k, rows = cfg.n_clusters, n if cfg.probe_size is None else min(cfg.probe_size, n)
+    assert set(layout) == {"pairs", "table", "probe", "covs"}
+    assert max(start + size for start, size in layout.values()) <= lines(n * d) + max(
+        lines(k * n), lines(k * rows) + lines(rows * d) + lines(k * d * d))
+
+
+@pytest.mark.parametrize("name", ["k2_no_probe_checked", "k8_probe_40", "k9_reseeding"])
+def test_a_split_job_sends_places_and_raw_bytes_not_pickled_arrays(name, monkeypatch):
+    dataset, cfg = SPLIT[name]
+    monkeypatch.setattr(train_module, "_SPLIT_ELEMS", 1)
+    _cpus(monkeypatch, 2)
+    sent, layouts = _recording_sends(monkeypatch), _recording_layouts(monkeypatch)
+    train(dataset, cfg)
+    _no_child_left()
+    forms = set()
+    for message in sent:
+        assert b"numpy" not in pickle.dumps(message)  # nor any other numpy object
+        kind, _, *args = message
+        for arg in args if kind == helper_module._SPLIT else ():
+            if len(arg) == 3:  # the helper's view of the mapping
+                offset, shape, strides = arg
+                assert all(type(v) is int for v in (offset, *shape, *strides))
+            else:  # an input that lies outside it
+                shape, data = arg
+                assert type(data) is bytes and len(data) == 8 * math.prod(shape)
+            forms.add(len(arg))
+    assert forms == {2, 3}  # the pairs and tables as places, the means as bytes
+    [(cfg, n, d, layout)] = layouts
+    _check_mapping_holds_only_the_refresh(cfg, n, d, layout)
+
+
+@pytest.mark.parametrize("n, d, k, probe", [
+    (10000, 32, 8, 2048),  # em_refresh's shape
+    (2000, 32, 5, 512),  # the gate's
+    (240, 16, 9, None),
+    (240, 16, 2, 1000),  # a probe larger than the data
+    (240, 16, 8, 40),  # the full table past EM's arrays
+])
+def test_the_shared_mapping_holds_only_a_refreshs_arrays(n, d, k, probe):
+    cfg = TrainConfig(steps=1, **{**_SMALL, "n_clusters": k}, probe_size=probe)
+    _check_mapping_holds_only_the_refresh(cfg, n, d, helper_module._layout(cfg, n, d))
 
 
 @pytest.mark.parametrize("rate, message", [
@@ -449,15 +527,26 @@ _IMPORTS = ("import json, os, sys\n"
             "                  'fcntl' in sys.modules]))\n")
 
 
+# em_refresh's train keys, for its dataset of 10000 rows
+_EM_KEYS = {"hidden": [16, 16], "batch_size": 256, "n_clusters": 8, "probe_size": 2048,
+            "em_tol": 0.0, "check_identities": False, "evaluate": False}
+
+
 @pytest.mark.parametrize("train_keys, loaded", [
-    ({"check_identities": False, "evaluate": False}, False),  # as em_refresh
+    ({"check_identities": False, "evaluate": False}, False),  # as em_refresh, small
     ({"check_identities": False, "eval_every": 5000}, False),  # as desk_pair
     ({"steps": 0}, False),  # any set-up run
+    ({**_EM_KEYS, "steps": 0}, False),  # em_refresh's set-up, past the size rule
     ({}, True),
 ])
 def test_train_loads_the_helper_code_only_when_a_helper_starts(train_keys, loaded, tmp_path):
-    config = _cli_config(tmp_path / "run", tmp_path / "data.jsonl", **train_keys)
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    dataset = tmp_path / "data.jsonl"
+    if train_keys.get("probe_size"):
+        save_jsonl(_EM_DATA.dataset, str(dataset))
+    config = _cli_config(tmp_path / "run", dataset, **train_keys)
+    # as under the benchmark's BLAS variables, where a large refresh may split
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", _IMPORTS, str(config)], env=env,
                          capture_output=True, text=True, timeout=120)
     # the helper widens its pipe itself, so the command's process never loads fcntl
